@@ -35,6 +35,9 @@ type allocCase struct {
 	// every point, so their sweepPin covers construction too.
 	explorePin float64
 	sweepPin   float64
+	// streamPin bounds the marginal allocations of one more point through
+	// SweepStream (TestSweepStreamMarginalAllocPins).
+	streamPin float64
 }
 
 func allocCases() []allocCase {
@@ -44,7 +47,7 @@ func allocCases() []allocCase {
 				return core.NewAlgorithm(k, core.WithPolicy(core.LeastLoaded))
 			},
 			recycle:    core.RecycleAlgorithm(core.WithPolicy(core.LeastLoaded)),
-			explorePin: 400, sweepPin: 10},
+			explorePin: 400, sweepPin: 10, streamPin: 12},
 		{name: "bfdnl", alg: BFDNRecursive, k: 8,
 			fresh: func(k int, _ *rand.Rand) sim.Algorithm {
 				a, err := recursive.NewBFDNL(k, 2)
@@ -53,25 +56,25 @@ func allocCases() []allocCase {
 				}
 				return a
 			},
-			explorePin: 500, sweepPin: 450},
+			explorePin: 500, sweepPin: 450, streamPin: 192.75},
 		{name: "cte", alg: CTE, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return cte.New(k) },
 			recycle:    cte.Recycle,
-			explorePin: 120, sweepPin: 10},
+			explorePin: 120, sweepPin: 10, streamPin: 4},
 		{name: "dfs", alg: DFS, k: 1,
 			fresh:      func(int, *rand.Rand) sim.Algorithm { return &offline.DFS{} },
-			explorePin: 40, sweepPin: 10},
+			explorePin: 40, sweepPin: 10, streamPin: 4},
 		{name: "levelwise", alg: Levelwise, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return levelwise.New(k) },
-			explorePin: 500, sweepPin: 450},
+			explorePin: 500, sweepPin: 450, streamPin: 218},
 		{name: "treemining", alg: TreeMining, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return treemining.New(k) },
 			recycle:    treemining.Recycle,
-			explorePin: 200, sweepPin: 10},
+			explorePin: 200, sweepPin: 10, streamPin: 4},
 		{name: "potential", alg: Potential, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return potential.New(k) },
 			recycle:    potential.Recycle,
-			explorePin: 200, sweepPin: 10},
+			explorePin: 200, sweepPin: 10, streamPin: 3},
 	}
 }
 
