@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -107,6 +108,12 @@ func TestTraceCoversJobAndEngine(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Bfdnd-Trace"); got != remoteTrace {
 		t.Fatalf("X-Bfdnd-Trace = %q, want the inbound trace %q", got, remoteTrace)
+	}
+	// Do returns at the first flushed line, while workers still run. The
+	// body ends only after the handler returns, by which time every job
+	// span has ended and reached the ring.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
 	}
 
 	recs := fetchTrace(t, ts.Client(), ts.URL, remoteTrace)
