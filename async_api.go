@@ -149,14 +149,21 @@ func ExploreAsyncContext(ctx context.Context, t *Tree, speeds []float64, opts ..
 	if err != nil {
 		return nil, err
 	}
-	return &AsyncReport{
+	rep := newAsyncReport(t, speeds, res)
+	return &rep, nil
+}
+
+// newAsyncReport is the one constructor of an AsyncReport: the run's
+// outcome plus the continuous-time floor for t and the fleet.
+func newAsyncReport(t *Tree, speeds []float64, res async.Result) AsyncReport {
+	return AsyncReport{
 		Makespan:      res.Makespan,
 		WorkDist:      res.WorkDist,
 		Events:        res.Events,
 		Floor:         async.LowerBound(t.N(), t.Depth(), speeds),
 		FullyExplored: res.FullyExplored,
 		AllAtRoot:     res.AllAtRoot,
-	}, nil
+	}
 }
 
 // AsyncSweepPoint is one run of a SweepAsync grid: the algorithm on Tree
@@ -176,48 +183,6 @@ type AsyncSweepResult struct {
 	Err    error       `json:"-"`
 }
 
-// asyncEngineConfig is the resolved configuration of one asynchronous sweep
-// invocation, mirroring engineConfig.
-type asyncEngineConfig struct {
-	opt    sweep.AsyncOptions
-	store  *JobStore
-	plan   []byte
-	resume bool
-}
-
-// AsyncEngineOption tunes the engine behind SweepAsync, the continuous-time
-// counterpart of EngineOption.
-type AsyncEngineOption func(*asyncEngineConfig)
-
-// WithAsyncSweepRecorder attaches an engine metrics recorder to an
-// asynchronous sweep; bfdnd wires its bfdnd_async_sweep_* families this way
-// (sweep.NewNamedRecorder keeps them separate from the synchronous ones).
-func WithAsyncSweepRecorder(rec *sweep.Recorder) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.opt.Recorder = rec }
-}
-
-// WithAsyncSeedIndexBase offsets the per-point seed-derivation index, the
-// asynchronous face of WithSeedIndexBase: shards of one logical grid
-// reproduce the unsharded run exactly wherever they execute.
-func WithAsyncSeedIndexBase(base uint64) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.opt.IndexBase = base }
-}
-
-// WithAsyncJobStore makes the asynchronous sweep resumable, the
-// continuous-time face of WithJobStore. Resume granularity is the point:
-// the async engine's pending-event heap holds a live randomness stream that
-// cannot be serialized, so interrupted points re-run whole — completed ones
-// replay from the journal (DESIGN.md S30).
-func WithAsyncJobStore(js *JobStore) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.store = js }
-}
-
-// WithAsyncJobStorePlan is WithAsyncJobStore with caller-supplied canonical
-// plan bytes (must be valid JSON), mirroring WithJobStorePlan.
-func WithAsyncJobStorePlan(js *JobStore, plan []byte) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.store, c.plan = js, plan }
-}
-
 // SweepAsync executes a grid of independent continuous-time runs on a
 // sharded worker pool with per-worker engine reuse. workers ≤ 0 selects
 // GOMAXPROCS; seed scrambles the deterministic per-point latency streams.
@@ -225,7 +190,7 @@ func WithAsyncJobStorePlan(js *JobStore, plan []byte) AsyncEngineOption {
 // Per-point failures land in AsyncSweepResult.Err; SweepAsync itself errors
 // only on points invalid before running (nil tree, unknown algorithm or
 // latency spec).
-func SweepAsync(points []AsyncSweepPoint, workers int, seed int64, engineOpts ...AsyncEngineOption) ([]AsyncSweepResult, SweepStats, error) {
+func SweepAsync(points []AsyncSweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]AsyncSweepResult, SweepStats, error) {
 	return SweepAsyncContext(context.Background(), points, workers, seed, engineOpts...)
 }
 
@@ -233,15 +198,8 @@ func SweepAsync(points []AsyncSweepPoint, workers int, seed int64, engineOpts ..
 // expires every worker stops within 128 simulated events. Points completed
 // before the cancellation keep their results; every other point carries the
 // context's error.
-func SweepAsyncContext(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, engineOpts ...AsyncEngineOption) ([]AsyncSweepResult, SweepStats, error) {
-	out := make([]AsyncSweepResult, len(points))
-	stats, err := SweepAsyncStream(ctx, points, workers, seed, func(i int, r AsyncSweepResult) {
-		out[i] = r
-	}, engineOpts...)
-	if err != nil {
-		return nil, SweepStats{}, err
-	}
-	return out, stats, nil
+func SweepAsyncContext(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]AsyncSweepResult, SweepStats, error) {
+	return collect(SweepAsyncStream, ctx, points, workers, seed, engineOpts)
 }
 
 // SweepAsyncStream is SweepAsyncContext for consumers that want results as
@@ -250,7 +208,7 @@ func SweepAsyncContext(ctx context.Context, points []AsyncSweepPoint, workers in
 // goroutine that ran it, in completion order, not point order — so it must
 // be safe for concurrent calls. Canceled points are reported too, with Err
 // set.
-func SweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, onResult func(index int, res AsyncSweepResult), engineOpts ...AsyncEngineOption) (SweepStats, error) {
+func SweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, onResult func(index int, res AsyncSweepResult), engineOpts ...EngineOption) (SweepStats, error) {
 	pts := make([]sweep.AsyncPoint, len(points))
 	for i, p := range points {
 		if p.Tree == nil {
@@ -273,36 +231,20 @@ func SweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int
 			Latency:   p.Latency,
 		}
 	}
-	cfg := asyncEngineConfig{opt: sweep.AsyncOptions{Workers: workers, BaseSeed: uint64(seed)}}
-	for _, eo := range engineOpts {
-		eo(&cfg)
+	e := sweepEngine[sweep.AsyncPoint, sweep.AsyncResult, AsyncReport]{
+		kind:   "asyncsweep",
+		plan:   func(base, indexBase uint64) []byte { return asyncSweepPlanBytes(points, base, indexBase) },
+		points: pts,
+		run:    sweep.RunAsyncContext,
+		report: func(i int, r sweep.AsyncResult) AsyncReport {
+			return newAsyncReport(points[i].Tree, points[i].Speeds, r.Result)
+		},
 	}
-	if cfg.store != nil {
-		return runJournaledAsyncSweep(ctx, points, pts, onResult, &cfg)
-	}
-	if onResult != nil {
-		cfg.opt.OnResult = func(r sweep.AsyncResult) {
-			onResult(r.Point, convertAsyncResult(points[r.Point], r))
+	return e.stream(ctx, workers, seed, engineOpts, func(i int, rep AsyncReport, err error) {
+		if onResult != nil {
+			onResult(i, AsyncSweepResult{Report: rep, Err: err})
 		}
-	}
-	_, stats := sweep.RunAsyncContext(ctx, pts, cfg.opt)
-	return convertSweepStats(stats), nil
-}
-
-// convertAsyncResult maps an engine result to the facade form, attaching
-// the point's continuous-time floor.
-func convertAsyncResult(p AsyncSweepPoint, r sweep.AsyncResult) AsyncSweepResult {
-	if r.Err != nil {
-		return AsyncSweepResult{Err: r.Err}
-	}
-	return AsyncSweepResult{Report: AsyncReport{
-		Makespan:      r.Makespan,
-		WorkDist:      r.WorkDist,
-		Events:        r.Events,
-		Floor:         async.LowerBound(p.Tree.N(), p.Tree.Depth(), p.Speeds),
-		FullyExplored: r.FullyExplored,
-		AllAtRoot:     r.AllAtRoot,
-	}}
+	})
 }
 
 // AsyncLowerBound evaluates the continuous-time offline floor

@@ -123,7 +123,7 @@ func TestSweepAsyncIndexBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := len(points) / 2
-	shard, _, err := bfdn.SweepAsync(points[cut:], 2, 11, bfdn.WithAsyncSeedIndexBase(uint64(cut)))
+	shard, _, err := bfdn.SweepAsync(points[cut:], 2, 11, bfdn.WithSeedIndexBase(uint64(cut)))
 	if err != nil {
 		t.Fatal(err)
 	}

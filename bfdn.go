@@ -364,7 +364,15 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 		return nil, err
 	}
 	span.SetAttr(tracing.Int("rounds", res.Rounds))
-	return &Report{
+	rep := newReport(t, k, bound, res)
+	return &rep, nil
+}
+
+// newReport is the one constructor of a Report: the run's counters and
+// termination state, the algorithm's guarantee, and the offline lower
+// bound for t and k.
+func newReport(t *Tree, k int, bound float64, res sim.Result) Report {
+	return Report{
 		Rounds:            res.Rounds,
 		Moves:             res.Moves,
 		EdgeExplorations:  res.EdgeExplorations,
@@ -372,7 +380,7 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 		OfflineLowerBound: bounds.OfflineLB(t.N(), t.Depth(), k),
 		FullyExplored:     res.FullyExplored,
 		AllAtRoot:         res.AllAtRoot,
-	}, nil
+	}
 }
 
 type scheduleAdapter struct{ s Schedule }
@@ -396,15 +404,11 @@ func exploreWithBreakdowns(ctx context.Context, t *Tree, k int, cfg config) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
-		Rounds:            res.Rounds,
-		Moves:             res.Moves,
-		EdgeExplorations:  res.EdgeExplorations,
-		Bound:             adversary.Proposition7Bound(t.N(), t.Depth(), k),
-		OfflineLowerBound: bounds.OfflineLB(t.N(), t.Depth(), k),
-		FullyExplored:     res.FullyExplored,
-		AllAtRoot:         w.AllAtRoot(),
-	}, nil
+	// Robots need not return under break-downs, so the world says where
+	// they ended up.
+	rep := newReport(t, k, adversary.Proposition7Bound(t.N(), t.Depth(), k),
+		sim.Result{Metrics: res.Metrics, FullyExplored: res.FullyExplored, AllAtRoot: w.AllAtRoot()})
+	return &rep, nil
 }
 
 // WriteReadReport extends Report with the §4.1 model's resource accounting.
@@ -586,8 +590,9 @@ type SweepStats struct {
 	Errors int `json:"errors"`
 }
 
-// engineConfig is the resolved configuration of one sweep invocation: the
-// engine options plus the optional job-store attachment (DESIGN.md S30).
+// engineConfig is the resolved configuration of one sweep invocation of
+// either engine: the engine options plus the optional job-store attachment
+// (DESIGN.md S30).
 type engineConfig struct {
 	opt    sweep.Options
 	store  *JobStore
@@ -595,16 +600,19 @@ type engineConfig struct {
 	resume bool
 }
 
-// EngineOption tunes the sweep engine behind Sweep/SweepContext/SweepStream.
-// Unlike Option these act on the execution machinery, not the algorithm.
+// EngineOption tunes the sweep engine behind both engines' sweeps
+// (Sweep/SweepContext/SweepStream and SweepAsync and friends). Unlike
+// Option these act on the execution machinery, not the algorithm.
 type EngineOption func(*engineConfig)
 
 // WithSweepRecorder attaches an engine metrics recorder to a sweep: point
 // latency and queue-wait histograms plus monotonic totals, merged into the
 // recorder's registry atomically when the sweep completes. The bfdnd daemon
-// uses this to keep bfdnd_sweep_* totals consistent under concurrent sweeps.
-// Only in-module callers can construct a *sweep.Recorder (the package is
-// internal); external consumers read the same numbers from GET /metrics.
+// uses this to keep bfdnd_sweep_* totals consistent under concurrent sweeps,
+// and feeds asynchronous sweeps to a sweep.NewNamedRecorder so their
+// bfdnd_async_sweep_* families stay separate. Only in-module callers can
+// construct a *sweep.Recorder (the package is internal); external consumers
+// read the same numbers from GET /metrics.
 func WithSweepRecorder(rec *sweep.Recorder) EngineOption {
 	return func(c *engineConfig) { c.opt.Recorder = rec }
 }
@@ -626,7 +634,9 @@ func WithSeedIndexBase(base uint64) EngineOption {
 // the journaled points and executes only the missing ones — each with its
 // original global seed index, so the combined output is byte-identical to
 // an uninterrupted run. Failed points are not journaled; they re-run on
-// resume.
+// resume. Resume granularity is the point for both engines: an
+// asynchronous point's pending-event heap holds a live randomness stream
+// that cannot be serialized, so interrupted points re-run whole.
 func WithJobStore(js *JobStore) EngineOption {
 	return func(c *engineConfig) { c.store = js }
 }
@@ -655,10 +665,15 @@ func Sweep(points []SweepPoint, workers int, seed int64, engineOpts ...EngineOpt
 // cancellation keep their results; every other point carries the context's
 // error in SweepResult.Err.
 func SweepContext(ctx context.Context, points []SweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]SweepResult, SweepStats, error) {
-	out := make([]SweepResult, len(points))
-	stats, err := SweepStream(ctx, points, workers, seed, func(i int, r SweepResult) {
-		out[i] = r
-	}, engineOpts...)
+	return collect(SweepStream, ctx, points, workers, seed, engineOpts)
+}
+
+// collect runs a streaming sweep of either engine and returns its results
+// in point order.
+func collect[P, Res any](stream func(context.Context, []P, int, int64, func(int, Res), ...EngineOption) (SweepStats, error),
+	ctx context.Context, points []P, workers int, seed int64, engineOpts []EngineOption) ([]Res, SweepStats, error) {
+	out := make([]Res, len(points))
+	stats, err := stream(ctx, points, workers, seed, func(i int, r Res) { out[i] = r }, engineOpts...)
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
@@ -702,20 +717,20 @@ func SweepStream(ctx context.Context, points []SweepPoint, workers int, seed int
 			},
 			ResetAlgorithm: recycleHook(cfg)}
 	}
-	cfg := engineConfig{opt: sweep.Options{Workers: workers, BaseSeed: uint64(seed)}}
-	for _, eo := range engineOpts {
-		eo(&cfg)
+	e := sweepEngine[sweep.Point, sweep.Result, Report]{
+		kind:   "sweep",
+		plan:   func(base, indexBase uint64) []byte { return sweepPlanBytes(points, base, indexBase) },
+		points: pts,
+		run:    sweep.RunContext,
+		report: func(i int, r sweep.Result) Report {
+			return newReport(points[i].Tree, points[i].K, pointBounds[i], r.Result)
+		},
 	}
-	if cfg.store != nil {
-		return runJournaledSweep(ctx, points, pts, pointBounds, onResult, &cfg)
-	}
-	if onResult != nil {
-		cfg.opt.OnResult = func(r sweep.Result) {
-			onResult(r.Point, convertSweepResult(points[r.Point], pointBounds[r.Point], r))
+	return e.stream(ctx, workers, seed, engineOpts, func(i int, rep Report, err error) {
+		if onResult != nil {
+			onResult(i, SweepResult{Report: rep, Err: err})
 		}
-	}
-	_, stats := sweep.RunContext(ctx, pts, cfg.opt)
-	return convertSweepStats(stats), nil
+	})
 }
 
 // convertSweepStats maps engine stats to the facade form.
@@ -752,23 +767,6 @@ func recycleHook(cfg config) func(prev sim.Algorithm, k int, rng *rand.Rand) sim
 	default:
 		return nil
 	}
-}
-
-// convertSweepResult maps an engine result to the facade form, attaching the
-// point's precomputed guarantee and offline lower bound.
-func convertSweepResult(p SweepPoint, bound float64, r sweep.Result) SweepResult {
-	if r.Err != nil {
-		return SweepResult{Err: r.Err}
-	}
-	return SweepResult{Report: Report{
-		Rounds:            r.Rounds,
-		Moves:             r.Moves,
-		EdgeExplorations:  r.EdgeExplorations,
-		Bound:             bound,
-		OfflineLowerBound: bounds.OfflineLB(p.Tree.N(), p.Tree.Depth(), p.K),
-		FullyExplored:     r.FullyExplored,
-		AllAtRoot:         r.AllAtRoot,
-	}}
 }
 
 // Theorem1Bound evaluates the BFDN guarantee 2n/k + D²(min{log k, log Δ}+3).

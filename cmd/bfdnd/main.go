@@ -16,14 +16,14 @@
 //	POST /v1/sweep     a (algorithm × tree × k) grid, streamed as JSONL
 //	POST /v1/asyncsweep  a continuous-time (tree × fleet × algorithm ×
 //	                   latency) grid on the async engine, streamed as JSONL
-//	POST /v1/resume    re-drive a stored sweep job from its journal (-store)
+//	POST /v1/resume    re-drive a stored sweep or asyncsweep job from its
+//	                   journal (-store)
 //	GET  /v1/jobs      list the persistent job store (-store)
 //	POST /v1/register  worker heartbeat into the fleet registry (-registry)
 //	GET  /v1/workers   live fleet listing from the registry (-registry)
 //	GET  /healthz      liveness + load snapshot (503 while draining)
 //	GET  /capacity     admission limits + load, for distributed coordinators
 //	GET  /metrics      Prometheus text exposition (bfdnd_*)
-//	GET  /debug/vars   thin expvar-compatible view of the same counters
 //	GET  /debug/pprof/ net/http/pprof profiles
 //	GET  /debug/traces JSONL span export (?trace= filters one trace)
 //	GET  /debug/exemplars  latency-bucket → recent trace ID exemplars

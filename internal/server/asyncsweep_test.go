@@ -1,41 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-)
 
-// readAsyncSweepStream consumes a JSONL asyncsweep response, returning point
-// lines and the final done line.
-func readAsyncSweepStream(t *testing.T, body io.Reader) (points []asyncSweepLine, done *asyncSweepLine) {
-	t.Helper()
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var line asyncSweepLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		if line.Done {
-			d := line
-			done = &d
-			continue
-		}
-		points = append(points, line)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("stream read: %v", err)
-	}
-	return points, done
-}
+	"bfdn"
+)
 
 // asyncGridBody builds a request body covering both algorithms, all three
 // latency models, and heterogeneous fleets over two shared trees.
@@ -73,7 +48,7 @@ func TestAsyncSweepEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	lines, done := readAsyncSweepStream(t, bytes.NewReader(data))
+	lines, done := readSweepStream[bfdn.AsyncReport](t, bytes.NewReader(data))
 	if len(lines) != len(pts) {
 		t.Fatalf("got %d point lines, want %d", len(lines), len(pts))
 	}
@@ -134,12 +109,12 @@ func TestAsyncSweepIndexBase(t *testing.T) {
 	defer ts.Close()
 
 	pts := asyncGridPoints()
-	run := func(body string) []asyncSweepLine {
+	run := func(body string) []sweepLine[bfdn.AsyncReport] {
 		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/asyncsweep", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, data)
 		}
-		lines, done := readAsyncSweepStream(t, bytes.NewReader(data))
+		lines, done := readSweepStream[bfdn.AsyncReport](t, bytes.NewReader(data))
 		if done == nil {
 			t.Fatal("no done line")
 		}
@@ -195,7 +170,7 @@ func TestAsyncSweepValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("per-point failure: status %d: %s", resp.StatusCode, data)
 	}
-	lines, done := readAsyncSweepStream(t, bytes.NewReader(data))
+	lines, done := readSweepStream[bfdn.AsyncReport](t, bytes.NewReader(data))
 	if len(lines) != 2 || done == nil {
 		t.Fatalf("got %d lines, done %v", len(lines), done)
 	}
@@ -235,18 +210,5 @@ func TestAsyncSweepMetrics(t *testing.T) {
 	}
 	if v := sampleValue(t, samples, "bfdnd_requests_total", `endpoint="asyncsweep"`); v != 1 {
 		t.Errorf(`bfdnd_requests_total{endpoint="asyncsweep"} = %v, want 1`, v)
-	}
-
-	dresp, err := ts.Client().Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dresp.Body.Close()
-	var vars map[string]any
-	if err := json.NewDecoder(dresp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := vars["bfdnd_async_sweep_points_total"].(float64); !ok || int(got) != len(pts) {
-		t.Errorf("expvar bfdnd_async_sweep_points_total = %v", vars["bfdnd_async_sweep_points_total"])
 	}
 }

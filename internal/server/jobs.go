@@ -2,33 +2,12 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 
 	"bfdn"
 )
-
-// sweepPlan is the canonical job-identity form of a sweep request: the
-// re-marshaled fields that determine the run's output, in fixed order, with
-// the timeout excluded (operational, not identity). The bytes of
-// json.Marshal(sweepPlan{...}) are hashed into the job ID and stored
-// verbatim in the job manifest, so POST /v1/resume can reconstruct the
-// request from the manifest alone — and so job identity is stable across
-// processes and bfdnd restarts.
-type sweepPlan struct {
-	Seed      int64            `json:"seed"`
-	IndexBase int64            `json:"indexBase"`
-	Points    []sweepPointSpec `json:"points"`
-}
-
-// asyncSweepPlan is sweepPlan's continuous-time sibling.
-type asyncSweepPlan struct {
-	Seed      int64                 `json:"seed"`
-	IndexBase int64                 `json:"indexBase"`
-	Points    []asyncSweepPointSpec `json:"points"`
-}
 
 // jobsResponse is the GET /v1/jobs body.
 type jobsResponse struct {
@@ -84,43 +63,15 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The manifest's plan bytes reconstruct the original request. A strict
-	// decode rejects manifests this daemon cannot re-drive — facade-created
-	// jobs whose plan is an opaque fingerprint, or kinds (explore, dsweep)
-	// that resume through the facade or the coordinator instead.
-	switch job.Kind() {
-	case "sweep":
-		var plan sweepPlan
-		if err := decodePlan(job.Plan(), &plan); err != nil {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("job %s has no resumable plan (%v); only jobs created over HTTP can resume here", req.Job, err))
-			return
-		}
-		sreq := sweepRequest{Seed: plan.Seed, IndexBase: plan.IndexBase, TimeoutMS: req.TimeoutMS, Points: plan.Points}
-		ctx, cancel := s.requestContext(r, req.TimeoutMS)
-		defer cancel()
-		s.runJob(ctx, w, r, "resume", func(ctx context.Context) {
-			s.m.jsResumes.Inc()
-			s.sweepJob(ctx, w, sreq, true)
-		})
-	case "asyncsweep":
-		var plan asyncSweepPlan
-		if err := decodePlan(job.Plan(), &plan); err != nil {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("job %s has no resumable plan (%v); only jobs created over HTTP can resume here", req.Job, err))
-			return
-		}
-		areq := asyncSweepRequest{Seed: plan.Seed, IndexBase: plan.IndexBase, TimeoutMS: req.TimeoutMS, Points: plan.Points}
-		ctx, cancel := s.requestContext(r, req.TimeoutMS)
-		defer cancel()
-		s.runJob(ctx, w, r, "resume", func(ctx context.Context) {
-			s.m.jsResumes.Inc()
-			s.asyncSweepJob(ctx, w, areq, true)
-		})
-	default:
+	// Explore jobs resume through the facade and dsweep jobs through the
+	// coordinator; only sweep kinds re-drive over HTTP.
+	k, ok := sweepKinds[job.Kind()]
+	if !ok {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("job %s has kind %q: explore jobs resume through the bfdn facade (ResumeExplore) and dsweep jobs through the coordinator, not over HTTP", req.Job, job.Kind()))
+		return
 	}
+	k.resumeJob(s, w, r, req.Job, job.Plan(), req.TimeoutMS)
 }
 
 // decodePlan strictly decodes a manifest's plan bytes: unknown fields mean

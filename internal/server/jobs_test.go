@@ -98,7 +98,7 @@ func TestSweepResumeRoundTrip(t *testing.T) {
 			t.Errorf("resume line %d differs:\n  first:   %s\n  resumed: %s", i, first[i], resumed[i])
 		}
 	}
-	var done sweepLine
+	var done sweepLine[bfdn.Report]
 	if err := json.Unmarshal([]byte(resumed[4]), &done); err != nil {
 		t.Fatal(err)
 	}

@@ -138,26 +138,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// handleVars is the thin expvar-compatible view of the per-server registry:
-// the same top-level JSON shape /debug/vars always had, with the keys
-// dashboards already scrape. The authoritative surface is GET /metrics;
-// bfdnd_sweep_last_points_per_sec is gone (it was last-write-wins under
-// concurrent sweeps) — use the bfdnd_sweep_point_duration_seconds histogram.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"bfdnd_requests_total": map[string]uint64{
-			"explore":    s.m.requests.With("explore").Value(),
-			"sweep":      s.m.requests.With("sweep").Value(),
-			"asyncsweep": s.m.requests.With("asyncsweep").Value(),
-		},
-		"bfdnd_jobs_inflight":            int64(s.m.inflight.Value()),
-		"bfdnd_jobs_queued":              int64(s.m.queued.Value()),
-		"bfdnd_jobs_rejected_total":      s.m.rejected.Value(),
-		"bfdnd_sweep_points_total":       s.m.sweep.PointsTotal.Value(),
-		"bfdnd_async_sweep_points_total": s.m.asyncSweep.PointsTotal.Value(),
-	})
-}
-
 // handleExemplars serves the point-duration histograms' trace exemplars:
 // for each bucket with a traced observation, the most recent one's value
 // and trace ID. It is the bridge from a hot latency bucket on GET /metrics

@@ -28,9 +28,8 @@
 // seed/indexBase sharding contract), GET /healthz, GET
 // /capacity (the admission limits and a load snapshot, read by the
 // distributed sweep coordinator in internal/dsweep for weighted sharding),
-// GET /metrics (Prometheus text exposition of the per-Server registry), a
-// thin expvar-compatible view under /debug/vars, and net/http/pprof under
-// /debug/pprof/.
+// GET /metrics (Prometheus text exposition of the per-Server registry), and
+// net/http/pprof under /debug/pprof/.
 //
 // Observability is per-Server: every Server owns an obs.Registry (request
 // latency histograms by endpoint and status, admission gauges and rejection
@@ -188,8 +187,8 @@ func New(cfg Config) *Server {
 	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/explore", s.instrument("explore", s.handleExplore))
-	s.route("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
-	s.route("POST /v1/asyncsweep", s.instrument("asyncsweep", s.handleAsyncSweep))
+	s.route("POST /v1/sweep", s.instrument("sweep", syncSweep.handler(s)))
+	s.route("POST /v1/asyncsweep", s.instrument("asyncsweep", asyncSweep.handler(s)))
 	s.route("POST /v1/resume", s.instrument("resume", s.handleResume))
 	s.route("GET /v1/jobs", s.instrument("jobs", s.handleJobs))
 	s.route("POST /v1/register", s.instrument("register", s.handleRegister))
@@ -197,7 +196,6 @@ func New(cfg Config) *Server {
 	s.route("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.route("GET /capacity", s.instrument("capacity", s.handleCapacity))
 	s.routeHandler("GET /metrics", s.m.reg.Handler())
-	s.route("GET /debug/vars", s.handleVars)
 	s.route("GET /debug/traces", s.handleTraces)
 	s.route("GET /debug/exemplars", s.handleExemplars)
 	// The pprof index route stands in for the whole /debug/pprof/ family in

@@ -112,14 +112,14 @@ func TestExploreValidation(t *testing.T) {
 	}
 }
 
-// readSweepStream consumes a JSONL sweep response, returning point lines and
-// the final done line.
-func readSweepStream(t *testing.T, body io.Reader) (points []sweepLine, done *sweepLine) {
+// readSweepStream consumes a JSONL sweep response of either engine,
+// returning point lines and the final done line.
+func readSweepStream[Rep any](t *testing.T, body io.Reader) (points []sweepLine[Rep], done *sweepLine[Rep]) {
 	t.Helper()
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line sweepLine
+		var line sweepLine[Rep]
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
@@ -195,7 +195,7 @@ func TestServerUnderLoad(t *testing.T) {
 			errs <- fmt.Errorf("sweep: status %d: %s", resp.StatusCode, data)
 			return
 		}
-		lines, doneLine := readSweepStream(t, resp.Body)
+		lines, doneLine := readSweepStream[bfdn.Report](t, resp.Body)
 		if len(lines) != 24 {
 			errs <- fmt.Errorf("sweep: %d point lines, want 24", len(lines))
 			return
@@ -395,7 +395,7 @@ func TestShutdownDrainsInFlightWork(t *testing.T) {
 	}
 }
 
-func TestHealthzAndExpvar(t *testing.T) {
+func TestHealthzAndPprof(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -414,29 +414,6 @@ func TestHealthzAndExpvar(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || h.Status != "ok" || h.Served < 1 {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, h)
-	}
-
-	vresp, err := ts.Client().Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vresp.Body.Close()
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(vresp.Body).Decode(&vars); err != nil {
-		t.Fatalf("expvar JSON: %v", err)
-	}
-	for _, key := range []string{
-		"bfdnd_requests_total", "bfdnd_jobs_inflight", "bfdnd_jobs_queued",
-		"bfdnd_jobs_rejected_total", "bfdnd_sweep_points_total",
-	} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("expvar missing %q", key)
-		}
-	}
-	// bfdnd_sweep_last_points_per_sec was last-write-wins under concurrent
-	// sweeps and is deliberately gone; the histogram on /metrics replaces it.
-	if _, ok := vars["bfdnd_sweep_last_points_per_sec"]; ok {
-		t.Error("expvar still exports bfdnd_sweep_last_points_per_sec")
 	}
 
 	presp, err := ts.Client().Get(ts.URL + "/debug/pprof/cmdline")
@@ -503,12 +480,12 @@ func TestSweepIndexBase(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		all = append(all, point(i))
 	}
-	run := func(body string) []sweepLine {
+	run := func(body string) []sweepLine[bfdn.Report] {
 		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("sweep: status %d: %s", resp.StatusCode, data)
 		}
-		lines, done := readSweepStream(t, bytes.NewReader(data))
+		lines, done := readSweepStream[bfdn.Report](t, bytes.NewReader(data))
 		if done == nil {
 			t.Fatal("sweep: no done line")
 		}

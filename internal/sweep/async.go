@@ -44,138 +44,82 @@ type AsyncResult struct {
 	Err error
 }
 
-// AsyncOptions configure RunAsync; the fields mirror Options (the engines
-// share the determinism scheme, pool mechanics, and Recorder signals — wire
-// an async engine's Recorder with NewNamedRecorder to keep its metric
-// families separate).
-type AsyncOptions struct {
-	// Workers is the worker-pool size; ≤ 0 selects GOMAXPROCS.
-	Workers int
-	// BaseSeed scrambles every per-point seed; IndexBase offsets the index
-	// fed to DeriveSeed for sharded grids (see Options.IndexBase).
-	BaseSeed  uint64
-	IndexBase uint64
-	// SeedIndices, when non-nil, overrides the derivation index per point
-	// exactly like Options.SeedIndices (the resume path of DESIGN.md S30).
-	SeedIndices []uint64
-	// OnResult, when non-nil, fires once per point as soon as its result is
-	// final, on the worker goroutine, in completion order. Must be safe for
-	// concurrent calls.
-	OnResult func(AsyncResult)
-	// Recorder, when non-nil, receives the run's signals after the pool
-	// drains, merged atomically.
-	Recorder *Recorder
-}
-
-// seedIndex resolves the derivation index of point i: the SeedIndices
-// override when set, IndexBase+i otherwise.
-func (o *AsyncOptions) seedIndex(i int) uint64 {
-	if o.SeedIndices != nil {
-		return o.SeedIndices[i]
-	}
-	return o.IndexBase + uint64(i)
-}
+// Settled reports the point's index and error.
+func (r AsyncResult) Settled() (int, error) { return r.Point, r.Err }
 
 // RunAsync executes all asynchronous points on a worker pool and returns
 // one AsyncResult per point, in point order. Failures are per-point;
 // RunAsync itself never fails. Each worker recycles one async.Engine and
 // one algorithm instance per algorithm name across the points it executes
 // (Engine.Reset / Algorithm.Reset), the asynchronous face of the engine's
-// world-reuse contract.
-func RunAsync(points []AsyncPoint, opt AsyncOptions) ([]AsyncResult, Stats) {
-	return RunAsyncContext(context.Background(), points, opt)
+// world-reuse contract. Wire an async sweep's Recorder with
+// NewNamedRecorder to keep its metric families apart from the synchronous
+// ones.
+func RunAsync(points []AsyncPoint, opt Options) ([]AsyncResult, Stats) {
+	return RunAsyncContext(context.Background(), points, opt, nil)
 }
 
 // RunAsyncContext is RunAsync with cooperative cancellation: the context is
 // checked before each point starts and every 128 events inside a running
 // one (async.Engine.RunContext). Points finished before cancellation keep
 // their results; every other point carries the context's error in Err.
-func RunAsyncContext(ctx context.Context, points []AsyncPoint, opt AsyncOptions) ([]AsyncResult, Stats) {
-	results := make([]AsyncResult, len(points))
-	var engines []*async.Engine
-	var algs []map[string]async.Algorithm
-	stats := runPool(ctx, len(points), opt.Workers, opt.Recorder, func(workers int) {
-		engines = make([]*async.Engine, workers)
-		algs = make([]map[string]async.Algorithm, workers)
-	}, func(pctx context.Context, wk, i int, canceled bool) bool {
-		if canceled {
-			results[i] = AsyncResult{Point: i, Seed: DeriveSeed(opt.BaseSeed, opt.seedIndex(i)),
-				Err: fmt.Errorf("sweep: async point %d: %w", i, ctx.Err())}
-		} else {
-			if algs[wk] == nil {
-				algs[wk] = make(map[string]async.Algorithm)
-			}
-			results[i] = runAsyncPoint(pctx, &engines[wk], algs[wk], points[i], i, opt)
-		}
-		return results[i].Err != nil
-	}, func(i int) {
-		if opt.OnResult != nil {
-			opt.OnResult(results[i])
-		}
-	})
-	return results, stats
+// onResult follows the RunContext contract.
+func RunAsyncContext(ctx context.Context, points []AsyncPoint, opt Options, onResult func(AsyncResult)) ([]AsyncResult, Stats) {
+	return run(ctx, points, opt, onResult, runAsyncPoint, failAsyncPoint)
 }
 
-// runAsyncPoint executes one point on the worker's recycled engine. engine
-// is the worker-local slot (nil before the first point); cache holds the
-// worker's algorithm instances by name so grids that interleave algorithms
-// still reuse both.
-func runAsyncPoint(ctx context.Context, engine **async.Engine, cache map[string]async.Algorithm,
-	p AsyncPoint, index int, opt AsyncOptions) AsyncResult {
-	res := AsyncResult{Point: index, Seed: DeriveSeed(opt.BaseSeed, opt.seedIndex(index))}
-	fail := func(err error) AsyncResult {
-		res.Err = fmt.Errorf("sweep: async point %d: %w", index, err)
-		return res
-	}
+// asyncWorker is what one asynchronous worker recycles across its points:
+// the engine (nil before the first point) and its algorithm instances by
+// name, so grids that interleave algorithms still reuse both.
+type asyncWorker struct {
+	engine *async.Engine
+	algs   map[string]async.Algorithm
+}
+
+// failAsyncPoint settles an asynchronous point that could not run.
+func failAsyncPoint(i int, seed uint64, err error) AsyncResult {
+	return AsyncResult{Point: i, Seed: seed, Err: fmt.Errorf("sweep: async point %d: %w", i, err)}
+}
+
+// runAsyncPoint executes one point on the worker's recycled engine.
+func runAsyncPoint(ctx context.Context, ws *asyncWorker, p AsyncPoint, index int, seed uint64) AsyncResult {
 	if p.Tree == nil {
-		res.Err = fmt.Errorf("sweep: async point %d: nil tree", index)
-		return res
+		return failAsyncPoint(index, seed, errors.New("nil tree"))
 	}
-	alg := cache[p.Algorithm]
+	alg := ws.algs[p.Algorithm]
 	if alg == nil {
 		a, err := async.NewNamedAlgorithm(p.Algorithm)
 		if err != nil {
-			return fail(err)
+			return failAsyncPoint(index, seed, err)
 		}
 		alg = a
-		cache[p.Algorithm] = alg
+		if ws.algs == nil {
+			ws.algs = make(map[string]async.Algorithm)
+		}
+		ws.algs[p.Algorithm] = alg
 	}
 	lat, err := async.ParseLatency(p.Latency)
 	if err != nil {
-		return fail(err)
+		return failAsyncPoint(index, seed, err)
 	}
-	seed := int64(res.Seed)
-	e := *engine
+	e := ws.engine
 	if e == nil {
 		ne, err := async.NewEngine(p.Tree, p.Speeds,
-			async.WithAlgorithm(alg), async.WithLatency(lat), async.WithSeed(seed))
+			async.WithAlgorithm(alg), async.WithLatency(lat), async.WithSeed(int64(seed)))
 		if err != nil {
-			return fail(err)
+			return failAsyncPoint(index, seed, err)
 		}
 		e = ne
-		*engine = e
+		ws.engine = e
 	} else {
 		e.Rebind(alg, lat)
-		if err := e.Reset(p.Tree, p.Speeds, seed); err != nil {
-			return fail(err)
+		if err := e.Reset(p.Tree, p.Speeds, int64(seed)); err != nil {
+			return failAsyncPoint(index, seed, err)
 		}
 	}
 	r, err := e.RunContext(ctx, p.MaxEvents)
 	if err != nil {
-		return fail(err)
+		return failAsyncPoint(index, seed, err)
 	}
-	res.Result = r
-	return res
-}
-
-// JoinAsyncErrors collects every per-point error of an asynchronous sweep
-// into one error, or nil when all points succeeded.
-func JoinAsyncErrors(results []AsyncResult) error {
-	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
-		}
-	}
-	return errors.Join(errs...)
+	return AsyncResult{Point: index, Seed: seed, Result: r}
 }

@@ -39,8 +39,8 @@ func asyncGrid(t *testing.T) []AsyncPoint {
 // the result slice is identical at any worker count, under any scheduling.
 func TestRunAsyncWorkerCountInvariance(t *testing.T) {
 	points := asyncGrid(t)
-	base, _ := RunAsync(points, AsyncOptions{Workers: 1, BaseSeed: 42})
-	if err := JoinAsyncErrors(base); err != nil {
+	base, _ := RunAsync(points, Options{Workers: 1, BaseSeed: 42})
+	if err := JoinErrors(base); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range base {
@@ -49,7 +49,7 @@ func TestRunAsyncWorkerCountInvariance(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
-		got, _ := RunAsync(points, AsyncOptions{Workers: workers, BaseSeed: 42})
+		got, _ := RunAsync(points, Options{Workers: workers, BaseSeed: 42})
 		if !reflect.DeepEqual(base, got) {
 			t.Errorf("results differ between 1 and %d workers", workers)
 		}
@@ -61,10 +61,10 @@ func TestRunAsyncWorkerCountInvariance(t *testing.T) {
 // run exactly — the property the distributed coordinator relies on.
 func TestRunAsyncIndexBaseSharding(t *testing.T) {
 	points := asyncGrid(t)
-	whole, _ := RunAsync(points, AsyncOptions{Workers: 4, BaseSeed: 97})
+	whole, _ := RunAsync(points, Options{Workers: 4, BaseSeed: 97})
 	cut := len(points) / 2
-	left, _ := RunAsync(points[:cut], AsyncOptions{Workers: 3, BaseSeed: 97})
-	right, _ := RunAsync(points[cut:], AsyncOptions{Workers: 2, BaseSeed: 97, IndexBase: uint64(cut)})
+	left, _ := RunAsync(points[:cut], Options{Workers: 3, BaseSeed: 97})
+	right, _ := RunAsync(points[cut:], Options{Workers: 2, BaseSeed: 97, IndexBase: uint64(cut)})
 	for i, r := range left {
 		if !reflect.DeepEqual(whole[i], r) {
 			t.Fatalf("left shard point %d differs from unsharded run", i)
@@ -85,8 +85,8 @@ func TestRunAsyncSeedMatters(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	tr := tree.Random(400, 10, rng)
 	points := []AsyncPoint{{Tree: tr, Speeds: []float64{1, 1, 1}, Algorithm: "bfdn", Latency: "jitter:1"}}
-	a, _ := RunAsync(points, AsyncOptions{BaseSeed: 1})
-	b, _ := RunAsync(points, AsyncOptions{BaseSeed: 2})
+	a, _ := RunAsync(points, Options{BaseSeed: 1})
+	b, _ := RunAsync(points, Options{BaseSeed: 2})
 	if a[0].Err != nil || b[0].Err != nil {
 		t.Fatal(a[0].Err, b[0].Err)
 	}
@@ -107,7 +107,7 @@ func TestRunAsyncBadPoints(t *testing.T) {
 		{Tree: tr, Speeds: nil, Algorithm: "potential"},
 		{Tree: tr, Speeds: []float64{2}, Algorithm: "potential"},
 	}
-	results, stats := RunAsync(points, AsyncOptions{Workers: 2})
+	results, stats := RunAsync(points, Options{Workers: 2})
 	for _, i := range []int{0, 5} {
 		if results[i].Err != nil {
 			t.Errorf("point %d failed: %v", i, results[i].Err)
@@ -121,8 +121,8 @@ func TestRunAsyncBadPoints(t *testing.T) {
 	if stats.Errors != 4 {
 		t.Errorf("stats.Errors = %d, want 4", stats.Errors)
 	}
-	if JoinAsyncErrors(results) == nil {
-		t.Error("JoinAsyncErrors = nil with failing points")
+	if JoinErrors(results) == nil {
+		t.Error("JoinErrors = nil with failing points")
 	}
 }
 
@@ -137,13 +137,10 @@ func TestRunAsyncContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	results, _ := RunAsyncContext(ctx, points, AsyncOptions{
-		Workers: 2,
-		OnResult: func(r AsyncResult) {
-			if done.Add(1) == 3 {
-				cancel()
-			}
-		},
+	results, _ := RunAsyncContext(ctx, points, Options{Workers: 2}, func(r AsyncResult) {
+		if done.Add(1) == 3 {
+			cancel()
+		}
 	})
 	canceled := 0
 	for _, r := range results {
@@ -164,7 +161,7 @@ func TestRunAsyncRecorder(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := NewNamedRecorder(reg, "bfdnd_async_sweep")
 	points := asyncGrid(t)[:6]
-	_, stats := RunAsync(points, AsyncOptions{Workers: 2, Recorder: rec})
+	_, stats := RunAsync(points, Options{Workers: 2, Recorder: rec})
 	if got := int(rec.PointsTotal.Value()); got != len(points) {
 		t.Errorf("PointsTotal = %d, want %d", got, len(points))
 	}

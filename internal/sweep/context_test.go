@@ -33,7 +33,7 @@ func TestRunContextCancelKeepsPartialResults(t *testing.T) {
 	defer cancel()
 
 	var completed atomic.Int64
-	opt := Options{Workers: 4, BaseSeed: 9, OnResult: func(r Result) {
+	onResult := func(r Result) {
 		if r.Err == nil {
 			// Cancel as soon as the first few points have finished, while
 			// most of the sweep is still pending or in flight.
@@ -41,9 +41,9 @@ func TestRunContextCancelKeepsPartialResults(t *testing.T) {
 				cancel()
 			}
 		}
-	}}
+	}
 	start := time.Now()
-	results, stats := RunContext(ctx, pts, opt)
+	results, stats := RunContext(ctx, pts, Options{Workers: 4, BaseSeed: 9}, onResult)
 	elapsed := time.Since(start)
 
 	if stats.Points != len(pts) || len(results) != len(pts) {
@@ -80,7 +80,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	pts := slowGrid(100, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, _ := RunContext(ctx, pts, Options{Workers: 2})
+	results, _ := RunContext(ctx, pts, Options{Workers: 2}, nil)
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("point %d: err = %v, want context.Canceled", i, r.Err)
@@ -95,11 +95,11 @@ func TestOnResultCalledExactlyOncePerPoint(t *testing.T) {
 	pts := testGrid(t)
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	_, _ = Run(pts, Options{Workers: 4, BaseSeed: 7, OnResult: func(r Result) {
+	_, _ = RunContext(context.Background(), pts, Options{Workers: 4, BaseSeed: 7}, func(r Result) {
 		mu.Lock()
 		seen[r.Point]++
 		mu.Unlock()
-	}})
+	})
 	if len(seen) != len(pts) {
 		t.Fatalf("OnResult saw %d points, want %d", len(seen), len(pts))
 	}
@@ -114,11 +114,11 @@ func TestOnResultMatchesReturnedResults(t *testing.T) {
 	pts := testGrid(t)
 	var mu sync.Mutex
 	streamed := make([]Result, len(pts))
-	results, _ := Run(pts, Options{Workers: 3, BaseSeed: 11, OnResult: func(r Result) {
+	results, _ := RunContext(context.Background(), pts, Options{Workers: 3, BaseSeed: 11}, func(r Result) {
 		mu.Lock()
 		streamed[r.Point] = r
 		mu.Unlock()
-	}})
+	})
 	if render(streamed) != render(results) {
 		t.Error("streamed results differ from returned results")
 	}

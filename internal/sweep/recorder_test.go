@@ -104,7 +104,7 @@ func TestRecorderSharedAcrossConcurrentSweeps(t *testing.T) {
 			defer wg.Done()
 			pts := dfsPoints(t, 200, perSweep)
 			results, stats := RunContext(context.Background(), pts,
-				Options{Workers: 2, BaseSeed: uint64(s), Recorder: rec})
+				Options{Workers: 2, BaseSeed: uint64(s), Recorder: rec}, nil)
 			if err := JoinErrors(results); err != nil {
 				t.Error(err)
 			}
@@ -154,7 +154,7 @@ func TestRecorderCountsErrorsAndCancellations(t *testing.T) {
 	// Pre-canceled context: every point settles as an error and is counted.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, stats = RunContext(ctx, dfsPoints(t, 100, 5), Options{Workers: 2, Recorder: rec})
+	_, stats = RunContext(ctx, dfsPoints(t, 100, 5), Options{Workers: 2, Recorder: rec}, nil)
 	if stats.Errors != 5 {
 		t.Errorf("canceled sweep errors = %d, want 5", stats.Errors)
 	}

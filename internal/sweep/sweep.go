@@ -71,6 +71,16 @@ type Result struct {
 	Err error
 }
 
+// Settled is how code shared by both engines reads a point's result: its
+// index in the sweep's input and its error. Result and AsyncResult
+// implement it.
+type Settled interface {
+	Settled() (point int, err error)
+}
+
+// Settled reports the point's index and error.
+func (r Result) Settled() (int, error) { return r.Point, r.Err }
+
 // Stats summarizes one engine invocation, for observability. All values are
 // derived from the run's Recorder after the pool drains, so they agree with
 // what Options.Recorder accumulates.
@@ -103,7 +113,8 @@ func (s Stats) String() string {
 		s.Points, s.Workers, s.PointsPerSec, s.AllocsPerPoint, 100*s.Utilization)
 }
 
-// Options configure Run. The zero value is valid.
+// Options configure a sweep of either engine (Run, RunAsync). The zero
+// value is valid.
 type Options struct {
 	// Workers is the worker-pool size; ≤ 0 selects GOMAXPROCS.
 	Workers int
@@ -123,12 +134,6 @@ type Options struct {
 	// byte-identical to the uninterrupted run. len(SeedIndices) must equal
 	// the number of points.
 	SeedIndices []uint64
-	// OnResult, when non-nil, is invoked exactly once per point as soon as
-	// its Result is final — on the worker goroutine that produced it, in
-	// completion order (not point order). Canceled points are reported too,
-	// with Err set. Implementations must be safe for concurrent calls; slow
-	// callbacks stall the worker that runs them.
-	OnResult func(Result)
 	// Recorder, when non-nil, receives the run's signals after the pool
 	// drains: per-point duration and queue-wait observations, point/error
 	// totals and worker busy time are merged in atomically, so one Recorder
@@ -137,13 +142,13 @@ type Options struct {
 	Recorder *Recorder
 }
 
-// seedIndex resolves the derivation index of point i: the SeedIndices
-// override when set, IndexBase+i otherwise.
-func (o *Options) seedIndex(i int) uint64 {
+// seed derives point i's seed from the SeedIndices override when set,
+// from IndexBase+i otherwise.
+func (o *Options) seed(i int) uint64 {
 	if o.SeedIndices != nil {
-		return o.SeedIndices[i]
+		return DeriveSeed(o.BaseSeed, o.SeedIndices[i])
 	}
-	return o.IndexBase + uint64(i)
+	return DeriveSeed(o.BaseSeed, o.IndexBase+uint64(i))
 }
 
 // DeriveSeed maps (base, index) to a per-point seed with the splitmix64
@@ -162,7 +167,7 @@ func DeriveSeed(base, index uint64) uint64 {
 // Run itself never fails. Each worker recycles a single sim.World across the
 // points it executes.
 func Run(points []Point, opt Options) ([]Result, Stats) {
-	return RunContext(context.Background(), points, opt)
+	return RunContext(context.Background(), points, opt, nil)
 }
 
 // workerState is everything one synchronous worker recycles across the
@@ -207,38 +212,26 @@ func (ws *workerState) movesBuf(k int) []int64 {
 // round. RunContext still returns one Result per point: points that finished
 // before the cancellation keep their results, and every other point carries
 // the context's error in Result.Err — partial results are never discarded.
-func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, Stats) {
-	results := make([]Result, len(points))
-	var ws []workerState
-	stats := runPool(ctx, len(points), opt.Workers, opt.Recorder, func(workers int) {
-		ws = make([]workerState, workers)
-	}, func(pctx context.Context, wk, i int, canceled bool) bool {
-		if canceled {
-			results[i] = Result{Point: i, Seed: DeriveSeed(opt.BaseSeed, opt.seedIndex(i)),
-				Err: fmt.Errorf("sweep: point %d: %w", i, ctx.Err())}
-		} else {
-			results[i] = runPoint(pctx, &ws[wk], points[i], i, opt)
-		}
-		return results[i].Err != nil
-	}, func(i int) {
-		if opt.OnResult != nil {
-			opt.OnResult(results[i])
-		}
-	})
-	return results, stats
+//
+// onResult, when non-nil, is invoked exactly once per point as soon as its
+// Result is final — on the worker goroutine that produced it, in completion
+// order (not point order). Canceled points are reported too, with Err set.
+// It must be safe for concurrent calls; a slow callback stalls the worker
+// that runs it.
+func RunContext(ctx context.Context, points []Point, opt Options, onResult func(Result)) ([]Result, Stats) {
+	return run(ctx, points, opt, onResult, runPoint, failPoint)
 }
 
-// runPool is the worker-pool core shared by the synchronous and
-// asynchronous engines: it shards n points over a pool, drives the private
-// run recorder every invocation derives its Stats from (so the numbers
-// handed to callers and the ones merged into recorder cannot disagree), and
-// preserves the engine's accounting conventions — busy time accumulates in
-// a goroutine-local variable stored once at exit (adjacent busy slots share
-// cache lines), and the settle callback runs outside the timed section so
-// slow OnResult consumers stall the worker without inflating PointDuration.
-// init is called once with the effective worker count before any point
-// runs; exec settles point i on worker wk (canceled points settle without
-// running) and reports failure; settle fires after the point is recorded.
+// run is the driver both engines share: it shards points over a pool of
+// opt.Workers goroutines, each recycling one W across the points it runs,
+// and returns one result per point in point order. exec runs point i with
+// its derived seed; fail settles a point canceled before it started. The
+// run recorder every invocation derives its Stats from is private, so the
+// numbers handed to callers and the ones merged into opt.Recorder cannot
+// disagree. Busy time accumulates in a goroutine-local variable stored once
+// at exit (adjacent busy slots share cache lines), and onResult runs outside
+// the timed section so slow consumers stall the worker without inflating
+// PointDuration.
 //
 // Workers carry pprof goroutine labels (sweep_worker), so CPU profiles
 // segment by worker. When ctx carries a span (internal/obs/tracing) each
@@ -246,8 +239,12 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, Sta
 // sweep.point spans whose trace is attached to the point-duration
 // histogram as an exemplar; without one — the steady-state configuration —
 // the per-point cost is a single nil check, no clocks, no allocations.
-func runPool(ctx context.Context, n, workers int, recorder *Recorder,
-	init func(workers int), exec func(ctx context.Context, wk, i int, canceled bool) bool, settle func(i int)) Stats {
+func run[P any, R Settled, W any](ctx context.Context, points []P, opt Options, onResult func(R),
+	exec func(ctx context.Context, ws *W, p P, i int, seed uint64) R,
+	fail func(i int, seed uint64, err error) R) ([]R, Stats) {
+	n := len(points)
+	results := make([]R, n)
+	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -256,9 +253,13 @@ func runPool(ctx context.Context, n, workers int, recorder *Recorder,
 	}
 	stats := Stats{Points: n, Workers: workers}
 	if n == 0 {
-		return stats
+		return results, stats
 	}
-	init(workers)
+	state := make([]W, workers)
+	failed := func(i int) bool {
+		_, err := results[i].Settled()
+		return err != nil
+	}
 
 	var mem0 runtime.MemStats
 	runtime.ReadMemStats(&mem0)
@@ -294,9 +295,9 @@ func runPool(ctx context.Context, n, workers int, recorder *Recorder,
 					if i >= n {
 						return
 					}
-					if ctx.Err() != nil {
-						failed := exec(wctx, wk, i, true)
-						rec.point(time.Since(start), 0, failed)
+					if err := ctx.Err(); err != nil {
+						results[i] = fail(i, opt.seed(i), err)
+						rec.point(time.Since(start), 0, failed(i))
 					} else {
 						pctx := wctx
 						var psp *tracing.ActiveSpan
@@ -304,17 +305,19 @@ func runPool(ctx context.Context, n, workers int, recorder *Recorder,
 							pctx, psp = tracing.StartBulk(wctx, "sweep.point", tracing.Int("point", i))
 						}
 						t0 := time.Now()
-						failed := exec(pctx, wk, i, false)
+						results[i] = exec(pctx, &state[wk], points[i], i, opt.seed(i))
 						d := time.Since(t0)
 						busyLocal += d
 						executed++
-						rec.point(t0.Sub(start), d, failed)
+						rec.point(t0.Sub(start), d, failed(i))
 						if psp != nil {
 							psp.End()
 							rec.PointDuration.Exemplar(d.Seconds(), psp.Ref().Trace.String())
 						}
 					}
-					settle(i)
+					if onResult != nil {
+						onResult(results[i])
+					}
 				}
 			})
 		}(wk)
@@ -333,10 +336,15 @@ func runPool(ctx context.Context, n, workers int, recorder *Recorder,
 	}
 	stats.Errors = int(rec.ErrorsTotal.Value())
 	stats.WorkerBusy = busy
-	if recorder != nil {
-		recorder.merge(rec)
+	if opt.Recorder != nil {
+		opt.Recorder.merge(rec)
 	}
-	return stats
+	return results, stats
+}
+
+// failPoint settles a synchronous point that could not run.
+func failPoint(i int, seed uint64, err error) Result {
+	return Result{Point: i, Seed: seed, Err: fmt.Errorf("sweep: point %d: %w", i, err)}
 }
 
 // runPoint executes one point on the worker's recycled state: the world is
@@ -345,35 +353,30 @@ func runPool(ctx context.Context, n, workers int, recorder *Recorder,
 // and the result's MovesPerRobot is carved from the worker's arena
 // (sim.RunRecycledContext), so a steady-state point allocates nothing in the
 // engine itself.
-func runPoint(ctx context.Context, ws *workerState, p Point, index int, opt Options) Result {
-	res := Result{Point: index, Seed: DeriveSeed(opt.BaseSeed, opt.seedIndex(index))}
+func runPoint(ctx context.Context, ws *workerState, p Point, index int, seed uint64) Result {
 	if p.Tree == nil {
-		res.Err = fmt.Errorf("sweep: point %d: nil tree", index)
-		return res
+		return failPoint(index, seed, errors.New("nil tree"))
 	}
 	if p.NewAlgorithm == nil {
-		res.Err = fmt.Errorf("sweep: point %d: nil algorithm factory", index)
-		return res
+		return failPoint(index, seed, errors.New("nil algorithm factory"))
 	}
 	w := ws.world
 	if w == nil {
 		nw, err := sim.NewWorld(p.Tree, p.K)
 		if err != nil {
-			res.Err = fmt.Errorf("sweep: point %d: %w", index, err)
-			return res
+			return failPoint(index, seed, err)
 		}
 		w = nw
 		ws.world = w
 	} else if err := w.Reset(p.Tree, p.K); err != nil {
-		res.Err = fmt.Errorf("sweep: point %d: %w", index, err)
-		return res
+		return failPoint(index, seed, err)
 	}
 	if ws.rng == nil {
-		ws.rng = rand.New(rand.NewSource(int64(res.Seed)))
+		ws.rng = rand.New(rand.NewSource(int64(seed)))
 	} else {
 		// Reseeding leaves the source in the exact state NewSource(seed)
 		// constructs, so recycled and fresh workers draw identical streams.
-		ws.rng.Seed(int64(res.Seed))
+		ws.rng.Seed(int64(seed))
 	}
 	var alg sim.Algorithm
 	if p.ResetAlgorithm != nil && ws.alg != nil {
@@ -383,26 +386,23 @@ func runPoint(ctx context.Context, ws *workerState, p Point, index int, opt Opti
 		alg = p.NewAlgorithm(p.K, ws.rng)
 	}
 	if alg == nil {
-		res.Err = fmt.Errorf("sweep: point %d: algorithm factory returned nil", index)
-		return res
+		return failPoint(index, seed, errors.New("algorithm factory returned nil"))
 	}
 	ws.alg = alg
 	r, err := sim.RunRecycledContext(ctx, w, alg, p.MaxRounds, ws.movesBuf(w.K()))
 	if err != nil {
-		res.Err = fmt.Errorf("sweep: point %d: %w", index, err)
-		return res
+		return failPoint(index, seed, err)
 	}
-	res.Result = r
-	return res
+	return Result{Point: index, Seed: seed, Result: r}
 }
 
-// JoinErrors collects every per-point error of a sweep into one error
-// (errors.Join), or nil when all points succeeded.
-func JoinErrors(results []Result) error {
+// JoinErrors collects every per-point error of a sweep of either engine
+// into one error (errors.Join), or nil when all points succeeded.
+func JoinErrors[R Settled](results []R) error {
 	var errs []error
 	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
+		if _, err := r.Settled(); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

@@ -15,11 +15,11 @@ func TestTracingPreservesResults(t *testing.T) {
 	pts := testGrid(t)
 	opt := Options{Workers: 4, BaseSeed: 0xABCDEF}
 
-	plain, _ := RunContext(context.Background(), pts, opt)
+	plain, _ := RunContext(context.Background(), pts, opt, nil)
 
 	tracer := tracing.New(tracing.Config{SampleEvery: 1, Seed: 1})
 	ctx, root := tracer.Trace(context.Background(), "test.sweep", tracing.SpanRef{})
-	traced, _ := RunContext(ctx, pts, opt)
+	traced, _ := RunContext(ctx, pts, opt, nil)
 	root.End()
 
 	if !reflect.DeepEqual(plain, traced) {
@@ -37,7 +37,7 @@ func TestTracedRunRecordsWorkerAndPointSpans(t *testing.T) {
 	pts := testGrid(t)
 	tracer := tracing.New(tracing.Config{SampleEvery: 1, Seed: 2})
 	ctx, root := tracer.Trace(context.Background(), "test.sweep", tracing.SpanRef{})
-	_, stats := RunContext(ctx, pts, Options{Workers: 3, BaseSeed: 7})
+	_, stats := RunContext(ctx, pts, Options{Workers: 3, BaseSeed: 7}, nil)
 	root.End()
 
 	workerSpans := map[string]bool{}

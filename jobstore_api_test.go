@@ -115,13 +115,13 @@ func TestAsyncSweepResumeByteIdentity(t *testing.T) {
 	var once sync.Once
 	_, err = SweepAsyncStream(ctx, points, 2, 7, func(i int, r AsyncSweepResult) {
 		once.Do(cancel)
-	}, WithAsyncJobStore(js))
+	}, WithJobStore(js))
 	cancel()
 	if err != nil {
 		t.Fatalf("interrupted async sweep: %v", err)
 	}
 
-	got, _, err := ResumeSweepAsync(context.Background(), points, 2, 7, WithAsyncJobStore(js))
+	got, _, err := ResumeSweepAsync(context.Background(), points, 2, 7, WithJobStore(js))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

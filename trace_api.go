@@ -41,16 +41,8 @@ func ExploreTraced(t *Tree, k int, every int, opts ...Option) (*Report, *Trace, 
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &Report{
-		Rounds:            res.Rounds,
-		Moves:             res.Moves,
-		EdgeExplorations:  res.EdgeExplorations,
-		Bound:             bound,
-		OfflineLowerBound: OfflineLowerBound(t.N(), t.Depth(), k),
-		FullyExplored:     res.FullyExplored,
-		AllAtRoot:         res.AllAtRoot,
-	}
-	return rep, &Trace{rec: rec, t: t.t}, nil
+	rep := newReport(t, k, bound, res)
+	return &rep, &Trace{rec: rec, t: t.t}, nil
 }
 
 // Frames reports the number of recorded frames.
