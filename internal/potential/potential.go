@@ -30,96 +30,42 @@ import (
 	"math/rand"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/slotindex"
 	"bfdn/internal/tree"
 )
 
 // Potential is the algorithm state. It implements sim.Algorithm.
 type Potential struct {
-	k int
-	// open[v] counts open (unexplored) edges in the subtree T(v), maintained
-	// incrementally from explore events exactly as in internal/cte.
-	open   nodeCounts
+	k      int
 	moves  []sim.Move
 	seeded bool
 
-	// Scratch for the batched ancestor update (DESIGN.md S31): per-node
-	// pending deltas, an on-path marker, and depth buckets for the
-	// deep-to-shallow propagation sweep. All three are empty between rounds
-	// (the sweep drains them), so Reset has nothing extra to clear beyond
-	// defensive zeroing.
-	pend    nodeCounts
-	onPath  []bool
-	byDepth [][]tree.NodeID
+	// slots holds the explored nodes in post-order, each weighted by its
+	// dangling edges: the DFS slot order (DESIGN.md S31), maintained from
+	// explore events in O(log n) each.
+	slots slotindex.Index
+	// elemOf[v] is explored node v's slot element; elems[e] records the
+	// node element e stands for and its parent's element, which is all a
+	// checkpoint needs to derive per-subtree open counts without a View.
+	elemOf []int32
+	elems  []elemNode
 
-	// stack is the DFS slot resolver's descent path, rebuilt once per round
-	// and advanced monotonically through the round's slots; stack[d] is the
-	// path node at relative depth d, so it doubles as the ancestor table
-	// stepTowards needs to route every robot in O(1).
-	stack []slotFrame
-	// liveFrom[v] is the index of v's first explored child whose subtree may
-	// still hold open edges. Open counts are monotone non-increasing — a
-	// subtree with no open edge can never regain one, since discoveries only
-	// happen through open edges inside the subtree — so the cursor only
-	// advances, and the resolver's child scans skip the permanently closed
-	// prefix instead of re-walking it every round. A pure accelerator: it is
-	// not serialized (a restored run just rebuilds it lazily) and never
-	// changes which node a slot resolves to.
-	liveFrom nodeCounts
+	// restored holds the open counts of a restored checkpoint until the
+	// first SelectMoves rebuilds slots from the view (RestoreState has
+	// none); a snapshot taken before then re-emits them verbatim.
+	restored []int32
+	rebuild  bool
 }
 
-// slotFrame is one level of the slot resolver's descent path: the node, the
-// preorder index of the first open slot in its subtree, and the resume
-// cursor over its explored children (index of the next child to inspect and
-// the slot base of that child).
-type slotFrame struct {
-	node      tree.NodeID
-	base      int32
-	childIdx  int32
-	childBase int32
+// elemNode is the node behind one slot element and its parent's element
+// (-1 for the root). Parents are explored first, so up < the element's own
+// handle.
+type elemNode struct {
+	node tree.NodeID
+	up   int32
 }
 
 var _ sim.Algorithm = (*Potential)(nil)
-
-// nodeCounts is a growable int32 slice indexed by NodeID.
-type nodeCounts struct {
-	vals []int32
-}
-
-func (g *nodeCounts) get(v tree.NodeID) int32 {
-	if int(v) >= len(g.vals) {
-		return 0
-	}
-	return g.vals[v]
-}
-
-func (g *nodeCounts) add(v tree.NodeID, d int32) {
-	if int(v) >= len(g.vals) {
-		g.grow(int(v) + 1)
-	}
-	g.vals[v] += d
-}
-
-func (g *nodeCounts) set(v tree.NodeID, x int32) {
-	if int(v) >= len(g.vals) {
-		g.grow(int(v) + 1)
-	}
-	g.vals[v] = x
-}
-
-// grow extends the slice to n entries in one step.
-func (g *nodeCounts) grow(n int) {
-	if cap(g.vals) >= n {
-		tail := g.vals[len(g.vals):n]
-		for i := range tail {
-			tail[i] = 0
-		}
-		g.vals = g.vals[:n]
-		return
-	}
-	vals := make([]int32, n, max(n, 2*cap(g.vals)))
-	copy(vals, g.vals)
-	g.vals = vals
-}
 
 // New returns a Potential-Function instance for k robots.
 func New(k int) *Potential {
@@ -156,37 +102,42 @@ func (p *Potential) Reset(k int) {
 	for i := range p.moves {
 		p.moves[i] = sim.Move{}
 	}
-	for i := range p.open.vals {
-		p.open.vals[i] = 0
-	}
-	// The propagation sweep leaves pend/onPath/byDepth drained after every
-	// round; re-zero them anyway so a Reset after an aborted (errored) round
-	// cannot leak state into the next run.
-	for i := range p.pend.vals {
-		p.pend.vals[i] = 0
-	}
-	for i := range p.liveFrom.vals {
-		p.liveFrom.vals[i] = 0
-	}
-	for i := range p.onPath {
-		p.onPath[i] = false
-	}
-	for d := range p.byDepth {
-		p.byDepth[d] = p.byDepth[d][:0]
-	}
-	p.stack = p.stack[:0]
+	p.slots.Reset()
+	p.elems = p.elems[:0]
+	p.restored = p.restored[:0]
+	p.rebuild = false
 	p.seeded = false
 }
 
 // SelectMoves implements sim.Algorithm.
 func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if !p.seeded {
-		p.open.add(tree.Root, int32(v.DanglingAt(tree.Root)))
-		p.seeded = true
+	if p.rebuild {
+		// The restored world already holds the checkpoint's pending events,
+		// so the view alone is the state to index.
+		p.rebuildFrom(v)
+	} else {
+		if !p.seeded {
+			p.add(tree.Root, -1, v.DanglingAt(tree.Root))
+			p.seeded = true
+		}
+		for _, e := range events {
+			// Events of one parent arrive in port order (robots reserve in
+			// index order, and reservations hand out ports in that order),
+			// so each new child lands after its explored siblings. A node
+			// without dangling edges never gains one, so it leaves the
+			// index: a leaf at once, a parent with its last edge.
+			pe := p.elemOf[e.Parent]
+			if ce := p.add(e.Child, pe, e.NewDangling); e.NewDangling == 0 {
+				p.slots.Remove(ce)
+			}
+			p.slots.Add(pe, -1)
+			if p.slots.Weight(pe) == 0 {
+				p.slots.Remove(pe)
+			}
+		}
 	}
-	p.absorb(v, events)
 
-	m := int(p.open.get(tree.Root))
+	m := p.slots.Total()
 	if m == 0 {
 		// Exploration done: climb home, stay at the root. A full round of
 		// stays ends the run.
@@ -201,12 +152,10 @@ func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 	}
 
 	// Even split of robots over the m open slots in DFS order. Slots are
-	// nondecreasing in the robot index, so one DFS descent per round resolves
-	// them all: the resolver's path stack advances monotonically through the
-	// preorder (never re-walking from the root), and consecutive robots
-	// sharing a slot also share one reservation ticket (legal co-traversal:
-	// only the first arrival triggers the explore event).
-	p.stack = append(p.stack[:0], slotFrame{node: tree.Root})
+	// nondecreasing in the robot index, so each distinct slot is selected
+	// once, and consecutive robots sharing a slot also share one
+	// reservation ticket (legal co-traversal: only the first arrival
+	// triggers the explore event).
 	lastSlot := -1
 	var u tree.NodeID
 	var lastTicket sim.Ticket
@@ -214,11 +163,11 @@ func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 	for i := 0; i < p.k; i++ {
 		slot := i * m / p.k
 		if slot != lastSlot {
-			var err error
-			u, err = p.advance(v, slot)
+			e, err := p.slots.Select(slot)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("potential: %w", err)
 			}
+			u = p.elems[e].node
 			lastSlot, haveTicket = slot, false
 		}
 		pos := v.Pos(i)
@@ -233,162 +182,66 @@ func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 			p.moves[i] = sim.Move{Kind: sim.Explore, Ticket: lastTicket}
 			continue
 		}
-		p.moves[i] = p.stepTowards(v, pos)
+		p.moves[i] = stepTowards(v, pos, u)
 	}
 	return p.moves, nil
 }
 
-// absorb folds the round's explore events into the per-subtree open-edge
-// counts: discovering a child with m hidden children consumes one open edge
-// at the parent and contributes m new ones at the child, i.e. +m at the
-// child and (m−1) on every ancestor of the parent. The ancestor walks of a
-// round share most of their root-ward path, so instead of walking each one,
-// the deltas are seeded at the parents and propagated deep-to-shallow
-// through depth buckets; paths merge at their LCAs and every ancestor is
-// touched once per round no matter how many events funnel through it.
-func (p *Potential) absorb(v *sim.View, events []sim.ExploreEvent) {
-	maxd := -1
-	for _, e := range events {
-		p.open.add(e.Child, int32(e.NewDangling))
-		delta := int32(e.NewDangling - 1)
-		if delta == 0 {
-			continue
-		}
-		par := e.Parent
-		p.pend.add(par, delta)
-		if int(par) >= len(p.onPath) {
-			p.onPath = append(p.onPath, make([]bool, int(par)+1-len(p.onPath))...)
-		}
-		if !p.onPath[par] {
-			p.onPath[par] = true
-			d := v.DepthOf(par)
-			for d >= len(p.byDepth) {
-				p.byDepth = append(p.byDepth, nil)
-			}
-			p.byDepth[d] = append(p.byDepth[d], par)
-			if d > maxd {
-				maxd = d
-			}
-		}
+// add inserts explored node v, whose parent holds element up (-1 for the
+// root), with its dangling edges as weight: immediately before the
+// parent's element, after the parent's earlier explored children. It
+// returns v's element.
+func (p *Potential) add(v tree.NodeID, up int32, dangling int) int32 {
+	var e int32
+	if up < 0 {
+		e = p.slots.Push(int32(dangling))
+	} else {
+		e = p.slots.InsertBefore(up, int32(dangling))
 	}
-	for d := maxd; d >= 1; d-- {
-		for _, u := range p.byDepth[d] {
-			delta := p.pend.vals[u]
-			p.pend.vals[u] = 0
-			p.onPath[u] = false
-			p.open.add(u, delta)
-			par := v.Parent(u)
-			p.pend.add(par, delta)
-			if int(par) >= len(p.onPath) {
-				p.onPath = append(p.onPath, make([]bool, int(par)+1-len(p.onPath))...)
-			}
-			if !p.onPath[par] {
-				p.onPath[par] = true
-				p.byDepth[d-1] = append(p.byDepth[d-1], par)
-			}
-		}
-		p.byDepth[d] = p.byDepth[d][:0]
+	p.elems = append(p.elems, elemNode{node: v, up: up})
+	if int(v) >= len(p.elemOf) {
+		p.elemOf = append(p.elemOf, make([]int32, int(v)+1-len(p.elemOf))...)
 	}
-	if maxd >= 0 && len(p.byDepth) > 0 {
-		for _, u := range p.byDepth[0] { // the root, if any path reached it
-			p.open.add(u, p.pend.vals[u])
-			p.pend.vals[u] = 0
-			p.onPath[u] = false
-		}
-		p.byDepth[0] = p.byDepth[0][:0]
-	}
+	p.elemOf[v] = e
+	return e
 }
 
-// advance moves the resolver's descent path to open-edge slot s (0 ≤ s <
-// open(root)) in the DFS preorder of the partially explored tree and
-// returns the explored node holding that dangling edge. Port order puts a
-// node's explored children before its own dangling edges, so the preorder
-// at v is: the open edges of each explored child subtree in discovery
-// order, then v's dangling edges.
-//
-// Slots of a round are requested in nondecreasing order, so the descent
-// resumes where the previous slot left off: climb to the deepest path node
-// whose subtree still contains s, then continue that node's child scan from
-// its cursor. Across a whole round every path edge and every explored child
-// is inspected at most once — one DFS pass, where the per-slot root walk it
-// replaces cost O(D·branching) each.
-func (p *Potential) advance(v *sim.View, s int) (tree.NodeID, error) {
-	s32 := int32(s)
-	// Every node inspected below is explored, and every explored node has an
-	// open-count entry (absorb adds one even for zero new dangling edges), so
-	// the counts are read by direct index instead of the bounds-checked get.
-	vals := p.open.vals
-	// Climb: pop exhausted subtrees (root is never popped; s < open(root)).
-	for len(p.stack) > 1 {
-		f := &p.stack[len(p.stack)-1]
-		if s32 < f.base+vals[f.node] {
-			break
+// rebuildFrom indexes the explored part of the view from scratch, parents
+// before children and siblings in port order — the order a run's own
+// explore events would have inserted them.
+func (p *Potential) rebuildFrom(v *sim.View) {
+	p.slots.Reset()
+	p.elems = p.elems[:0]
+	p.add(tree.Root, -1, v.DanglingAt(tree.Root))
+	for e := int32(0); int(e) < len(p.elems); e++ {
+		u := p.elems[e].node
+		for _, c := range v.ExploredChildren(u) {
+			p.add(c, e, v.DanglingAt(c))
 		}
-		p.stack = p.stack[:len(p.stack)-1]
+		if p.slots.Weight(e) == 0 {
+			p.slots.Remove(e)
+		}
 	}
-	// Descend to the node holding slot s.
-	for {
-		f := &p.stack[len(p.stack)-1]
-		children := v.ExploredChildren(f.node)
-		lf := p.liveFrom.get(f.node)
-		if f.childIdx < lf {
-			// Children below the live cursor are permanently closed; they
-			// contribute nothing to childBase, so the jump is free.
-			f.childIdx = lf
-		}
-		// While the scan sits at the live cursor, every closed child it steps
-		// over joins the permanently closed prefix.
-		atLive := f.childIdx == lf
-		lf0 := lf
-		descended := false
-		for int(f.childIdx) < len(children) {
-			ch := children[f.childIdx]
-			w := vals[ch]
-			if w == 0 {
-				if atLive {
-					lf++
-				}
-				f.childIdx++
-				continue
-			}
-			atLive = false
-			if s32 < f.childBase+w {
-				p.stack = append(p.stack, slotFrame{node: ch, base: f.childBase, childBase: f.childBase})
-				descended = true
-				break
-			}
-			f.childBase += w
-			f.childIdx++
-		}
-		if lf != lf0 {
-			p.liveFrom.add(f.node, lf-lf0)
-		}
-		if descended {
-			continue
-		}
-		// All child subtrees precede s: the slot is one of f.node's own
-		// dangling edges.
-		if int(s32-f.childBase) >= v.DanglingAt(f.node) {
-			return tree.Nil, fmt.Errorf("potential: slot overflow at node %d: %d ≥ %d", f.node, s32-f.childBase, v.DanglingAt(f.node))
-		}
-		return f.node, nil
-	}
+	p.restored = p.restored[:0]
+	p.rebuild = false
+	p.seeded = true
 }
 
-// stepTowards returns the one-edge move from pos towards the resolver's
-// current target (the top of the descent path), which is ≠ pos: down into
-// the child of pos that is an ancestor of the target when the target lies
-// below pos, up otherwise. The descent path doubles as the ancestor table —
-// stack[d] is the target's ancestor at relative depth d — so the routing is
-// O(1) where the ancestor walk it replaces cost O(D).
-func (p *Potential) stepTowards(v *sim.View, pos tree.NodeID) sim.Move {
+// stepTowards returns the one-edge move from pos towards target u ≠ pos:
+// down into the child of pos that is an ancestor of u when u lies below
+// pos, up otherwise.
+func stepTowards(v *sim.View, pos, u tree.NodeID) sim.Move {
 	dp := v.DepthOf(pos)
-	if dp >= len(p.stack)-1 {
-		// The target is at pos's depth or above (and is not pos): climb.
+	du := v.DepthOf(u)
+	if du <= dp {
 		return sim.Move{Kind: sim.Up}
 	}
-	if p.stack[dp].node == pos {
-		return sim.Move{Kind: sim.Down, Child: p.stack[dp+1].node}
+	c := u
+	for ; du > dp+1; du-- {
+		c = v.Parent(c)
+	}
+	if v.Parent(c) == pos {
+		return sim.Move{Kind: sim.Down, Child: c}
 	}
 	return sim.Move{Kind: sim.Up}
 }
