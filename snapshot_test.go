@@ -27,9 +27,14 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 		family Family
 		n, d   int
 		k      int
+		// sharedParent marks a case whose Potential checkpoint must hold at
+		// least two pending explorations at one parent: their order decides
+		// where each new child lands in the slot sequence.
+		sharedParent bool
 	}{
-		{FamilyRandom, 300, 12, 4},
-		{FamilyComb, 160, 10, 3},
+		{FamilyRandom, 300, 12, 4, false},
+		{FamilyComb, 160, 10, 3, false},
+		{FamilyBinary, 250, 8, 8, true},
 	}
 	for _, alg := range Algorithms() {
 		for _, tc := range cases {
@@ -87,6 +92,9 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("RestoreCheckpoint: %v", err)
 				}
+				if tc.sharedParent && alg == Potential && !sharedParent(events) {
+					t.Fatalf("checkpoint's %d pending events explore no parent twice", len(events))
+				}
 				resnap, err := sim.EncodeCheckpoint(w3, a3, events)
 				if err != nil {
 					t.Fatalf("EncodeCheckpoint(restored): %v", err)
@@ -112,6 +120,18 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sharedParent reports whether two events explored children of one parent.
+func sharedParent(events []sim.ExploreEvent) bool {
+	for i := range events {
+		for _, e := range events[i+1:] {
+			if e.Parent == events[i].Parent {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestRestoreCheckpointValidation exercises the failure paths: wrong robot
