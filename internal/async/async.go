@@ -22,13 +22,12 @@
 package async
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"bfdn/internal/obs/tracing"
@@ -76,23 +75,52 @@ type event struct {
 	seq   int64
 }
 
+// eventHeap is a binary min-heap of events on (at, seq). Keys are unique,
+// so the pop order is fixed by the keys alone.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && q.less(j+1, j) {
+			j++
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
 }
 
 // Option configures an Engine at construction.
@@ -152,7 +180,11 @@ func (e *Engine) Reset(t *tree.Tree, speeds []float64, seed int64) error {
 	e.t = t
 	e.speeds = append(e.speeds[:0], speeds...)
 	e.seed = seed
-	e.rng = rand.New(rand.NewSource(seed))
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(seed))
+	} else {
+		e.rng.Seed(seed) // the same stream as a fresh source, without its 5 KB
+	}
 
 	e.explored = resizeBool(e.explored, t.N())
 	e.claimed = resizeInt32(e.claimed, t.N())
@@ -251,7 +283,7 @@ func (e *Engine) RunContext(ctx context.Context, maxEvents int64) (Result, error
 				return Result{}, fmt.Errorf("async: run canceled after %d events: %w", n, err)
 			}
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		e.now = ev.at
 		i := ev.robot
 		e.arrive(i)
@@ -275,12 +307,11 @@ func (e *Engine) RunContext(ctx context.Context, maxEvents int64) (Result, error
 		// New open work discovered during this event wakes parked robots at
 		// the same instant; seq ordering keeps the run deterministic.
 		if e.workWoke && len(e.idle) > 0 {
-			woken := e.idle
-			e.idle = nil
-			sort.Ints(woken)
-			for _, w := range woken {
+			slices.Sort(e.idle)
+			for _, w := range e.idle {
 				e.push(e.now, w)
 			}
+			e.idle = e.idle[:0]
 		}
 		e.workWoke = false
 	}
@@ -309,7 +340,7 @@ func (e *Engine) RunContext(ctx context.Context, maxEvents int64) (Result, error
 }
 
 func (e *Engine) push(at float64, robot int) {
-	heap.Push(&e.events, event{at: at, robot: robot, seq: e.seq})
+	e.events.push(event{at: at, robot: robot, seq: e.seq})
 	e.seq++
 }
 

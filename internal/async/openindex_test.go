@@ -26,15 +26,15 @@ func TestOpenIndexInvariantRandomOps(t *testing.T) {
 			case 0: // add at a legal depth
 				d, ok := depth[v]
 				if !ok {
-					d = minOpenDepth(idx, depth) + rng.Intn(depths)
+					d = minOpenDepth(idx, depth, nodes) + rng.Intn(depths)
 					depth[v] = d
 				}
-				if idx.open[v] || d < minOpenDepth(idx, depth) {
+				if idx.isOpen(v) || d < minOpenDepth(idx, depth, nodes) {
 					continue
 				}
 				idx.add(v, d)
 			case 1: // remove an open node
-				if d, ok := depth[v]; ok && idx.open[v] {
+				if d, ok := depth[v]; ok && idx.isOpen(v) {
 					idx.remove(v, d)
 				}
 			default: // load churn, open or not
@@ -49,7 +49,7 @@ func TestOpenIndexInvariantRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d op %d: invariant error: %v", trial, op, err)
 			}
-			wantDepth, anyOpen := bruteMinDepth(idx, depth)
+			wantDepth, anyOpen := bruteMinDepth(idx, depth, nodes)
 			if ok != anyOpen {
 				t.Fatalf("trial %d op %d: ok=%v, brute force says open=%v", trial, op, ok, anyOpen)
 			}
@@ -59,28 +59,30 @@ func TestOpenIndexInvariantRandomOps(t *testing.T) {
 			if gotDepth != wantDepth {
 				t.Fatalf("trial %d op %d: depth %d, want %d", trial, op, gotDepth, wantDepth)
 			}
-			if !idx.open[got] || depth[got] != gotDepth {
+			if !idx.isOpen(got) || depth[got] != gotDepth {
 				t.Fatalf("trial %d op %d: returned node %d not open at depth %d", trial, op, got, gotDepth)
 			}
-			if want := bruteMinLoad(idx, depth, wantDepth); idx.loads[got] != want {
-				t.Fatalf("trial %d op %d: load %d at node %d, brute-force min is %d", trial, op, idx.loads[got], got, want)
+			if want := bruteMinLoad(idx, depth, wantDepth, nodes); idx.load(got) != want {
+				t.Fatalf("trial %d op %d: load %d at node %d, brute-force min is %d", trial, op, idx.load(got), got, want)
 			}
 		}
 	}
 }
 
-func minOpenDepth(idx *openIndex, depth map[tree.NodeID]int) int {
-	d, ok := bruteMinDepth(idx, depth)
+func minOpenDepth(idx *openIndex, depth map[tree.NodeID]int, nodes int) int {
+	d, ok := bruteMinDepth(idx, depth, nodes)
 	if !ok {
 		return idx.minDepth
 	}
 	return d
 }
 
-func bruteMinDepth(idx *openIndex, depth map[tree.NodeID]int) (int, bool) {
+// bruteMinDepth scans every node id below nodes, the whole domain the
+// random operations draw from.
+func bruteMinDepth(idx *openIndex, depth map[tree.NodeID]int, nodes int) (int, bool) {
 	best, found := 0, false
-	for v, open := range idx.open {
-		if !open {
+	for v := tree.NodeID(0); v < tree.NodeID(nodes); v++ {
+		if !idx.isOpen(v) {
 			continue
 		}
 		if !found || depth[v] < best {
@@ -90,14 +92,14 @@ func bruteMinDepth(idx *openIndex, depth map[tree.NodeID]int) (int, bool) {
 	return best, found
 }
 
-func bruteMinLoad(idx *openIndex, depth map[tree.NodeID]int, d int) int32 {
+func bruteMinLoad(idx *openIndex, depth map[tree.NodeID]int, d, nodes int) int32 {
 	var best int32
 	found := false
-	for v, open := range idx.open {
-		if !open || depth[v] != d {
+	for v := tree.NodeID(0); v < tree.NodeID(nodes); v++ {
+		if !idx.isOpen(v) || depth[v] != d {
 			continue
 		}
-		if l := idx.loads[v]; !found || l < best {
+		if l := idx.load(v); !found || l < best {
 			best, found = l, true
 		}
 	}
