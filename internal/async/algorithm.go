@@ -91,17 +91,6 @@ func (v View) Unclaimed(u tree.NodeID) int {
 	return v.e.t.NumChildren(u) - int(v.e.claimed[u])
 }
 
-// EachExploredChild calls fn for each explored child of u in port order,
-// stopping early when fn returns false. Children whose claimed edge is
-// still being crossed are not yet explored and are skipped.
-func (v View) EachExploredChild(u tree.NodeID, fn func(c tree.NodeID) bool) {
-	for _, c := range v.e.t.Children(u) {
-		if v.e.explored[c] && !fn(c) {
-			return
-		}
-	}
-}
-
 // NewNamedAlgorithm constructs a registered Algorithm by name ("bfdn",
 // "potential") — the spelling the bfdn facade, sweep grids, and the bfdnd
 // asyncsweep job type carry.
