@@ -2,11 +2,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"bfdn"
@@ -38,9 +42,10 @@ func onlyJob(t *testing.T, js *bfdn.JobStore) (id, firstWAL string) {
 
 // TestJobIdentityPinned pins what an older bfdnd left on disk: the
 // content-addressed job IDs (hashes of the canonical plan bytes) and the
-// journal record encoding of both engines, through the daemon and through
-// the facade. A changed byte in either would orphan every journal written
-// before it, so the constants only change together with a migration.
+// journal record encoding of both engines, through the daemon, the facade
+// and the distributed coordinator. A changed byte in either would orphan
+// every journal written before it, so the constants only change together
+// with a migration.
 func TestJobIdentityPinned(t *testing.T) {
 	const (
 		sweepBody = `{"seed":11,"indexBase":2,"points":[
@@ -118,5 +123,54 @@ func TestJobIdentityPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, js, facadeAsyncID, facadeAsyncWAL)
+	})
+	t.Run("facade/dsweep", func(t *testing.T) {
+		// The coordinator's job ID hashes its plan, and its shard bodies are
+		// what every worker parses: pin both. The first spec leaves
+		// Algorithm, Depth and TreeSeed at zero and sets Ell, so the pins
+		// cover which zero fields the wire form omits.
+		const (
+			dsweepID  = `48900145a5a75823`
+			dsweepWAL = `{"t":"cut","size":1}`
+		)
+		dsweepBodies := []string{
+			`{"seed":6,"indexBase":0,"timeoutMs":120000,"points":[{"family":"path","n":40,"k":2,"ell":3}]}`,
+			`{"seed":6,"indexBase":1,"timeoutMs":120000,"points":[{"family":"random","n":60,"depth":5,"treeSeed":2,"k":3,"algorithm":"bfdnl","ell":2}]}`,
+			`{"seed":6,"indexBase":2,"timeoutMs":120000,"points":[{"family":"comb","n":50,"depth":4,"k":2,"algorithm":"potential"}]}`,
+		}
+		js := openStore(t)
+		// MaxJobs 1 keeps one shard in flight, so bodies arrive in plan order.
+		inner := New(Config{MaxJobs: 1, SweepWorkers: 1}).Handler()
+		var mu sync.Mutex
+		var bodies []string
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep" {
+				b, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				bodies = append(bodies, string(b))
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(b))
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		specs := []bfdn.SweepSpec{
+			{Family: bfdn.FamilyPath, N: 40, K: 2, Ell: 3},
+			{Family: bfdn.FamilyRandom, N: 60, Depth: 5, TreeSeed: 2, K: 3, Algorithm: bfdn.BFDNRecursive, Ell: 2},
+			{Family: bfdn.FamilyComb, N: 50, Depth: 4, K: 2, Algorithm: bfdn.Potential},
+		}
+		if _, _, err := bfdn.SweepDistributed(context.Background(), specs, []string{ts.URL}, 6,
+			bfdn.WithDistStore(js)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, js, dsweepID, dsweepWAL)
+		mu.Lock()
+		defer mu.Unlock()
+		if !slices.Equal(bodies, dsweepBodies) {
+			t.Errorf("shard request bodies:\n got %q\nwant %q", bodies, dsweepBodies)
+		}
 	})
 }
