@@ -1,6 +1,7 @@
 package bfdn
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -151,12 +152,12 @@ func TestAlgorithmSweepWorkerInvariance(t *testing.T) {
 				SweepPoint{Tree: tr, K: 6, Algorithm: a})
 		}
 	}
-	base, _, err := Sweep(pts, 1, 42)
+	base, _, err := SweepContext(context.Background(), pts, 1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		got, _, err := Sweep(pts, workers, 42)
+		got, _, err := SweepContext(context.Background(), pts, workers, 42)
 		if err != nil {
 			t.Fatal(err)
 		}

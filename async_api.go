@@ -3,8 +3,8 @@ package bfdn
 // This file is the facade over internal/async, the continuous-time engine
 // (Remark 8 of the paper; the asynchronous CTE model of arXiv:2507.15658):
 // single explorations via ExploreAsync/ExploreAsyncContext and deterministic
-// (algorithm × tree × fleet × latency) grids via SweepAsync and friends,
-// mirroring the synchronous Explore/Sweep surface.
+// (algorithm × tree × fleet × latency) grids via SweepAsyncContext and
+// SweepAsyncStream, mirroring the synchronous Explore/SweepContext surface.
 
 import (
 	"context"
@@ -166,9 +166,9 @@ func newAsyncReport(t *Tree, speeds []float64, res async.Result) AsyncReport {
 	}
 }
 
-// AsyncSweepPoint is one run of a SweepAsync grid: the algorithm on Tree
-// with the given fleet under the named latency model. The zero Algorithm
-// selects AsyncBFDN; the empty Latency selects "constant".
+// AsyncSweepPoint is one run of an asynchronous sweep grid: the algorithm on
+// Tree with the given fleet under the named latency model. The zero
+// Algorithm selects AsyncBFDN; the empty Latency selects "constant".
 type AsyncSweepPoint struct {
 	Tree      *Tree
 	Speeds    []float64
@@ -183,21 +183,15 @@ type AsyncSweepResult struct {
 	Err    error       `json:"-"`
 }
 
-// SweepAsync executes a grid of independent continuous-time runs on a
-// sharded worker pool with per-worker engine reuse. workers ≤ 0 selects
+// SweepAsyncContext executes a grid of independent continuous-time runs on
+// a sharded worker pool with per-worker engine reuse. workers ≤ 0 selects
 // GOMAXPROCS; seed scrambles the deterministic per-point latency streams.
 // Results arrive in point order and are byte-identical at any worker count.
-// Per-point failures land in AsyncSweepResult.Err; SweepAsync itself errors
-// only on points invalid before running (nil tree, unknown algorithm or
-// latency spec).
-func SweepAsync(points []AsyncSweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]AsyncSweepResult, SweepStats, error) {
-	return SweepAsyncContext(context.Background(), points, workers, seed, engineOpts...)
-}
-
-// SweepAsyncContext is SweepAsync with cooperative cancellation: after ctx
-// expires every worker stops within 128 simulated events. Points completed
-// before the cancellation keep their results; every other point carries the
-// context's error.
+// Per-point failures land in AsyncSweepResult.Err; SweepAsyncContext itself
+// errors only on points invalid before running (nil tree, unknown algorithm
+// or latency spec). After ctx expires every worker stops within 128
+// simulated events: points completed before the cancellation keep their
+// results, and every other point carries the context's error.
 func SweepAsyncContext(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]AsyncSweepResult, SweepStats, error) {
 	return collect(SweepAsyncStream, ctx, points, workers, seed, engineOpts)
 }

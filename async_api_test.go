@@ -93,7 +93,7 @@ func asyncSweepGrid(t *testing.T) []bfdn.AsyncSweepPoint {
 
 func TestSweepAsyncWorkerInvariance(t *testing.T) {
 	points := asyncSweepGrid(t)
-	base, _, err := bfdn.SweepAsync(points, 1, 42)
+	base, _, err := bfdn.SweepAsyncContext(context.Background(), points, 1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSweepAsyncWorkerInvariance(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 7} {
-		got, _, err := bfdn.SweepAsync(points, workers, 42)
+		got, _, err := bfdn.SweepAsyncContext(context.Background(), points, workers, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +118,12 @@ func TestSweepAsyncWorkerInvariance(t *testing.T) {
 
 func TestSweepAsyncIndexBase(t *testing.T) {
 	points := asyncSweepGrid(t)
-	whole, _, err := bfdn.SweepAsync(points, 3, 11)
+	whole, _, err := bfdn.SweepAsyncContext(context.Background(), points, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cut := len(points) / 2
-	shard, _, err := bfdn.SweepAsync(points[cut:], 2, 11, bfdn.WithSeedIndexBase(uint64(cut)))
+	shard, _, err := bfdn.SweepAsyncContext(context.Background(), points[cut:], 2, 11, bfdn.WithSeedIndexBase(uint64(cut)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +134,21 @@ func TestSweepAsyncIndexBase(t *testing.T) {
 
 func TestSweepAsyncValidation(t *testing.T) {
 	tr := asyncTestTree(t)
-	if _, _, err := bfdn.SweepAsync([]bfdn.AsyncSweepPoint{{Tree: nil, Speeds: []float64{1}}}, 1, 1); err == nil {
+	if _, _, err := bfdn.SweepAsyncContext(context.Background(), []bfdn.AsyncSweepPoint{{Tree: nil, Speeds: []float64{1}}}, 1, 1); err == nil {
 		t.Error("nil tree accepted")
 	}
-	if _, _, err := bfdn.SweepAsync([]bfdn.AsyncSweepPoint{
+	if _, _, err := bfdn.SweepAsyncContext(context.Background(), []bfdn.AsyncSweepPoint{
 		{Tree: tr, Speeds: []float64{1}, Latency: "warp:2"},
 	}, 1, 1); err == nil {
 		t.Error("bad latency accepted")
 	}
-	if _, _, err := bfdn.SweepAsync([]bfdn.AsyncSweepPoint{
+	if _, _, err := bfdn.SweepAsyncContext(context.Background(), []bfdn.AsyncSweepPoint{
 		{Tree: tr, Speeds: []float64{1}, Algorithm: bfdn.AsyncAlgorithm(99)},
 	}, 1, 1); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	// Fleet problems are per-point, not up-front: other points still run.
-	res, stats, err := bfdn.SweepAsync([]bfdn.AsyncSweepPoint{
+	res, stats, err := bfdn.SweepAsyncContext(context.Background(), []bfdn.AsyncSweepPoint{
 		{Tree: tr, Speeds: nil},
 		{Tree: tr, Speeds: []float64{1}},
 	}, 2, 1)

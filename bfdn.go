@@ -168,6 +168,10 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
+// MarshalText encodes the algorithm as its String name, the form the bfdnd
+// sweep point schema carries (see SweepSpec).
+func (a Algorithm) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
 // ParseAlgorithm is the inverse of Algorithm.String; the empty string selects
 // BFDN (matching the zero SweepPoint.Algorithm).
 func ParseAlgorithm(name string) (Algorithm, error) {
@@ -191,15 +195,15 @@ type config struct {
 	schedule adversary.Schedule
 	seed     int64
 	progress func(Progress)
-	// Checkpointing (WithCheckpoint): the job store, the snapshot cadence in
-	// committed rounds, and whether the job must already exist (Resume*).
+	// Checkpointing (WithCheckpoint): the job store and the snapshot cadence
+	// in committed rounds.
 	store     *JobStore
 	ckptEvery int
-	resume    bool
 }
 
 // defaultConfig is the single source of Explore's defaults; every entry point
-// (Explore, ExploreTraced, Sweep) starts from it so defaults cannot drift.
+// (Explore, ExploreTraced, SweepStream) starts from it so defaults cannot
+// drift.
 func defaultConfig() config {
 	return config{alg: BFDN, ell: 2, policy: core.LeastLoaded}
 }
@@ -284,8 +288,8 @@ type Report struct {
 
 // newSimAlgorithm constructs the algorithm selected by cfg for a run on t
 // with k robots, together with the algorithm's closed-form guarantee at these
-// parameters. Explore, ExploreTraced and Sweep all build through this one
-// helper so the selection switch cannot drift between entry points.
+// parameters. Explore, ExploreTraced and SweepStream all build through this
+// one helper so the selection switch cannot drift between entry points.
 func newSimAlgorithm(t *Tree, k int, cfg config) (sim.Algorithm, float64, error) {
 	switch cfg.alg {
 	case BFDN:
@@ -554,7 +558,7 @@ func AllocateWorkers(lengths []int) (*AllocationResult, error) {
 	}, nil
 }
 
-// SweepPoint is one run of a Sweep grid: the algorithm on Tree with K
+// SweepPoint is one run of a sweep grid: the algorithm on Tree with K
 // robots. The zero Algorithm value selects BFDN.
 type SweepPoint struct {
 	Tree      *Tree
@@ -571,7 +575,7 @@ type SweepResult struct {
 	Err    error  `json:"-"`
 }
 
-// SweepStats reports the engine throughput of one Sweep call.
+// SweepStats reports the engine throughput of one sweep call.
 type SweepStats struct {
 	// Points is the number of runs executed, Workers the pool size used.
 	Points  int `json:"points"`
@@ -594,14 +598,13 @@ type SweepStats struct {
 // either engine: the engine options plus the optional job-store attachment
 // (DESIGN.md S30).
 type engineConfig struct {
-	opt    sweep.Options
-	store  *JobStore
-	plan   []byte
-	resume bool
+	opt   sweep.Options
+	store *JobStore
+	plan  []byte
 }
 
 // EngineOption tunes the sweep engine behind both engines' sweeps
-// (Sweep/SweepContext/SweepStream and SweepAsync and friends). Unlike
+// (SweepContext/SweepStream and SweepAsyncContext/SweepAsyncStream). Unlike
 // Option these act on the execution machinery, not the algorithm.
 type EngineOption func(*engineConfig)
 
@@ -649,21 +652,16 @@ func WithJobStorePlan(js *JobStore, plan []byte) EngineOption {
 	return func(c *engineConfig) { c.store, c.plan = js, plan }
 }
 
-// Sweep executes a grid of independent exploration runs on a sharded worker
-// pool with per-worker world reuse: the engine behind the experiment suite,
-// exposed for large (algorithm × tree × k) comparisons. workers ≤ 0 selects
-// GOMAXPROCS; seed scrambles the deterministic per-point randomness. Results
-// arrive in point order and are identical at any worker count. Per-point
-// failures land in SweepResult.Err; Sweep itself errors only on points that
-// are invalid before running (nil tree, unknown algorithm, bad ℓ).
-func Sweep(points []SweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]SweepResult, SweepStats, error) {
-	return SweepContext(context.Background(), points, workers, seed, engineOpts...)
-}
-
-// SweepContext is Sweep with cooperative cancellation: after ctx expires
-// every worker stops within one simulated round. Points completed before the
-// cancellation keep their results; every other point carries the context's
-// error in SweepResult.Err.
+// SweepContext executes a grid of independent exploration runs on a sharded
+// worker pool with per-worker world reuse: the engine behind the experiment
+// suite, exposed for large (algorithm × tree × k) comparisons. workers ≤ 0
+// selects GOMAXPROCS; seed scrambles the deterministic per-point randomness.
+// Results arrive in point order and are identical at any worker count.
+// Per-point failures land in SweepResult.Err; SweepContext itself errors
+// only on points that are invalid before running (nil tree, unknown
+// algorithm, bad ℓ). After ctx expires every worker stops within one
+// simulated round: points completed before the cancellation keep their
+// results, and every other point carries the context's error.
 func SweepContext(ctx context.Context, points []SweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]SweepResult, SweepStats, error) {
 	return collect(SweepStream, ctx, points, workers, seed, engineOpts)
 }

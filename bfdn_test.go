@@ -1,6 +1,7 @@
 package bfdn
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -74,7 +75,7 @@ func TestSweepMatchesExplore(t *testing.T) {
 		{Tree: tr2, K: 3, Algorithm: DFS},
 		{Tree: tr2, K: 16, Algorithm: Levelwise},
 	}
-	results, stats, err := Sweep(points, 4, 1)
+	results, stats, err := SweepContext(context.Background(), points, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, k := range []int{2, 4, 8, 16} {
 		points = append(points, SweepPoint{Tree: tr, K: k}, SweepPoint{Tree: tr, K: k, Algorithm: CTE})
 	}
-	base, _, err := Sweep(points, 1, 9)
+	base, _, err := SweepContext(context.Background(), points, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := Sweep(points, 8, 9)
+	again, _, err := SweepContext(context.Background(), points, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +132,17 @@ func TestSweepRejectsInvalidPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Sweep([]SweepPoint{{Tree: nil, K: 2}}, 1, 0); err == nil {
+	if _, _, err := SweepContext(context.Background(), []SweepPoint{{Tree: nil, K: 2}}, 1, 0); err == nil {
 		t.Error("nil tree accepted")
 	}
-	if _, _, err := Sweep([]SweepPoint{{Tree: tr, K: 2, Algorithm: Algorithm(99)}}, 1, 0); err == nil {
+	if _, _, err := SweepContext(context.Background(), []SweepPoint{{Tree: tr, K: 2, Algorithm: Algorithm(99)}}, 1, 0); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, _, err := Sweep([]SweepPoint{{Tree: tr, K: 2, Algorithm: BFDNRecursive, Ell: -3}}, 1, 0); err == nil {
+	if _, _, err := SweepContext(context.Background(), []SweepPoint{{Tree: tr, K: 2, Algorithm: BFDNRecursive, Ell: -3}}, 1, 0); err == nil {
 		t.Error("invalid ell accepted")
 	}
 	// A bad k is a per-point runtime failure, not a validation error.
-	results, _, err := Sweep([]SweepPoint{{Tree: tr, K: 0}, {Tree: tr, K: 2}}, 1, 0)
+	results, _, err := SweepContext(context.Background(), []SweepPoint{{Tree: tr, K: 0}, {Tree: tr, K: 2}}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestReportBoundAllAlgorithms pins Report.Bound to the closed-form
 // guarantee for every Algorithm constant, in all three facade paths
-// (Explore, ExploreTraced, Sweep). In particular CTE must report the
+// (Explore, ExploreTraced, SweepContext). In particular CTE must report the
 // Appendix A form n/log k + D, not 0.
 func TestReportBoundAllAlgorithms(t *testing.T) {
 	tr, err := GenerateTree(FamilyRandom, 800, 15, 3)
@@ -62,15 +62,15 @@ func TestReportBoundAllAlgorithms(t *testing.T) {
 			if tc.alg == BFDNRecursive {
 				sweepEll = ell
 			}
-			res, _, err := Sweep([]SweepPoint{{Tree: tr, K: k, Algorithm: tc.alg, Ell: sweepEll}}, 1, 0)
+			res, _, err := SweepContext(context.Background(), []SweepPoint{{Tree: tr, K: k, Algorithm: tc.alg, Ell: sweepEll}}, 1, 0)
 			if err != nil {
-				t.Fatalf("Sweep: %v", err)
+				t.Fatalf("SweepContext: %v", err)
 			}
 			if res[0].Err != nil {
-				t.Fatalf("Sweep point: %v", res[0].Err)
+				t.Fatalf("SweepContext point: %v", res[0].Err)
 			}
 			if res[0].Report.Bound != tc.want {
-				t.Errorf("Sweep Bound = %v, want %v", res[0].Report.Bound, tc.want)
+				t.Errorf("SweepContext Bound = %v, want %v", res[0].Report.Bound, tc.want)
 			}
 		})
 	}

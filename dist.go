@@ -3,10 +3,8 @@ package bfdn
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
-	"log/slog"
-	"net/http"
-	"time"
 
 	"bfdn/internal/dsweep"
 	"bfdn/internal/obs/tracing"
@@ -15,90 +13,35 @@ import (
 // SweepSpec is one point of a distributed sweep. Unlike SweepPoint it names
 // the tree by generator parameters instead of holding a materialized *Tree,
 // so the spec can travel to whichever bfdnd worker runs it; identical specs
-// generate identical trees everywhere.
+// generate identical trees everywhere. Its JSON form is the bfdnd sweep
+// point schema with zero fields omitted, and it is what the coordinator
+// hashes into the job ID and sends to workers.
 type SweepSpec struct {
 	// Family, N, Depth and TreeSeed select the generated tree (Depth is
 	// family-specific; 0 selects the generator default).
-	Family   Family
-	N        int
-	Depth    int
-	TreeSeed int64
+	Family   Family `json:"family"`
+	N        int    `json:"n"`
+	Depth    int    `json:"depth,omitempty"`
+	TreeSeed int64  `json:"treeSeed,omitempty"`
 	// K is the robot count; Algorithm selects the exploration algorithm
 	// (the zero value selects BFDN); Ell sets ℓ for BFDNRecursive.
-	K         int
-	Algorithm Algorithm
-	Ell       int
+	K         int       `json:"k"`
+	Algorithm Algorithm `json:"algorithm,omitempty"`
+	Ell       int       `json:"ell,omitempty"`
 }
 
 // DistLine is one merged record of a distributed sweep: the global point
 // index plus exactly one of Report or Error. Report holds the worker's
 // serialized Report verbatim — the coordinator never re-marshals it, which
 // is what keeps distributed output byte-identical to a local run.
-type DistLine struct {
-	Point  int             `json:"point"`
-	Report json.RawMessage `json:"report,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
+type DistLine = dsweep.Line
 
-// DistStats summarizes one distributed sweep.
-type DistStats struct {
-	// Points and Shards are the plan size and how it was cut; Workers is how
-	// many workers participated.
-	Points  int
-	Shards  int
-	Workers int
-	// Retries counts shard re-dispatches after failed or busy attempts;
-	// Failovers counts shards completed by a different worker than one that
-	// failed them; Hedges counts duplicate tail dispatches; DeadWorkers
-	// counts workers dropped mid-run after consecutive failures.
-	Retries     int
-	Failovers   int
-	Hedges      int
-	DeadWorkers int
-	// Replayed counts points answered from the coordinator's journal
-	// (WithDistStore) instead of dispatched to the fleet.
-	Replayed int
-	// Elapsed is the wall-clock duration; ShardsByWorker is how many shards
-	// each worker base URL completed.
-	Elapsed        time.Duration
-	ShardsByWorker map[string]int
-}
-
-// String renders the one-line summary printed by cmd/experiments -workers.
-func (s DistStats) String() string {
-	return dsweep.Stats{
-		Points: s.Points, Shards: s.Shards, Workers: s.Workers,
-		Retries: s.Retries, Failovers: s.Failovers, Hedges: s.Hedges,
-		DeadWorkers: s.DeadWorkers, Elapsed: s.Elapsed,
-	}.String()
-}
+// DistStats summarizes one distributed sweep; its String is the one-line
+// summary printed by cmd/experiments -workers.
+type DistStats = dsweep.Stats
 
 // DistOption tunes SweepDistributed.
 type DistOption func(*dsweep.Options)
-
-// WithDistClient sets the HTTP client used for all worker requests (nil
-// selects a private client with no global timeout).
-func WithDistClient(c *http.Client) DistOption {
-	return func(o *dsweep.Options) { o.Client = c }
-}
-
-// WithDistShardTimeout bounds one dispatch attempt of one shard end to end;
-// it is also forwarded to the worker as the request deadline.
-func WithDistShardTimeout(d time.Duration) DistOption {
-	return func(o *dsweep.Options) { o.ShardTimeout = d }
-}
-
-// WithDistMaxShardPoints caps how many points one shard may carry (further
-// clamped by the smallest maxPoints any worker advertises on /capacity).
-func WithDistMaxShardPoints(n int) DistOption {
-	return func(o *dsweep.Options) { o.MaxShardPoints = n }
-}
-
-// WithDistInflightPerWorker caps concurrent shards per worker (further
-// clamped by the worker's advertised maxJobs).
-func WithDistInflightPerWorker(n int) DistOption {
-	return func(o *dsweep.Options) { o.InflightPerWorker = n }
-}
 
 // WithDistHedging enables hedged dispatch of straggler tail shards: an idle
 // worker duplicates the oldest in-flight shard once the queue is empty, and
@@ -110,19 +53,9 @@ func WithDistHedging() DistOption {
 
 // WithDistOnLine streams each merged line in strict global point order as
 // soon as it is final, before SweepDistributed returns. Keep the callback
-// fast: it runs under the coordinator's merge lock.
+// fast: it runs under the coordinator's merge lock. A nil f streams nothing.
 func WithDistOnLine(f func(DistLine)) DistOption {
-	return func(o *dsweep.Options) {
-		o.OnLine = func(l dsweep.Line) { f(DistLine(l)) }
-	}
-}
-
-// WithDistMetrics attaches the coordinator's dsweep_* instrument family.
-// Like WithSweepRecorder, only in-module callers can construct the argument
-// (the metrics layer is internal); external consumers scrape the numbers
-// from whatever registry the caller exposes.
-func WithDistMetrics(m *dsweep.Metrics) DistOption {
-	return func(o *dsweep.Options) { o.Metrics = m }
+	return func(o *dsweep.Options) { o.OnLine = f }
 }
 
 // WithDistTracer records the run as one distributed trace: a dsweep.run root
@@ -134,13 +67,6 @@ func WithDistMetrics(m *dsweep.Metrics) DistOption {
 // Like WithSweepRecorder, only in-module callers can construct the argument.
 func WithDistTracer(t *tracing.Tracer) DistOption {
 	return func(o *dsweep.Options) { o.Tracer = t }
-}
-
-// WithDistLogger attaches a coordinator logger: per-attempt records (shard
-// done, shard retry, shard hedged, worker dead) carrying the worker-assigned
-// X-Bfdnd-Job ID, the key that joins coordinator and worker log streams.
-func WithDistLogger(l *slog.Logger) DistOption {
-	return func(o *dsweep.Options) { o.Logger = l }
 }
 
 // WithDistStore journals the run into a persistent job store, keyed by the
@@ -157,28 +83,12 @@ func WithDistStore(js *JobStore) DistOption {
 	}
 }
 
-// specsToPlan converts the public spec grid to the coordinator's wire plan.
-func specsToPlan(specs []SweepSpec, seed int64) dsweep.Plan {
-	plan := dsweep.Plan{Seed: seed, Points: make([]dsweep.PointSpec, len(specs))}
-	for i, s := range specs {
-		alg := ""
-		if s.Algorithm != 0 {
-			alg = s.Algorithm.String()
-		}
-		plan.Points[i] = dsweep.PointSpec{
-			Family: string(s.Family), N: s.N, Depth: s.Depth, TreeSeed: s.TreeSeed,
-			K: s.K, Algorithm: alg, Ell: s.Ell,
-		}
-	}
-	return plan
-}
-
 // SweepDistributed runs the spec grid across a fleet of bfdnd workers
 // (base URLs like "http://host:8080") and merges the streamed results into
 // strict point order. Per-point randomness is derived from (seed, index)
-// exactly as in Sweep, and report bytes pass through verbatim, so the
-// returned lines are byte-identical to a local run of the same grid at any
-// worker count and shard placement.
+// exactly as in SweepContext, and report bytes pass through verbatim, so
+// the returned lines are byte-identical to a local run of the same grid at
+// any worker count and shard placement.
 //
 // The coordinator weights shard sizes by the fleet's GET /capacity
 // advertisements, retries failed and busy shards with exponential backoff,
@@ -190,17 +100,15 @@ func SweepDistributed(ctx context.Context, specs []SweepSpec, workers []string, 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	lines, stats, err := dsweep.Run(ctx, specsToPlan(specs, seed), workers, o)
-	out := make([]DistLine, len(lines))
-	for i, l := range lines {
-		out[i] = DistLine(l)
+	plan := dsweep.Plan{Seed: seed, Points: make([]json.RawMessage, len(specs))}
+	for i, s := range specs {
+		b, err := json.Marshal(s)
+		if err != nil {
+			return nil, DistStats{}, fmt.Errorf("bfdn: sweep spec %d: %w", i, err)
+		}
+		plan.Points[i] = b
 	}
-	return out, DistStats{
-		Points: stats.Points, Shards: stats.Shards, Workers: stats.Workers,
-		Retries: stats.Retries, Failovers: stats.Failovers, Hedges: stats.Hedges,
-		DeadWorkers: stats.DeadWorkers, Replayed: stats.Replayed, Elapsed: stats.Elapsed,
-		ShardsByWorker: stats.ShardsByWorker,
-	}, err
+	return dsweep.Run(ctx, plan, workers, o)
 }
 
 // WriteDistJSONL renders lines as compact JSONL, one record per line — the
@@ -208,9 +116,5 @@ func SweepDistributed(ctx context.Context, specs []SweepSpec, workers []string, 
 // the trailing done line. Serializing a local run's reports through the same
 // shape yields identical output, so diff is a sufficient integrity check.
 func WriteDistJSONL(w io.Writer, lines []DistLine) error {
-	conv := make([]dsweep.Line, len(lines))
-	for i, l := range lines {
-		conv[i] = dsweep.Line(l)
-	}
-	return dsweep.WriteJSONL(w, conv)
+	return dsweep.WriteJSONL(w, lines)
 }

@@ -43,7 +43,7 @@ func localDistLines(t *testing.T, specs []bfdn.SweepSpec, seed int64) []bfdn.Dis
 			points[i].Algorithm = bfdn.BFDN
 		}
 	}
-	results, _, err := bfdn.Sweep(points, 2, seed)
+	results, _, err := bfdn.SweepContext(context.Background(), points, 2, seed)
 	if err != nil {
 		t.Fatalf("local sweep: %v", err)
 	}
@@ -82,7 +82,6 @@ func TestSweepDistributedMatchesLocal(t *testing.T) {
 
 	var streamed []int
 	lines, stats, err := bfdn.SweepDistributed(context.Background(), specs, urls, seed,
-		bfdn.WithDistMaxShardPoints(2),
 		bfdn.WithDistOnLine(func(l bfdn.DistLine) { streamed = append(streamed, l.Point) }))
 	if err != nil {
 		t.Fatalf("SweepDistributed: %v", err)
@@ -108,5 +107,22 @@ func TestSweepDistributedMatchesLocal(t *testing.T) {
 func TestSweepDistributedNoWorkers(t *testing.T) {
 	if _, _, err := bfdn.SweepDistributed(context.Background(), distSpecs(), nil, 1); err == nil {
 		t.Fatal("SweepDistributed succeeded with no workers")
+	}
+}
+
+// TestSweepDistributedNilOnLine: a nil WithDistOnLine callback streams
+// nothing. The coordinator calls OnLine from its own goroutines, so a nil
+// func wrapped in a non-nil one would crash the process on the first line.
+func TestSweepDistributedNilOnLine(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Config{MaxJobs: 2, SweepWorkers: 2}).Handler())
+	t.Cleanup(ts.Close)
+	specs := distSpecs()
+	lines, _, err := bfdn.SweepDistributed(context.Background(), specs, []string{ts.URL}, 5,
+		bfdn.WithDistOnLine(nil))
+	if err != nil {
+		t.Fatalf("SweepDistributed: %v", err)
+	}
+	if got, want := distJSONL(t, lines), distJSONL(t, localDistLines(t, specs, 5)); got != want {
+		t.Fatalf("distributed output differs from local run\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -134,10 +134,10 @@ type serverLine struct {
 // with the worker's own job logs.
 func runShard(ctx context.Context, client *http.Client, w *workerState, plan Plan, s *shard, opts Options) ([]Line, string, *attemptError) {
 	body, err := json.Marshal(struct {
-		Seed      int64       `json:"seed"`
-		IndexBase int         `json:"indexBase"`
-		TimeoutMS int64       `json:"timeoutMs"`
-		Points    []PointSpec `json:"points"`
+		Seed      int64             `json:"seed"`
+		IndexBase int               `json:"indexBase"`
+		TimeoutMS int64             `json:"timeoutMs"`
+		Points    []json.RawMessage `json:"points"`
 	}{plan.Seed, s.lo, opts.ShardTimeout.Milliseconds(), plan.Points[s.lo:s.hi]})
 	if err != nil {
 		return nil, "", &attemptError{err: fmt.Errorf("dsweep: marshal shard [%d,%d): %w", s.lo, s.hi, err), fatal: true}

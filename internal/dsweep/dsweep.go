@@ -12,30 +12,14 @@ import (
 	"bfdn/internal/obs/tracing"
 )
 
-// PointSpec is one serializable point of a distributed sweep: the tree is
-// named by generator parameters, not materialized, so the spec travels to
-// whichever worker runs it. The JSON field names match the bfdnd sweep
-// endpoint's point schema exactly.
-type PointSpec struct {
-	// Family, N, Depth and TreeSeed select the generated tree (identical
-	// specs on different workers generate identical trees).
-	Family   string `json:"family"`
-	N        int    `json:"n"`
-	Depth    int    `json:"depth,omitempty"`
-	TreeSeed int64  `json:"treeSeed,omitempty"`
-	// K is the robot count; Algorithm is the canonical lower-case name
-	// (empty selects bfdn); Ell sets ℓ for bfdnl (0 selects the default).
-	K         int    `json:"k"`
-	Algorithm string `json:"algorithm,omitempty"`
-	Ell       int    `json:"ell,omitempty"`
-}
-
 // Plan is a complete distributed sweep: the deterministic base seed and the
 // ordered point grid. Point i's randomness is sweep.DeriveSeed(Seed, i)
-// wherever it executes.
+// wherever it executes. Each point is the canonical JSON of one bfdnd sweep
+// point, which the coordinator never decodes: it only slices the points into
+// shard bodies and hashes the plan into the job ID.
 type Plan struct {
 	Seed   int64
-	Points []PointSpec
+	Points []json.RawMessage
 }
 
 // Line is one merged result record, and the JSONL line shape the

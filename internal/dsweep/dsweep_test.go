@@ -58,17 +58,31 @@ func startWorker(t *testing.T, cfg server.Config, wrap func(w http.ResponseWrite
 // testPlan builds an error-free plan mixing families, algorithms and robot
 // counts, sized so multi-shard runs exercise the merge path.
 func testPlan(points int) dsweep.Plan {
-	families := []string{"path", "binary", "spider", "random", "comb"}
-	algs := bfdn.AlgorithmNames()
-	plan := dsweep.Plan{Seed: 0xD15EA5E}
-	for i := 0; i < points; i++ {
-		plan.Points = append(plan.Points, dsweep.PointSpec{
+	families := []bfdn.Family{bfdn.FamilyPath, bfdn.FamilyBinary, bfdn.FamilySpider, bfdn.FamilyRandom, bfdn.FamilyComb}
+	algs := bfdn.Algorithms()
+	specs := make([]bfdn.SweepSpec, points)
+	for i := range specs {
+		specs[i] = bfdn.SweepSpec{
 			Family:    families[i%len(families)],
 			N:         40 + 17*(i%7),
 			TreeSeed:  int64(i / len(families)),
 			K:         1 + i%4,
 			Algorithm: algs[i%len(algs)],
-		})
+		}
+	}
+	return specPlan(0xD15EA5E, specs...)
+}
+
+// specPlan marshals specs into a coordinator plan the way
+// bfdn.SweepDistributed does.
+func specPlan(seed int64, specs ...bfdn.SweepSpec) dsweep.Plan {
+	plan := dsweep.Plan{Seed: seed, Points: make([]json.RawMessage, len(specs))}
+	for i, s := range specs {
+		b, err := json.Marshal(s)
+		if err != nil {
+			panic(err)
+		}
+		plan.Points[i] = b
 	}
 	return plan
 }
@@ -78,8 +92,16 @@ func testPlan(points int) dsweep.Plan {
 func localLines(t *testing.T, plan dsweep.Plan) []dsweep.Line {
 	t.Helper()
 	points := make([]bfdn.SweepPoint, len(plan.Points))
-	for i, p := range plan.Points {
-		tr, err := bfdn.GenerateTree(bfdn.Family(p.Family), p.N, p.Depth, p.TreeSeed)
+	for i, raw := range plan.Points {
+		// The wire form names the algorithm, so decode it beside the spec.
+		var p struct {
+			bfdn.SweepSpec
+			Algorithm string `json:"algorithm"`
+		}
+		if err := json.Unmarshal(raw, &p); err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		tr, err := bfdn.GenerateTree(p.Family, p.N, p.Depth, p.TreeSeed)
 		if err != nil {
 			t.Fatalf("point %d: generate tree: %v", i, err)
 		}
@@ -89,7 +111,7 @@ func localLines(t *testing.T, plan dsweep.Plan) []dsweep.Line {
 		}
 		points[i] = bfdn.SweepPoint{Tree: tr, K: p.K, Algorithm: alg, Ell: p.Ell}
 	}
-	results, _, err := bfdn.Sweep(points, 4, plan.Seed)
+	results, _, err := bfdn.SweepContext(context.Background(), points, 4, plan.Seed)
 	if err != nil {
 		t.Fatalf("local sweep: %v", err)
 	}
@@ -406,9 +428,7 @@ func TestInvalidPlanIsFatal(t *testing.T) {
 	// k = 0 is rejected by the worker with 400: a configuration error no
 	// retry can fix, so the run must fail without burning the retry budget.
 	url := startWorker(t, server.Config{MaxJobs: 2}, nil)
-	plan := dsweep.Plan{Seed: 1, Points: []dsweep.PointSpec{
-		{Family: "path", N: 10, K: 0, Algorithm: "bfdn"},
-	}}
+	plan := specPlan(1, bfdn.SweepSpec{Family: bfdn.FamilyPath, N: 10, K: 0, Algorithm: bfdn.BFDN})
 	_, stats, err := dsweep.Run(context.Background(), plan, []string{url}, dsweep.Options{})
 	if err == nil {
 		t.Fatal("Run succeeded on an invalid plan")

@@ -63,12 +63,13 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Explore jobs resume through the facade and dsweep jobs through the
-	// coordinator; only sweep kinds re-drive over HTTP.
+	// Explore jobs resume by re-running the checkpointed exploration and
+	// dsweep jobs by re-running the coordinator; only sweep kinds re-drive
+	// over HTTP.
 	k, ok := sweepKinds[job.Kind()]
 	if !ok {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("job %s has kind %q: explore jobs resume through the bfdn facade (ResumeExplore) and dsweep jobs through the coordinator, not over HTTP", req.Job, job.Kind()))
+			fmt.Sprintf("job %s has kind %q: explore jobs resume by re-running the exploration with bfdn.WithCheckpoint and dsweep jobs by re-running the coordinator, not over HTTP", req.Job, job.Kind()))
 		return
 	}
 	k.resumeJob(s, w, r, req.Job, job.Plan(), req.TimeoutMS)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"bfdn"
+	"bfdn/internal/jobstore"
 	"bfdn/internal/sweep"
 )
 
@@ -95,8 +96,8 @@ type sweepKind[S, P, Res, Rep any] struct {
 	// point validates one spec and materializes it on the tree that tree
 	// builds (or shares) for its spec.
 	point func(spec S, tree func(treeSpec) (*bfdn.Tree, error)) (P, error)
-	// stream and resume are the facade's fresh and strict-resume runs.
-	stream, resume func(context.Context, []P, int, int64, func(int, Res), ...bfdn.EngineOption) (bfdn.SweepStats, error)
+	// stream is the facade's streaming run.
+	stream func(context.Context, []P, int, int64, func(int, Res), ...bfdn.EngineOption) (bfdn.SweepStats, error)
 	// result splits a facade result into its report and error.
 	result func(Res) (Rep, error)
 }
@@ -117,14 +118,13 @@ var syncSweep = sweepKind[sweepPointSpec, bfdn.SweepPoint, bfdn.SweepResult, bfd
 		return bfdn.SweepPoint{Tree: t, K: p.K, Algorithm: alg, Ell: p.Ell}, err
 	},
 	stream: bfdn.SweepStream,
-	resume: bfdn.ResumeSweepStream,
 	result: func(r bfdn.SweepResult) (bfdn.Report, error) { return r.Report, r.Err },
 }
 
 // asyncSweep is POST /v1/asyncsweep: grids of continuous-time runs (the
-// engine behind bfdn.SweepAsync) under the same seed/indexBase contract, fed
-// to the bfdnd_async_sweep_* families so the synchronous ones stay
-// untouched.
+// engine behind bfdn.SweepAsyncStream) under the same seed/indexBase
+// contract, fed to the bfdnd_async_sweep_* families so the synchronous ones
+// stay untouched.
 var asyncSweep = sweepKind[asyncSweepPointSpec, bfdn.AsyncSweepPoint, bfdn.AsyncSweepResult, bfdn.AsyncReport]{
 	name:     "asyncsweep",
 	recorder: func(m *metrics) *sweep.Recorder { return m.asyncSweep },
@@ -140,7 +140,6 @@ var asyncSweep = sweepKind[asyncSweepPointSpec, bfdn.AsyncSweepPoint, bfdn.Async
 		return bfdn.AsyncSweepPoint{Tree: t, Speeds: p.Speeds, Algorithm: alg, Latency: p.Latency}, err
 	},
 	stream: bfdn.SweepAsyncStream,
-	resume: bfdn.ResumeSweepAsyncStream,
 	result: func(r bfdn.AsyncSweepResult) (bfdn.AsyncReport, error) { return r.Report, r.Err },
 }
 
@@ -179,7 +178,7 @@ func (k sweepKind[S, P, Res, Rep]) handler(s *Server) http.HandlerFunc {
 		// The job context carries the job span (when tracing is on), so the
 		// engine's sweep.worker/sweep.point spans land under this job.
 		s.runJob(ctx, w, r, k.name, func(ctx context.Context) {
-			k.job(s, ctx, w, req.sweepPlan, false)
+			k.job(s, ctx, w, req.sweepPlan)
 		})
 	}
 }
@@ -187,7 +186,8 @@ func (k sweepKind[S, P, Res, Rep]) handler(s *Server) http.HandlerFunc {
 // resumeJob is this kind's arm of POST /v1/resume: the manifest's plan
 // bytes reconstruct the original request. A strict decode rejects
 // manifests this daemon cannot re-drive — facade-created jobs whose plan
-// is an opaque fingerprint.
+// is an opaque fingerprint — and the re-marshaled plan must hash to the
+// job's own ID, or the run would journal into a different job.
 func (k sweepKind[S, P, Res, Rep]) resumeJob(s *Server, w http.ResponseWriter, r *http.Request, id string, plan []byte, timeoutMS int64) {
 	var p sweepPlan[S]
 	if err := decodePlan(plan, &p); err != nil {
@@ -195,17 +195,22 @@ func (k sweepKind[S, P, Res, Rep]) resumeJob(s *Server, w http.ResponseWriter, r
 			fmt.Sprintf("job %s has no resumable plan (%v); only jobs created over HTTP can resume here", id, err))
 		return
 	}
+	if b, err := json.Marshal(p); err != nil || jobstore.PlanID(k.name, b) != id {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("job %s has a plan this daemon does not write canonically; only jobs created over HTTP can resume here", id))
+		return
+	}
 	ctx, cancel := s.requestContext(r, timeoutMS)
 	defer cancel()
 	s.runJob(ctx, w, r, "resume", func(ctx context.Context) {
 		s.m.jsResumes.Inc()
-		k.job(s, ctx, w, p, true)
+		k.job(s, ctx, w, p)
 	})
 }
 
 // job is the body of a sweep job, shared by POST /v1/<name> and its arm of
-// POST /v1/resume (resume set). It runs with the execution slot held.
-func (k sweepKind[S, P, Res, Rep]) job(s *Server, ctx context.Context, w http.ResponseWriter, plan sweepPlan[S], resume bool) {
+// POST /v1/resume. It runs with the execution slot held.
+func (k sweepKind[S, P, Res, Rep]) job(s *Server, ctx context.Context, w http.ResponseWriter, plan sweepPlan[S]) {
 	// Materialize the grid. Sweeps routinely reuse one tree spec across
 	// many points; trees are immutable, so identical specs share one.
 	trees := make(map[treeSpec]*bfdn.Tree)
@@ -254,11 +259,7 @@ func (k sweepKind[S, P, Res, Rep]) job(s *Server, ctx context.Context, w http.Re
 	// failure inside the facade (before any point has run) can still turn
 	// into a clean 400 below.
 	stream := newOrderedStream(w)
-	run := k.stream
-	if resume {
-		run = k.resume
-	}
-	stats, err := run(ctx, points, s.cfg.SweepWorkers, plan.Seed, func(i int, res Res) {
+	stats, err := k.stream(ctx, points, s.cfg.SweepWorkers, plan.Seed, func(i int, res Res) {
 		line := sweepLine[Rep]{Point: i}
 		if rep, err := k.result(res); err != nil {
 			line.Error = err.Error()

@@ -168,7 +168,7 @@ func (e sweepEngine[P, R, Rep]) stream(ctx context.Context, workers int, seed in
 			plan = e.plan(opt.BaseSeed, opt.IndexBase)
 		}
 		var err error
-		if job, err = openPlan(cfg.store, e.kind, plan, cfg.resume); err != nil {
+		if job, _, err = cfg.store.s.OpenOrCreate(e.kind, plan); err != nil {
 			return SweepStats{}, err
 		}
 		cached, err := replayPoints[Rep](job, len(e.points))
@@ -248,26 +248,11 @@ func journalPoint[Rep any](job *jobstore.Job, i int, rep Rep) error {
 	return job.Append(pointRecord[Rep]{T: "point", I: i, Report: &rep})
 }
 
-// openPlan opens (or, for resume, requires) the job with the given plan.
-func openPlan(js *JobStore, kind string, plan []byte, requireExisting bool) (*jobstore.Job, error) {
-	if requireExisting {
-		id := jobstore.PlanID(kind, plan)
-		job, err := js.s.Get(id)
-		if err != nil {
-			return nil, fmt.Errorf("bfdn: resume: job %s (%s) not in store: %w", id, kind, err)
-		}
-		return job, nil
-	}
-	job, _, err := js.s.OpenOrCreate(kind, plan)
-	return job, err
-}
-
 // exploreCheckpointed is the WithCheckpoint path of ExploreContext: restore
 // the latest snapshot if one exists, run with periodic checkpointing, and
 // journal the final report so a completed job replays without simulating.
 func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Report, error) {
-	plan := explorePlanBytes(t, k, cfg)
-	job, err := openPlan(cfg.store, "explore", plan, cfg.resume)
+	job, _, err := cfg.store.s.OpenOrCreate("explore", explorePlanBytes(t, k, cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -321,53 +306,4 @@ func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Repo
 		return nil, err
 	}
 	return &rep, nil
-}
-
-// ResumeExplore re-runs a checkpointed exploration strictly from the store:
-// the job (identified by tree, k, and options — the same content address
-// WithCheckpoint computes) must already exist, and the run continues from
-// its latest snapshot, or returns the journaled report if it completed.
-// A byte-identical WithCheckpoint option set must be supplied so the plan
-// hash matches.
-func ResumeExplore(ctx context.Context, t *Tree, k int, opts ...Option) (*Report, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.store == nil {
-		return nil, fmt.Errorf("bfdn: ResumeExplore requires WithCheckpoint")
-	}
-	if cfg.schedule != nil {
-		return nil, fmt.Errorf("bfdn: checkpointed explorations do not support break-down schedules")
-	}
-	cfg.resume = true
-	return exploreCheckpointed(ctx, t, k, cfg)
-}
-
-// ResumeSweep is ResumeSweepStream collecting results in point order.
-func ResumeSweep(ctx context.Context, points []SweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]SweepResult, SweepStats, error) {
-	return collect(ResumeSweepStream, ctx, points, workers, seed, engineOpts)
-}
-
-// ResumeSweepStream is SweepStream in strict-resume mode: WithJobStore is
-// required, the job (content-addressed from the points, seed and index
-// base) must already exist in the store, and only the points missing from
-// its journal are executed — each with its original global seed index, so
-// the combined output is byte-identical to the uninterrupted run.
-func ResumeSweepStream(ctx context.Context, points []SweepPoint, workers int, seed int64, onResult func(index int, res SweepResult), engineOpts ...EngineOption) (SweepStats, error) {
-	engineOpts = append(engineOpts, func(c *engineConfig) { c.resume = true })
-	return SweepStream(ctx, points, workers, seed, onResult, engineOpts...)
-}
-
-// ResumeSweepAsync is ResumeSweepAsyncStream collecting results in point
-// order.
-func ResumeSweepAsync(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]AsyncSweepResult, SweepStats, error) {
-	return collect(ResumeSweepAsyncStream, ctx, points, workers, seed, engineOpts)
-}
-
-// ResumeSweepAsyncStream is SweepAsyncStream in strict-resume mode,
-// mirroring ResumeSweepStream.
-func ResumeSweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, onResult func(index int, res AsyncSweepResult), engineOpts ...EngineOption) (SweepStats, error) {
-	engineOpts = append(engineOpts, func(c *engineConfig) { c.resume = true })
-	return SweepAsyncStream(ctx, points, workers, seed, onResult, engineOpts...)
 }

@@ -27,7 +27,7 @@ func testGrid(t *testing.T) []SweepPoint {
 // uninterrupted run's, and the job must finish marked done.
 func TestSweepResumeByteIdentity(t *testing.T) {
 	points := testGrid(t)
-	want, _, err := Sweep(points, 2, 99)
+	want, _, err := SweepContext(context.Background(), points, 2, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSweepResumeByteIdentity(t *testing.T) {
 		t.Fatalf("want partial journal, got %d/%d records", jobs[0].Records, len(points))
 	}
 
-	got, _, err := ResumeSweep(context.Background(), points, 2, 99, WithJobStore(js))
+	got, _, err := SweepContext(context.Background(), points, 2, 99, WithJobStore(js))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestSweepResumeByteIdentity(t *testing.T) {
 	}
 
 	// A third run replays everything from the journal without simulating.
-	stats, err := ResumeSweepStream(context.Background(), points, 2, 99, nil, WithJobStore(js))
+	stats, err := SweepStream(context.Background(), points, 2, 99, nil, WithJobStore(js))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAsyncSweepResumeByteIdentity(t *testing.T) {
 			Tree: tr, Speeds: []float64{1, 1.5, 0.5}, Latency: "jitter:0.3",
 		})
 	}
-	want, _, err := SweepAsync(points, 2, 7)
+	want, _, err := SweepAsyncContext(context.Background(), points, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAsyncSweepResumeByteIdentity(t *testing.T) {
 		t.Fatalf("interrupted async sweep: %v", err)
 	}
 
-	got, _, err := ResumeSweepAsync(context.Background(), points, 2, 7, WithJobStore(js))
+	got, _, err := SweepAsyncContext(context.Background(), points, 2, 7, WithJobStore(js))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestExploreCheckpointResume(t *testing.T) {
 		t.Fatalf("after kill want one unfinished job, got %+v", jobs)
 	}
 
-	got, err := ResumeExplore(context.Background(), tr, 4, WithCheckpoint(js, 5))
+	got, err := ExploreContext(context.Background(), tr, 4, WithCheckpoint(js, 5))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -181,31 +181,11 @@ func TestExploreCheckpointResume(t *testing.T) {
 	}
 
 	// Done job: replayed from the journal, byte-identical again.
-	again, err := ResumeExplore(context.Background(), tr, 4, WithCheckpoint(js, 5))
+	again, err := ExploreContext(context.Background(), tr, 4, WithCheckpoint(js, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, want) {
 		t.Fatalf("journaled report differs:\n got %+v\nwant %+v", again, want)
-	}
-}
-
-// TestResumeRequiresExistingJob: strict-resume entry points refuse plans the
-// store has never seen (the stale-checkpoint taxonomy row of OPERATIONS.md).
-func TestResumeRequiresExistingJob(t *testing.T) {
-	js, err := OpenJobStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := testGrid(t)[:2]
-	if _, _, err := ResumeSweep(context.Background(), points, 1, 3, WithJobStore(js)); err == nil {
-		t.Fatal("ResumeSweep accepted an unknown plan")
-	}
-	tr := points[0].Tree
-	if _, err := ResumeExplore(context.Background(), tr, 2, WithCheckpoint(js, 4)); err == nil {
-		t.Fatal("ResumeExplore accepted an unknown plan")
-	}
-	if _, err := ResumeExplore(context.Background(), tr, 2); err == nil {
-		t.Fatal("ResumeExplore without WithCheckpoint did not error")
 	}
 }
