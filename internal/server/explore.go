@@ -9,19 +9,13 @@ import (
 	"bfdn"
 )
 
-// exploreRequest is the POST /v1/explore body. The tree is either generated
-// (family/n/depth/treeSeed) or given explicitly as a parent array; the
-// algorithm names match bfdn.ParseAlgorithm (empty selects BFDN).
+// exploreRequest is the POST /v1/explore body: one synchronous sweep point,
+// whose tree is either generated (family/n/depth/treeSeed) or given
+// explicitly as a parent array; the algorithm names match
+// bfdn.ParseAlgorithm (empty selects BFDN).
 type exploreRequest struct {
-	Family   string  `json:"family"`
-	N        int     `json:"n"`
-	Depth    int     `json:"depth"`
-	TreeSeed int64   `json:"treeSeed"`
-	Parents  []int32 `json:"parents"`
-
-	K         int    `json:"k"`
-	Algorithm string `json:"algorithm"`
-	Ell       int    `json:"ell"`
+	sweepPointSpec
+	Parents []int32 `json:"parents"`
 
 	// TimeoutMS overrides the server's default per-request deadline
 	// (capped at the server's maximum).
