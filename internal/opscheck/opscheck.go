@@ -8,7 +8,9 @@
 // package (not a shell script) because recorder names are assembled from
 // prefixes at registration time (sweep.NewNamedRecorder) and routes are
 // registered through the server's mux catalog, neither of which a grep over
-// source text can resolve.
+// source text can resolve. A third test keeps the library references in
+// README.md, OPERATIONS.md and DESIGN.md honest: every bfdn.Name they cite
+// must still be exported by the root package.
 package opscheck
 
 import (

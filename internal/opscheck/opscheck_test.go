@@ -1,6 +1,11 @@
 package opscheck
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -123,4 +128,91 @@ func TestRegisteredNamesAreWellFormed(t *testing.T) {
 			t.Errorf("registered metric %q does not match the catalog token shape", n)
 		}
 	}
+}
+
+// facadeToken matches a reference to the root package's API in prose:
+// bfdn.Name, or bfdn.Prefix* for every name with that prefix.
+var facadeToken = regexp.MustCompile(`\bbfdn\.[A-Z][A-Za-z0-9_]*\*?`)
+
+// facadeNames returns the exported top-level identifiers of package bfdn,
+// parsed from the root package's non-test sources.
+func facadeNames(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob("../../*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	names := map[string]bool{}
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names[id.Name] = true
+		}
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestDocFacadeNamesMatchCode is the library-API drift check: every bfdn.Name
+// token in README.md, OPERATIONS.md and DESIGN.md names an exported
+// top-level identifier of package bfdn, and every bfdn.Prefix* token
+// matches at least one. A doc that still cites a deleted entry point fails.
+func TestDocFacadeNamesMatchCode(t *testing.T) {
+	names := facadeNames(t)
+	if !names["Explore"] || !names["SweepDistributed"] {
+		t.Fatalf("parsed %d exported names without Explore and SweepDistributed — the facade scan is broken", len(names))
+	}
+	for _, path := range []string{"../../README.md", opsPath, "../../DESIGN.md"} {
+		doc := filepath.Base(path)
+		tokens, err := docTokens(path, facadeToken)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tok := range tokens {
+			name := strings.TrimPrefix(tok, "bfdn.")
+			if prefix, ok := strings.CutSuffix(name, "*"); ok {
+				if !hasPrefixName(names, prefix) {
+					t.Errorf("%s cites %s, which matches no exported name of package bfdn", doc, tok)
+				}
+			} else if !names[name] {
+				t.Errorf("%s cites %s, which package bfdn does not export", doc, tok)
+			}
+		}
+	}
+}
+
+func hasPrefixName(names map[string]bool, prefix string) bool {
+	for n := range names {
+		if strings.HasPrefix(n, prefix) {
+			return true
+		}
+	}
+	return false
 }

@@ -48,10 +48,12 @@ fi
 # runbook step naming a metric or route that no longer exists). The checks
 # are Go tests because recorder names are assembled from prefixes at
 # registration time (sweep.NewNamedRecorder) and routes live in the
-# server's mux catalog, neither resolvable by grep over source text.
+# server's mux catalog, neither resolvable by grep over source text. The
+# same package checks that every bfdn.Name cited in README.md, OPERATIONS.md
+# and DESIGN.md is still exported by the root package.
 go test -count=1 ./internal/opscheck/ >/dev/null || {
-    echo "OPERATIONS.md metric/endpoint catalog drifted from the code; run: go test ./internal/opscheck/" >&2
+    echo "docs drifted from the code (OPERATIONS.md catalogs or cited bfdn names); run: go test ./internal/opscheck/" >&2
     exit 1
 }
 
-echo "all packages documented, benchmark records present, metric and endpoint catalogs in sync"
+echo "all packages documented, benchmark records present, metric and endpoint catalogs and cited bfdn names in sync"
