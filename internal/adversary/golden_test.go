@@ -1,0 +1,100 @@
+package adversary
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+
+	"bfdn/internal/sim"
+	"bfdn/internal/tree"
+)
+
+// goldenTrees is the fixed tree set the fingerprints are taken over: every
+// generator family, plus random trees wide and deep enough that blocked
+// robots delay many re-anchoring decisions.
+func goldenTrees() []*tree.Tree {
+	rng := rand.New(rand.NewSource(2311))
+	return []*tree.Tree{
+		tree.Path(40), tree.Star(30), tree.KAry(2, 6), tree.KAry(4, 3),
+		tree.Spider(6, 8), tree.Comb(10, 4), tree.Caterpillar(12, 3),
+		tree.Broom(12, 8), tree.UnevenPaths(8, 24),
+		tree.Random(400, 12, rng), tree.RandomBinary(250, rng),
+		tree.Random(1500, 30, rng),
+	}
+}
+
+// runFingerprint drives a until every edge is visited, as RunUntilExplored
+// does, and returns a SHA-256 over every round's moves followed by the
+// run's rounds, moves and per-robot moves.
+func runFingerprint(t *testing.T, tr *tree.Tree, k int, a sim.Algorithm) []byte {
+	t.Helper()
+	w, err := sim.NewWorld(tr, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var events []sim.ExploreEvent
+	var buf []byte
+	for r := 0; !w.FullyExplored(); r++ {
+		if r == 1_000_000 {
+			t.Fatalf("%s k=%d: not explored within %d rounds", tr, k, r)
+		}
+		moves, err := a.SelectMoves(w.View(), events)
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", tr, k, err)
+		}
+		buf = buf[:0]
+		for _, m := range moves {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Kind))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Child))
+			if m.Kind == sim.Explore {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Ticket.From()))
+			}
+		}
+		h.Write(buf)
+		if events, _, err = w.Apply(moves); err != nil {
+			t.Fatalf("%s k=%d: %v", tr, k, err)
+		}
+	}
+	m := w.Metrics()
+	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(m.Rounds))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Moves))
+	for _, n := range m.MovesPerRobot {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	}
+	h.Write(buf)
+	return h.Sum(nil)
+}
+
+// TestGoldenBreakdownFingerprints pins break-down BFDN's exact decisions
+// under a Bernoulli schedule and under the adaptive BlockDeepest adversary:
+// per adversary, a SHA-256 over every golden tree at k ∈ {1, 2, 3, 8, 16,
+// 64}.
+func TestGoldenBreakdownFingerprints(t *testing.T) {
+	want := map[string]string{
+		"bernoulli":    "233a049c5d217656afc6b78e9601ff8e68b908d72c1ab73b1dab367952515504",
+		"blockdeepest": "1d4be0d79f59a28b84d0ab7d638b032cc23d258f54e55979b918b6acaed73273",
+	}
+	trees := goldenTrees()
+	for _, name := range []string{"bernoulli", "blockdeepest"} {
+		all := sha256.New()
+		for _, tr := range trees {
+			for _, k := range []int{1, 2, 3, 8, 16, 64} {
+				var a sim.Algorithm
+				if name == "bernoulli" {
+					a = New(k, &Bernoulli{P: 0.6, K: k, Seed: 42})
+				} else {
+					a = NewAdaptive(k, &BlockDeepest{Max: k / 2})
+				}
+				sum := runFingerprint(t, tr, k, a)
+				t.Logf("%s %s k=%d: %x", name, tr, k, sum)
+				all.Write(sum)
+			}
+		}
+		if got := hex.EncodeToString(all.Sum(nil)); got != want[name] {
+			t.Errorf("%s: fingerprint = %s, want %s (run with -v for per-case digests)", name, got, want[name])
+		}
+	}
+}

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
 
@@ -35,6 +40,100 @@ func TestGoldenRoundCounts(t *testing.T) {
 		b, _ := runBFDN(t, tc.tr, tc.k)
 		if a.Rounds != b.Rounds {
 			t.Errorf("%s: nondeterministic rounds %d vs %d", tc.name, a.Rounds, b.Rounds)
+		}
+	}
+}
+
+// goldenTrees is the fixed tree set the move fingerprints are taken over:
+// every generator family, plus random trees wide and deep enough that
+// anchors cross many depths and load ties.
+func goldenTrees() []*tree.Tree {
+	rng := rand.New(rand.NewSource(2311))
+	return []*tree.Tree{
+		tree.Path(40), tree.Star(30), tree.KAry(2, 6), tree.KAry(4, 3),
+		tree.Spider(6, 8), tree.Comb(10, 4), tree.Caterpillar(12, 3),
+		tree.Broom(12, 8), tree.UnevenPaths(8, 24),
+		tree.Random(400, 12, rng), tree.RandomBinary(250, rng),
+		tree.Random(1500, 30, rng),
+	}
+}
+
+var goldenKs = []int{1, 2, 3, 8, 16, 64}
+
+// moveRecorder wraps an algorithm and hashes every move of every round it
+// returns, so a change to any single re-anchoring decision shows.
+type moveRecorder struct {
+	a   sim.Algorithm
+	h   hash.Hash
+	buf []byte
+}
+
+func (r *moveRecorder) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
+	moves, err := r.a.SelectMoves(v, events)
+	if err != nil {
+		return nil, err
+	}
+	r.buf = r.buf[:0]
+	for _, m := range moves {
+		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Kind))
+		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Child))
+		if m.Kind == sim.Explore {
+			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Ticket.From()))
+		}
+	}
+	r.h.Write(r.buf)
+	return moves, nil
+}
+
+// TestGoldenMoveFingerprints pins sync BFDN's exact decisions under every
+// re-anchoring policy, with and without the shortcut ablation: per
+// configuration, a SHA-256 over every round's moves on every golden tree at
+// every golden k. RandomOpen draws from a fixed-seed source per run.
+func TestGoldenMoveFingerprints(t *testing.T) {
+	want := map[string]string{
+		"least-loaded":          "9f2031200ed3db48c88ddc0104e1dcd0f6909863ed07b55f86026a7a6b736bbf",
+		"least-loaded/shortcut": "b4f43b81d008feb718c04d1946f57a67d2aa74a0be653c3ad8e33f4d3f0c9b90",
+		"round-robin":           "d6b4442d2ec1a5d84809b9d02449afb1c5346532cae0ee77a24eba9294e05df5",
+		"round-robin/shortcut":  "bd7e40259ca5242c4855b6adb214bb3af31c3dd1b8026d084fd42ffd814a6729",
+		"random":                "9e13f6908ae4827caa07c8907965863372ea7e1bb128982dcba4d90448952e1e",
+		"random/shortcut":       "9eda60ec2e8ee576064c3270c7242666e60d76432575102f0b269bd6e7772819",
+		"most-loaded":           "787ad6851b745907fb559096ba8fbe2ed30ceed005822500961e4687e75df693",
+		"most-loaded/shortcut":  "57ea64748a9088694949372dc9c0c9328d681b008affaacd769650d8aee76338",
+	}
+	trees := goldenTrees()
+	for _, policy := range []Policy{LeastLoaded, RoundRobin, RandomOpen, MostLoaded} {
+		for _, shortcut := range []bool{false, true} {
+			key := policy.String()
+			if shortcut {
+				key += "/shortcut"
+			}
+			all := sha256.New()
+			for _, tr := range trees {
+				for _, k := range goldenKs {
+					opts := []Option{WithPolicy(policy), WithRand(rand.New(rand.NewSource(5)))}
+					if shortcut {
+						opts = append(opts, WithShortcutReanchor())
+					}
+					rec := &moveRecorder{a: NewAlgorithm(k, opts...), h: sha256.New()}
+					w, err := sim.NewWorld(tr, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := sim.Run(w, rec, 0)
+					if err != nil {
+						t.Fatalf("%s %s k=%d: %v", key, tr, k, err)
+					}
+					if !res.FullyExplored || !res.AllAtRoot {
+						t.Fatalf("%s %s k=%d: bad terminal state", key, tr, k)
+					}
+					sum := rec.h.Sum(nil)
+					t.Logf("%s %s k=%d: rounds=%d %x", key, tr, k, res.Rounds, sum)
+					all.Write(sum)
+				}
+			}
+			if got := hex.EncodeToString(all.Sum(nil)); got != want[key] {
+				t.Errorf("%s: fingerprint = %s, want %s (run with -v for per-case digests)", key, got, want[key])
+			}
 		}
 	}
 }
