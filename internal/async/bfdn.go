@@ -1,6 +1,9 @@
 package async
 
-import "bfdn/internal/tree"
+import (
+	"bfdn/internal/openindex"
+	"bfdn/internal/tree"
+)
 
 // BFDN is the natural asynchronous Breadth-First Depth-Next strategy, the
 // engine's original policy extracted behind the Algorithm interface: a
@@ -10,7 +13,7 @@ import "bfdn/internal/tree"
 // dangling edges at decision time so no two robots ever chase the same
 // edge; with nothing open it parks at the root.
 type BFDN struct {
-	opens  *openIndex
+	opens  *openindex.Index
 	robots []bRobot
 }
 
@@ -24,13 +27,13 @@ type bRobot struct {
 var _ Algorithm = (*BFDN)(nil)
 
 // NewBFDN returns an asynchronous BFDN strategy; Reset sizes it to a fleet.
-func NewBFDN() *BFDN { return &BFDN{opens: newOpenIndex()} }
+func NewBFDN() *BFDN { return &BFDN{opens: openindex.New(false)} }
 
 func (b *BFDN) String() string { return "bfdn" }
 
 // Reset implements Algorithm.
 func (b *BFDN) Reset(k int) {
-	b.opens.reset()
+	b.opens.Reset()
 	if cap(b.robots) >= k {
 		b.robots = b.robots[:k]
 	} else {
@@ -40,7 +43,7 @@ func (b *BFDN) Reset(k int) {
 		b.robots[i].anchor = tree.Root
 		b.robots[i].anchorDepth = 0
 		b.robots[i].stack = b.robots[i].stack[:0]
-		b.opens.changeLoad(tree.Root, 0, 1)
+		b.opens.ChangeLoad(tree.Root, 0, 1)
 	}
 }
 
@@ -48,7 +51,7 @@ func (b *BFDN) Reset(k int) {
 // edges join the open index at their depth.
 func (b *BFDN) OnExplored(v View, _, child tree.NodeID, open bool) {
 	if open {
-		b.opens.add(child, v.DepthOf(child))
+		b.opens.AddOpen(child, v.DepthOf(child))
 	}
 }
 
@@ -70,7 +73,7 @@ func (b *BFDN) Decide(v View, i int) (Move, error) {
 	if u := v.Unclaimed(pos); u > 0 {
 		if u == 1 {
 			// Claiming the last dangling edge closes the node.
-			b.opens.remove(pos, v.DepthOf(pos))
+			b.opens.Close(pos, v.DepthOf(pos))
 		}
 		return Move{Kind: Claim}, nil
 	}
@@ -85,17 +88,17 @@ func (b *BFDN) Decide(v View, i int) (Move, error) {
 // the root when nothing is open.
 func (b *BFDN) reanchor(v View, i int) error {
 	r := &b.robots[i]
-	b.opens.changeLoad(r.anchor, r.anchorDepth, -1)
+	b.opens.ChangeLoad(r.anchor, r.anchorDepth, -1)
 	anchor, depth := tree.Root, 0
-	a, d, ok, err := b.opens.minLoadAtMinDepth()
-	if err != nil {
-		return err
-	}
-	if ok {
+	if d, ok := b.opens.MinOpenDepth(-1); ok {
+		a, err := b.opens.PickMinLoad(d)
+		if err != nil {
+			return err
+		}
 		anchor, depth = a, d
 	}
 	r.anchor, r.anchorDepth = anchor, depth
-	b.opens.changeLoad(anchor, depth, 1)
+	b.opens.ChangeLoad(anchor, depth, 1)
 	r.stack = r.stack[:0]
 	for u := anchor; u != tree.Root; u = v.Parent(u) {
 		r.stack = append(r.stack, u)

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"bfdn/internal/openindex"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
@@ -40,7 +41,7 @@ type BFDN struct {
 	recordExc      bool
 	shortcut       bool
 
-	idx    *anchorIndex
+	idx    *openindex.Index
 	rs     []robotState
 	stats  Stats
 	seeded bool
@@ -154,7 +155,7 @@ func NewInstance(robots []int, root tree.NodeID, opts ...Option) *BFDN {
 	for _, o := range opts {
 		o(b)
 	}
-	b.idx = newAnchorIndex(b.policy != MostLoaded)
+	b.idx = openindex.New(b.policy == MostLoaded)
 	b.rs = make([]robotState, len(robots))
 	return b
 }
@@ -178,7 +179,7 @@ func (b *BFDN) Reset(robots []int, root tree.NodeID, rng *rand.Rand) {
 	b.root = root
 	b.rootDepth = 0
 	b.rng = rng
-	b.idx.reset()
+	b.idx.Reset()
 	if cap(b.rs) >= len(robots) {
 		b.rs = b.rs[:len(robots)]
 	} else {
@@ -221,13 +222,13 @@ func (b *BFDN) seed(v *sim.View) {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if v.DanglingAt(u) > 0 {
-			b.idx.addOpen(u, v.DepthOf(u)-b.rootDepth)
+			b.idx.AddOpen(u, v.DepthOf(u)-b.rootDepth)
 		}
 		stack = append(stack, v.ExploredChildren(u)...)
 	}
 	for j := range b.rs {
 		b.rs[j].anchor = b.root
-		b.idx.changeLoad(b.root, 0, 1)
+		b.idx.ChangeLoad(b.root, 0, 1)
 	}
 	b.seeded = true
 }
@@ -240,13 +241,13 @@ func (b *BFDN) absorb(v *sim.View, events []sim.ExploreEvent) {
 			continue
 		}
 		if e.NewDangling > 0 {
-			b.idx.addOpen(e.Child, v.DepthOf(e.Parent)+1-b.rootDepth)
+			b.idx.AddOpen(e.Child, v.DepthOf(e.Parent)+1-b.rootDepth)
 		}
 		if e.ParentDangling == 0 {
 			// Exactly one event per closed parent carries 0 (close is
 			// idempotent anyway, but skipping the others avoids an index
 			// probe per event).
-			b.idx.close(e.Parent, v.DepthOf(e.Parent)-b.rootDepth)
+			b.idx.Close(e.Parent, v.DepthOf(e.Parent)-b.rootDepth)
 		}
 	}
 }
@@ -321,7 +322,9 @@ func (b *BFDN) DecideAllowed(v *sim.View, events []sim.ExploreEvent, moves []sim
 		}
 		st := &b.rs[j]
 		if v.Pos(r) == b.root && len(st.stack) == 0 {
-			b.reanchor(v, j, r)
+			if err := b.reanchor(v, j, r); err != nil {
+				return err
+			}
 		}
 		d := int(st.posDepth)
 		slotDepth[j] = st.posDepth
@@ -427,7 +430,9 @@ func (b *BFDN) decideRobot(v *sim.View, j, robot int) (sim.Move, error) {
 	st := &b.rs[j]
 	pos := v.Pos(robot)
 	if pos == b.root && len(st.stack) == 0 {
-		b.reanchor(v, j, robot)
+		if err := b.reanchor(v, j, robot); err != nil {
+			return sim.Move{}, err
+		}
 	}
 	if len(st.stack) > 0 {
 		// BF: unstack the next node on the path to the anchor. In shortcut
@@ -454,7 +459,9 @@ func (b *BFDN) decideRobot(v *sim.View, j, robot int) (sim.Move, error) {
 	if b.shortcut && pos == st.anchor && pos != b.root {
 		// A2 ablation: the subtree of the anchor is exhausted; re-anchor in
 		// place and take the shortest explored path to the next anchor.
-		b.reanchorAt(v, j, robot, pos)
+		if err := b.reanchorAt(v, j, robot, pos); err != nil {
+			return sim.Move{}, err
+		}
 		if len(st.stack) > 0 || v.UnreservedDanglingAt(pos) > 0 {
 			return b.decideRobot(v, j, robot)
 		}
@@ -473,25 +480,26 @@ func (b *BFDN) decideRobot(v *sim.View, j, robot int) (sim.Move, error) {
 // robot's previous excursion, releases its anchor load, and assigns the open
 // node of minimal depth according to the policy (the instance root if no
 // open node exists within the anchor-depth limit).
-func (b *BFDN) reanchor(v *sim.View, j, robot int) {
+func (b *BFDN) reanchor(v *sim.View, j, robot int) error {
 	st := &b.rs[j]
-	anchor, _ := b.assignAnchor(v, j, robot)
+	anchor, err := b.assignAnchor(v, j, robot)
 	// Stack the path from the instance root to the anchor (reverse order:
 	// the first step is popped first).
 	st.stack = st.stack[:0]
 	for u := anchor; u != b.root; u = v.Parent(u) {
 		st.stack = append(st.stack, u)
 	}
+	return err
 }
 
 // reanchorAt is reanchor for the shortcut ablation: the robot re-anchors
 // from its current position, stacking the shortest explored path.
-func (b *BFDN) reanchorAt(v *sim.View, j, robot int, pos tree.NodeID) {
+func (b *BFDN) reanchorAt(v *sim.View, j, robot int, pos tree.NodeID) error {
 	st := &b.rs[j]
-	anchor, _ := b.assignAnchor(v, j, robot)
+	anchor, err := b.assignAnchor(v, j, robot)
 	st.stack = st.stack[:0]
-	if anchor == pos {
-		return
+	if err != nil || anchor == pos {
+		return err
 	}
 	// Shortest path pos→anchor via their LCA, stored reversed (first hop
 	// popped first): the anchor-side chain bottom-up, then pos's ancestors
@@ -519,11 +527,12 @@ func (b *BFDN) reanchorAt(v *sim.View, j, robot int, pos tree.NodeID) {
 		st.stack = append(st.stack, ups[i])
 	}
 	b.scratchDown, b.scratchUps = down[:0], ups[:0]
+	return nil
 }
 
 // assignAnchor finishes the robot's excursion bookkeeping and picks its next
 // anchor per the policy, updating loads and re-anchor statistics.
-func (b *BFDN) assignAnchor(v *sim.View, j, robot int) (tree.NodeID, int) {
+func (b *BFDN) assignAnchor(v *sim.View, j, robot int) (tree.NodeID, error) {
 	st := &b.rs[j]
 	if b.recordExc && st.everMoved && st.excRounds > 0 {
 		b.stats.Excursions = append(b.stats.Excursions, Excursion{
@@ -534,30 +543,32 @@ func (b *BFDN) assignAnchor(v *sim.View, j, robot int) (tree.NodeID, int) {
 		})
 	}
 	st.excRounds, st.excExplored = 0, 0
-	b.idx.changeLoad(st.anchor, st.anchorDepth, -1)
+	b.idx.ChangeLoad(st.anchor, st.anchorDepth, -1)
 
 	anchor, depth := b.root, 0
 	for {
-		d, ok := b.idx.minOpenDepth(b.maxAnchorDepth)
+		d, ok := b.idx.MinOpenDepth(b.maxAnchorDepth)
 		if !ok {
 			break
 		}
 		var cand tree.NodeID
 		switch b.policy {
-		case LeastLoaded, MostLoaded:
-			cand = b.idx.pickMinLoad(d)
 		case RoundRobin:
-			cand = b.idx.pickRoundRobin(d)
+			cand = b.idx.PickRoundRobin(d)
 		case RandomOpen:
-			cand = b.idx.pickAt(d, b.rng.Intn(b.idx.bucketLen(d)))
+			m := b.idx.Members(d)
+			cand = m[b.rng.Intn(len(m))]
 		default:
-			cand = b.idx.pickMinLoad(d)
+			var err error
+			if cand, err = b.idx.PickMinLoad(d); err != nil {
+				return b.root, err
+			}
 		}
 		if v.DanglingAt(cand) == 0 {
 			// Stale entry: the node was closed by a robot of a sibling
 			// instance (possible only in the recursive construction when
 			// instance subtrees overlap transiently). Drop and retry.
-			b.idx.close(cand, d)
+			b.idx.Close(cand, d)
 			continue
 		}
 		anchor, depth = cand, d
@@ -565,8 +576,8 @@ func (b *BFDN) assignAnchor(v *sim.View, j, robot int) (tree.NodeID, int) {
 		break
 	}
 	st.anchor, st.anchorDepth = anchor, depth
-	b.idx.changeLoad(anchor, depth, 1)
-	return anchor, depth
+	b.idx.ChangeLoad(anchor, depth, 1)
+	return anchor, nil
 }
 
 // ActiveCount reports the number of controlled robots that are active in the
@@ -587,7 +598,7 @@ func (b *BFDN) ShallowDone() bool {
 	if !b.seeded {
 		return false
 	}
-	_, ok := b.idx.minOpenDepth(b.maxAnchorDepth)
+	_, ok := b.idx.MinOpenDepth(b.maxAnchorDepth)
 	return !ok
 }
 
@@ -595,11 +606,11 @@ func (b *BFDN) ShallowDone() bool {
 // within the anchor-depth limit (used by the recursive construction to seed
 // the next iteration's subtree roots). The result is a copy.
 func (b *BFDN) OpenAnchors() []tree.NodeID {
-	d, ok := b.idx.minOpenDepth(b.maxAnchorDepth)
+	d, ok := b.idx.MinOpenDepth(b.maxAnchorDepth)
 	if !ok {
 		return nil
 	}
-	return append([]tree.NodeID(nil), b.idx.buckets[d].members...)
+	return append([]tree.NodeID(nil), b.idx.Members(d)...)
 }
 
 // Algorithm adapts a whole-tree BFDN instance to sim.Algorithm.

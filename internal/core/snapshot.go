@@ -50,7 +50,7 @@ func (b *BFDN) SnapshotState(e *snap.Encoder) {
 		e.Int(x.Explored)
 	}
 	e.Int(b.stats.IdleSelections)
-	b.idx.snapshot(e)
+	b.idx.Snapshot(e)
 }
 
 // RestoreState restores a checkpoint written by SnapshotState into b, which
@@ -104,93 +104,8 @@ func (b *BFDN) RestoreState(d *snap.Decoder) error {
 	}
 	b.stats.IdleSelections = d.Int()
 	b.depthsKnown = false
-	if err := b.idx.restore(d); err != nil {
+	if err := b.idx.Restore(d); err != nil {
 		return err
-	}
-	return d.Err()
-}
-
-// snapshot serializes the index verbatim: per-depth bucket member order,
-// the lazy heap's backing array (stale entries included), the round-robin
-// cursor, the depth cursor, and the load/position tables. The merged meta
-// table is written as its two legacy column arrays (loads, then positions)
-// so the wire layout predates the merge; both columns share the merged
-// table's length.
-func (a *anchorIndex) snapshot(e *snap.Encoder) {
-	e.Int(a.minDepth)
-	loads := make([]int32, len(a.meta.vals))
-	pos := make([]int32, len(a.meta.vals))
-	for i, m := range a.meta.vals {
-		loads[i] = m.load
-		pos[i] = m.pos
-	}
-	e.Int32s(loads)
-	e.Int32s(pos)
-	e.Int(len(a.buckets))
-	for _, b := range a.buckets {
-		e.Int(len(b.members))
-		for _, v := range b.members {
-			e.Int32(int32(v))
-		}
-		e.Int(len(b.heap))
-		for _, le := range b.heap {
-			e.Int32(int32(le.node))
-			e.Int32(le.load)
-		}
-		e.Int(b.cursor)
-	}
-}
-
-// restore rebuilds the index from a snapshot, reusing bucket structures.
-func (a *anchorIndex) restore(d *snap.Decoder) error {
-	a.minDepth = d.Int()
-	loads := d.Int32s()
-	pos := d.Int32s()
-	// The two columns share a length when written by this version; accept
-	// differing lengths (pre-merge snapshots grew them independently) by
-	// filling the shorter column with its default.
-	n := len(loads)
-	if len(pos) > n {
-		n = len(pos)
-	}
-	a.meta.vals = a.meta.vals[:0]
-	for i := 0; i < n; i++ {
-		m := nodeMeta{pos: -1}
-		if i < len(loads) {
-			m.load = loads[i]
-		}
-		if i < len(pos) {
-			m.pos = pos[i]
-		}
-		a.meta.vals = append(a.meta.vals, m)
-	}
-	nb := d.Int()
-	if d.Err() != nil || nb < 0 {
-		return fmt.Errorf("core: corrupt anchor index bucket count %d", nb)
-	}
-	for len(a.buckets) < nb {
-		a.buckets = append(a.buckets, &depthBucket{})
-	}
-	a.buckets = a.buckets[:nb]
-	for _, b := range a.buckets {
-		nm := d.Int()
-		if d.Err() != nil || nm < 0 {
-			return fmt.Errorf("core: corrupt anchor index bucket")
-		}
-		b.members = b.members[:0]
-		for i := 0; i < nm; i++ {
-			b.members = append(b.members, tree.NodeID(d.Int32()))
-		}
-		nh := d.Int()
-		if d.Err() != nil || nh < 0 {
-			return fmt.Errorf("core: corrupt anchor index heap")
-		}
-		b.heap = b.heap[:0]
-		for i := 0; i < nh; i++ {
-			node := tree.NodeID(d.Int32())
-			b.heap = append(b.heap, loadEntry{node: node, load: d.Int32()})
-		}
-		b.cursor = d.Int()
 	}
 	return d.Err()
 }
