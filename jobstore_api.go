@@ -273,13 +273,9 @@ func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	w, err := sim.NewWorld(t.t, k)
+	w, err := newWorld(t, k, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.progress != nil {
-		f := cfg.progress
-		w.SetObserver(func(p sim.Progress) { f(Progress(p)) })
 	}
 	var events []sim.ExploreEvent
 	if state, ok, err := job.LoadSnapshot(); err != nil {

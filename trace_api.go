@@ -16,7 +16,8 @@ type Trace struct {
 
 // ExploreTraced is Explore with per-round recording: it additionally
 // returns a Trace of the run. every limits recording to one frame per that
-// many rounds (≤ 1 records all). Break-down schedules are not supported.
+// many rounds (≤ 1 records all). Break-down schedules and checkpointing
+// are not supported.
 func ExploreTraced(t *Tree, k int, every int, opts ...Option) (*Report, *Trace, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -24,6 +25,9 @@ func ExploreTraced(t *Tree, k int, every int, opts ...Option) (*Report, *Trace, 
 	}
 	if cfg.schedule != nil {
 		return nil, nil, fmt.Errorf("bfdn: tracing with break-downs is not supported")
+	}
+	if cfg.store != nil {
+		return nil, nil, fmt.Errorf("bfdn: tracing with WithCheckpoint is not supported")
 	}
 	inner, bound, err := newSimAlgorithm(t, k, cfg)
 	if err != nil {
@@ -33,7 +37,7 @@ func ExploreTraced(t *Tree, k int, every int, opts ...Option) (*Report, *Trace, 
 	if every > 1 {
 		rec.Every = every
 	}
-	w, err := sim.NewWorld(t.t, k)
+	w, err := newWorld(t, k, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package bfdn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -97,5 +98,35 @@ func TestExploreLevelwiseAlgorithm(t *testing.T) {
 	}
 	if float64(rep.Rounds) > rep.Bound {
 		t.Errorf("rounds %d exceed level-wise bound %.1f", rep.Rounds, rep.Bound)
+	}
+}
+
+// TestExploreTracedHonorsProgressAndCheckpoint: ExploreTraced streams
+// progress to a WithProgress observer exactly as Explore does, and refuses
+// WithCheckpoint instead of silently running without a journal.
+func TestExploreTracedHonorsProgressAndCheckpoint(t *testing.T) {
+	tr, err := GenerateTree(FamilyRandom, 300, 12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []Progress
+	if _, err := Explore(tr, 4, WithProgress(func(p Progress) { want = append(want, p) })); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExploreTraced(tr, 4, 1, WithProgress(func(p Progress) { got = append(got, p) })); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("ExploreTraced reported %d progress updates, Explore %d; they must match", len(got), len(want))
+	}
+	js, err := OpenJobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExploreTraced(tr, 4, 1, WithCheckpoint(js, 10)); err == nil {
+		t.Error("ExploreTraced accepted WithCheckpoint")
+	}
+	if jobs, err := js.Jobs(); err != nil || len(jobs) != 0 {
+		t.Errorf("store holds %d jobs after a refused traced run (err %v), want 0", len(jobs), err)
 	}
 }
