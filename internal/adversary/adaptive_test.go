@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
@@ -68,7 +69,7 @@ func TestAdaptiveExplorersWithinProp7Budget(t *testing.T) {
 			&BlockDeepest{Max: k / 2},
 		} {
 			res := runAdaptive(t, tr, k, adv)
-			bound := Proposition7Bound(tr.N(), tr.Depth(), k)
+			bound := bounds.Proposition7(tr.N(), tr.Depth(), k)
 			if res.AllowedAverage > bound {
 				t.Errorf("%s: A(M)=%.1f exceeds Prop 7 budget %.1f",
 					tr, res.AllowedAverage, bound)

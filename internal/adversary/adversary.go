@@ -12,7 +12,6 @@ package adversary
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"bfdn/internal/core"
@@ -172,15 +171,4 @@ func RunUntilExploredContext(ctx context.Context, w *sim.World, a *Algorithm, ma
 		AllowedAverage: a.AllowedAverage(),
 		FullyExplored:  w.FullyExplored(),
 	}, nil
-}
-
-// Proposition7Bound evaluates 2n/k + D²(log k + 3). Note the log Δ
-// alternative of Theorem 1 does not survive the adversarial setting (the
-// adversary can park all k robots at one anchor), so only log k applies.
-func Proposition7Bound(n, depth, k int) float64 {
-	logK := math.Log(float64(k))
-	if k == 1 {
-		logK = 0
-	}
-	return 2*float64(n)/float64(k) + float64(depth*depth)*(logK+3)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
@@ -37,7 +38,7 @@ func TestAllowAllMatchesPlainBFDNBudget(t *testing.T) {
 	for _, tr := range testTrees(t) {
 		for _, k := range []int{2, 8} {
 			res := runBreakdown(t, tr, k, AllowAll{}, 1_000_000)
-			bound := Proposition7Bound(tr.N(), tr.Depth(), k)
+			bound := bounds.Proposition7(tr.N(), tr.Depth(), k)
 			if res.AllowedAverage > bound {
 				t.Errorf("%s k=%d: A(M)=%.1f exceeds Prop 7 bound %.1f",
 					tr, k, res.AllowedAverage, bound)
@@ -52,7 +53,7 @@ func TestProposition7Bernoulli(t *testing.T) {
 			k := 6
 			s := &Bernoulli{P: p, K: k, Seed: 42}
 			res := runBreakdown(t, tr, k, s, 5_000_000)
-			bound := Proposition7Bound(tr.N(), tr.Depth(), k)
+			bound := bounds.Proposition7(tr.N(), tr.Depth(), k)
 			if res.AllowedAverage > bound {
 				t.Errorf("%s p=%.1f: A(M)=%.1f exceeds Prop 7 bound %.1f",
 					tr, p, res.AllowedAverage, bound)
@@ -65,7 +66,7 @@ func TestProposition7RoundRobinBlock(t *testing.T) {
 	for _, tr := range testTrees(t) {
 		k := 5
 		res := runBreakdown(t, tr, k, &RoundRobinBlock{K: k}, 2_000_000)
-		bound := Proposition7Bound(tr.N(), tr.Depth(), k)
+		bound := bounds.Proposition7(tr.N(), tr.Depth(), k)
 		if res.AllowedAverage > bound {
 			t.Errorf("%s: A(M)=%.1f exceeds bound %.1f", tr, res.AllowedAverage, bound)
 		}
@@ -79,7 +80,7 @@ func TestProposition7Blackout(t *testing.T) {
 	k := 6
 	s := &Blackout{Robots: map[int]bool{0: true, 1: true}, From: 10, To: 1 << 30}
 	res := runBreakdown(t, tr, k, s, 2_000_000)
-	bound := Proposition7Bound(tr.N(), tr.Depth(), k)
+	bound := bounds.Proposition7(tr.N(), tr.Depth(), k)
 	if res.AllowedAverage > bound {
 		t.Errorf("A(M)=%.1f exceeds bound %.1f", res.AllowedAverage, bound)
 	}
@@ -93,7 +94,7 @@ func TestSingleSurvivingRobot(t *testing.T) {
 	blocked := map[int]bool{1: true, 2: true, 3: true}
 	s := &Blackout{Robots: blocked, From: 0, To: 1 << 30}
 	res := runBreakdown(t, tr, k, s, 2_000_000)
-	bound := Proposition7Bound(tr.N(), tr.Depth(), k)
+	bound := bounds.Proposition7(tr.N(), tr.Depth(), k)
 	if res.AllowedAverage > bound {
 		t.Errorf("A(M)=%.1f exceeds bound %.1f", res.AllowedAverage, bound)
 	}

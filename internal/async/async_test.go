@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/tree"
 )
 
@@ -73,11 +74,7 @@ func TestAsyncUniformWithinTheorem1Shape(t *testing.T) {
 		k := 1 + rng.Intn(20)
 		tr := tree.Random(n, d, rng)
 		res := runAsync(t, tr, uniformSpeeds(k))
-		logTerm := math.Min(math.Log(float64(k)), math.Log(float64(tr.MaxDegree())))
-		if k == 1 || tr.MaxDegree() == 0 {
-			logTerm = 0
-		}
-		bound := 2*float64(tr.N())/float64(k) + float64(tr.Depth()*tr.Depth())*(logTerm+3)
+		bound := bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree())
 		if res.Makespan > bound {
 			t.Errorf("n=%d D=%d k=%d: makespan %.1f exceeds %.1f", n, tr.Depth(), k, res.Makespan, bound)
 		}

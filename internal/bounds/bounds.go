@@ -20,7 +20,10 @@ func Theorem3(k, delta int) float64 {
 	return float64(k)*math.Min(math.Log(float64(delta)), math.Log(float64(k))) + 2*float64(k)
 }
 
-// Proposition7 evaluates the break-down budget 2n/k + D²(log k + 3).
+// Proposition7 evaluates the break-down budget 2n/k + D²(log k + 3). The
+// log Δ alternative of Theorem 1 does not survive the adversarial setting
+// (the adversary can park all k robots at one anchor), so only log k
+// applies.
 func Proposition7(n, depth, k int) float64 {
 	lk := math.Log(float64(k))
 	if k == 1 {

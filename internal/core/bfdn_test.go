@@ -1,32 +1,13 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
-
-// theorem1Bound evaluates the Theorem 1 guarantee
-// 2n/k + D²(min{log k, log Δ}+3).
-func theorem1Bound(n, d, k, maxDeg int) float64 {
-	logTerm := math.Min(math.Log(float64(k)), math.Log(float64(maxDeg)))
-	if maxDeg == 0 || k == 1 {
-		logTerm = 0
-	}
-	return 2*float64(n)/float64(k) + float64(d*d)*(logTerm+3)
-}
-
-// lemma2Bound evaluates k(min{log k, log Δ}+3).
-func lemma2Bound(k, maxDeg int) float64 {
-	logTerm := math.Min(math.Log(float64(k)), math.Log(float64(maxDeg)))
-	if maxDeg == 0 || k == 1 {
-		logTerm = 0
-	}
-	return float64(k) * (logTerm + 3)
-}
 
 func runBFDN(t *testing.T, tr *tree.Tree, k int, opts ...Option) (sim.Result, *Stats) {
 	t.Helper()
@@ -81,7 +62,7 @@ func TestBFDNTheorem1Bound(t *testing.T) {
 	for _, tr := range testTrees(t) {
 		for _, k := range []int{1, 2, 4, 16, 64} {
 			res, _ := runBFDN(t, tr, k)
-			bound := theorem1Bound(tr.N(), tr.Depth(), k, tr.MaxDegree())
+			bound := bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree())
 			if float64(res.Rounds) > bound {
 				t.Errorf("%s k=%d: rounds %d exceed Theorem 1 bound %.1f", tr, k, res.Rounds, bound)
 			}
@@ -97,7 +78,7 @@ func TestBFDNTheorem1BoundRandomSweep(t *testing.T) {
 		k := 1 + rng.Intn(40)
 		tr := tree.Random(n, d, rng)
 		res, _ := runBFDN(t, tr, k)
-		bound := theorem1Bound(tr.N(), tr.Depth(), k, tr.MaxDegree())
+		bound := bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree())
 		if float64(res.Rounds) > bound {
 			t.Errorf("random n=%d D=%d k=%d: rounds %d exceed bound %.1f", n, tr.Depth(), k, res.Rounds, bound)
 		}
@@ -110,7 +91,7 @@ func TestBFDNLemma2ReanchorBound(t *testing.T) {
 	for _, tr := range trees {
 		for _, k := range []int{2, 8, 32} {
 			_, stats := runBFDN(t, tr, k)
-			bound := lemma2Bound(k, tr.MaxDegree())
+			bound := bounds.Lemma2(k, tr.MaxDegree())
 			if got := float64(stats.MaxReanchorsAtDepth()); got > bound {
 				t.Errorf("%s k=%d: max re-anchors per depth %v exceeds Lemma 2 bound %.1f",
 					tr, k, got, bound)

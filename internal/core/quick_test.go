@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
@@ -36,11 +37,11 @@ func TestBFDNPropertyRandomInstances(t *testing.T) {
 		if res.EdgeExplorations != tr.N()-1 {
 			return false
 		}
-		if float64(res.Rounds) > theorem1Bound(tr.N(), tr.Depth(), k, tr.MaxDegree()) {
+		if float64(res.Rounds) > bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree()) {
 			t.Logf("seed=%d n=%d D=%d k=%d: %d rounds over bound", seed, n, tr.Depth(), k, res.Rounds)
 			return false
 		}
-		if float64(alg.Inner().Stats().MaxReanchorsAtDepth()) > lemma2Bound(k, tr.MaxDegree()) {
+		if float64(alg.Inner().Stats().MaxReanchorsAtDepth()) > bounds.Lemma2(k, tr.MaxDegree()) {
 			return false
 		}
 		return true

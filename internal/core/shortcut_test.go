@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/tree"
 )
 
@@ -45,7 +46,7 @@ func TestShortcutStillWithinTheorem1(t *testing.T) {
 		k := 1 + rng.Intn(20)
 		tr := tree.Random(n, d, rng)
 		res, _ := runBFDN(t, tr, k, WithShortcutReanchor())
-		if got, bound := float64(res.Rounds), theorem1Bound(tr.N(), tr.Depth(), k, tr.MaxDegree()); got > bound {
+		if got, bound := float64(res.Rounds), bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree()); got > bound {
 			t.Errorf("n=%d D=%d k=%d: %v rounds exceed %v", n, tr.Depth(), k, got, bound)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"bfdn/internal/async"
+	"bfdn/internal/bounds"
 	"bfdn/internal/core"
 	"bfdn/internal/table"
 	"bfdn/internal/tree"
@@ -39,7 +40,7 @@ func E13ContinuousTime(cfg Config) (*table.Table, Outcome, error) {
 		if err != nil {
 			return nil, out, err
 		}
-		t1 := theorem1(tr, k)
+		t1 := bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree())
 		// Run every fleet first, then check: the faster-fleet comparisons
 		// need the uniform fleet's makespan, and capturing it inside a single
 		// loop silently compares against zero whenever the uniform fleet is
@@ -78,12 +79,4 @@ func E13ContinuousTime(cfg Config) (*table.Table, Outcome, error) {
 		}
 	}
 	return tb, out, nil
-}
-
-func theorem1(tr *tree.Tree, k int) float64 {
-	logTerm := math.Min(math.Log(float64(k)), math.Log(float64(tr.MaxDegree())))
-	if k == 1 || tr.MaxDegree() == 0 {
-		logTerm = 0
-	}
-	return 2*float64(tr.N())/float64(k) + float64(tr.Depth()*tr.Depth())*(logTerm+3)
 }

@@ -159,7 +159,7 @@ func E3Urns(cfg Config) (*table.Table, Outcome, error) {
 				if err != nil {
 					return nil, out, err
 				}
-				bound := urns.Theorem3Bound(k, delta)
+				bound := bounds.Theorem3(k, delta)
 				tb.AddRow(k, delta, adv.name, res.Steps, bound, dpVal)
 				out.check(float64(res.Steps) <= bound,
 					"E3: k=%d Δ=%d %s: %d steps > %.1f", k, delta, adv.name, res.Steps, bound)

@@ -69,7 +69,7 @@ func E7Breakdowns(cfg Config) (*table.Table, Outcome, error) {
 			if err != nil {
 				return nil, out, err
 			}
-			bound := adversary.Proposition7Bound(tr.N(), tr.Depth(), k)
+			bound := bounds.Proposition7(tr.N(), tr.Depth(), k)
 			tb.AddRow(tr.String(), k, sc.name, res.AllowedAverage, bound, res.Rounds)
 			out.check(res.FullyExplored, "E7: %s %s: incomplete", tr, sc.name)
 			out.check(res.AllowedAverage <= bound,

@@ -3,6 +3,8 @@ package graph
 import (
 	"math/rand"
 	"testing"
+
+	"bfdn/internal/bounds"
 )
 
 func mustGrid(t *testing.T, w, h int, rects []Rect) *Grid {
@@ -154,7 +156,7 @@ func TestExplorerProposition9Bound(t *testing.T) {
 		}
 		for _, k := range []int{1, 3, 9, 27} {
 			res := runExplorer(t, gd.G, k)
-			bound := Proposition9Bound(gd.G.M(), gd.G.Eccentricity(), k, gd.G.MaxDegree())
+			bound := bounds.Proposition9(gd.G.M(), gd.G.Eccentricity(), k, gd.G.MaxDegree())
 			if float64(res.Rounds) > bound {
 				t.Errorf("grid %dx%d k=%d: %d rounds exceed Prop 9 bound %.1f",
 					gd.Width, gd.Height, k, res.Rounds, bound)

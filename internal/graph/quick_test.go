@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"bfdn/internal/bounds"
 )
 
 // TestGraphPropertyRandomGrids checks the §4.3 contract on random obstacle
@@ -35,7 +37,7 @@ func TestGraphPropertyRandomGrids(t *testing.T) {
 		if res.TreeEdges != gd.G.N()-1 || res.TreeEdges+res.ClosedEdges != gd.G.M() {
 			return false
 		}
-		bound := Proposition9Bound(gd.G.M(), gd.G.Eccentricity(), k, gd.G.MaxDegree())
+		bound := bounds.Proposition9(gd.G.M(), gd.G.Eccentricity(), k, gd.G.MaxDegree())
 		if float64(res.Rounds) > bound {
 			t.Logf("seed=%d %dx%d k=%d: %d rounds over Prop 9 %.1f", seed, width, height, k, res.Rounds, bound)
 			return false

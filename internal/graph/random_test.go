@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"bfdn/internal/bounds"
 )
 
 func TestRandomConnectedShape(t *testing.T) {
@@ -62,7 +64,7 @@ func TestExplorerOnRandomConnectedGraphs(t *testing.T) {
 		if res.TreeEdges != g.N()-1 || res.TreeEdges+res.ClosedEdges != g.M() {
 			return false
 		}
-		bound := Proposition9Bound(g.M(), g.Eccentricity(), k, g.MaxDegree())
+		bound := bounds.Proposition9(g.M(), g.Eccentricity(), k, g.MaxDegree())
 		if float64(res.Rounds) > bound {
 			t.Logf("seed=%d n=%d m=%d k=%d: %d rounds > %.1f", seed, n, m, k, res.Rounds, bound)
 			return false

@@ -1,7 +1,7 @@
 // Package offline provides the offline baselines of §1 of the paper: the
-// exploration lower bound max{2n/k, 2D}, the 2(n/k + D) segment-splitting
-// offline algorithm of Dynia et al. [7] / Ortolf–Schindelhauer [13], and the
-// classic single-robot online DFS.
+// 2(n/k + D) segment-splitting offline algorithm of Dynia et al. [7] /
+// Ortolf–Schindelhauer [13], and the classic single-robot online DFS. The
+// matching lower bound max{2n/k, 2D} is bounds.OfflineLB.
 package offline
 
 import (
@@ -10,17 +10,6 @@ import (
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
-
-// LowerBound returns max{2n/k, 2D}, the minimum number of rounds any offline
-// k-robot traversal needs (every edge is crossed twice; some robot reaches
-// the deepest node and returns).
-func LowerBound(n, depth, k int) float64 {
-	lb := 2 * float64(n-1) / float64(k)
-	if d := 2 * float64(depth); d > lb {
-		lb = d
-	}
-	return lb
-}
 
 // EulerTour returns the depth-first Euler tour of the tree as a node
 // sequence of length 2(n−1)+1, starting and ending at the root.

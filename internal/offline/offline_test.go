@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
@@ -20,8 +21,8 @@ func TestLowerBound(t *testing.T) {
 		{1000, 3, 10, 199.8},
 	}
 	for _, tc := range cases {
-		if got := LowerBound(tc.n, tc.d, tc.k); got != tc.want {
-			t.Errorf("LowerBound(%d,%d,%d) = %v, want %v", tc.n, tc.d, tc.k, got, tc.want)
+		if got := bounds.OfflineLB(tc.n, tc.d, tc.k); got != tc.want {
+			t.Errorf("bounds.OfflineLB(%d,%d,%d) = %v, want %v", tc.n, tc.d, tc.k, got, tc.want)
 		}
 	}
 }
@@ -79,7 +80,7 @@ func TestSplitDFSWithinFactorTwo(t *testing.T) {
 			if float64(res.Rounds) > ub {
 				t.Errorf("%s k=%d: makespan %d exceeds 2(n/k+D)+k = %.1f", tr, k, res.Rounds, ub)
 			}
-			lb := LowerBound(tr.N(), tr.Depth(), k)
+			lb := bounds.OfflineLB(tr.N(), tr.Depth(), k)
 			if float64(res.Rounds) < lb-float64(2*tr.Depth()) {
 				t.Errorf("%s k=%d: makespan %d implausibly below lower bound %.1f", tr, k, res.Rounds, lb)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/tree"
 )
 
@@ -49,7 +50,7 @@ func TestSplitDFSPropertyCoversEveryEdge(t *testing.T) {
 		if float64(res.Rounds) > ub {
 			return false
 		}
-		return float64(res.Rounds) >= LowerBound(tr.N(), tr.Depth(), k)-2*float64(tr.Depth())
+		return float64(res.Rounds) >= bounds.OfflineLB(tr.N(), tr.Depth(), k)-2*float64(tr.Depth())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

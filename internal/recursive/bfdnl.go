@@ -161,14 +161,3 @@ func (b *BFDNL) Phase() int { return b.phaseJ }
 
 // EffectiveRobots reports K = ⌊k^{1/ℓ}⌋^ℓ.
 func (b *BFDNL) EffectiveRobots() int { return b.kEff }
-
-// Theorem10Bound evaluates 4n/k^{1/ℓ} + 2^{ℓ+1}(ℓ+1+min{log Δ, log k / ℓ})·D^{1+1/ℓ}.
-func Theorem10Bound(n, depth, k, maxDeg, ell int) float64 {
-	kRoot := math.Pow(float64(k), 1/float64(ell))
-	logTerm := math.Min(math.Log(float64(maxDeg)), math.Log(float64(k))/float64(ell))
-	if maxDeg == 0 || k == 1 {
-		logTerm = 0
-	}
-	dTerm := math.Pow(float64(depth), 1+1/float64(ell))
-	return 4*float64(n)/kRoot + math.Pow(2, float64(ell+1))*(float64(ell)+1+logTerm)*dTerm
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
@@ -36,7 +37,7 @@ func TestBFDNLPropertyRandomInstances(t *testing.T) {
 		if !res.FullyExplored || !res.AllAtRoot || res.EdgeExplorations != tr.N()-1 {
 			return false
 		}
-		if float64(res.Rounds) > Theorem10Bound(tr.N(), tr.Depth(), k, tr.MaxDegree(), ell) {
+		if float64(res.Rounds) > bounds.Theorem10(tr.N(), tr.Depth(), k, tr.MaxDegree(), ell) {
 			t.Logf("seed=%d n=%d D=%d k=%d ℓ=%d: %d rounds over Theorem 10", seed, n, tr.Depth(), k, ell, res.Rounds)
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
@@ -94,7 +95,7 @@ func TestBFDNLTheorem10Bound(t *testing.T) {
 		for _, ell := range []int{1, 2, 3} {
 			for _, k := range []int{4, 16, 64} {
 				res := runBFDNL(t, tr, k, ell)
-				bound := Theorem10Bound(tr.N(), tr.Depth(), k, tr.MaxDegree(), ell)
+				bound := bounds.Theorem10(tr.N(), tr.Depth(), k, tr.MaxDegree(), ell)
 				if float64(res.Rounds) > bound {
 					t.Errorf("BFDN_%d(%s, k=%d): %d rounds exceed Theorem 10 bound %.1f",
 						ell, tr, k, res.Rounds, bound)
@@ -113,7 +114,7 @@ func TestBFDNLRandomSweep(t *testing.T) {
 		ell := 1 + rng.Intn(3)
 		tr := tree.Random(n, d, rng)
 		res := runBFDNL(t, tr, k, ell)
-		bound := Theorem10Bound(tr.N(), tr.Depth(), k, tr.MaxDegree(), ell)
+		bound := bounds.Theorem10(tr.N(), tr.Depth(), k, tr.MaxDegree(), ell)
 		if float64(res.Rounds) > bound {
 			t.Errorf("BFDN_%d random n=%d D=%d k=%d: %d rounds exceed bound %.1f",
 				ell, n, tr.Depth(), k, res.Rounds, bound)

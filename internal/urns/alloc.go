@@ -1,6 +1,10 @@
 package urns
 
-import "fmt"
+import (
+	"fmt"
+
+	"bfdn/internal/bounds"
+)
 
 // AllocResult summarizes a run of the online worker-reassignment scheduler.
 type AllocResult struct {
@@ -67,4 +71,4 @@ func Allocate(lengths []int) (AllocResult, error) {
 }
 
 // AllocateBound evaluates the §3 guarantee k·log k + 2k on reassignments.
-func AllocateBound(k int) float64 { return Theorem3Bound(k, k) }
+func AllocateBound(k int) float64 { return bounds.Theorem3(k, k) }

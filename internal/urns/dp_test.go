@@ -1,6 +1,10 @@
 package urns
 
-import "testing"
+import (
+	"testing"
+
+	"bfdn/internal/bounds"
+)
 
 func TestGameValueLemma4Monotonicity(t *testing.T) {
 	// Lemma 4 (i): N ↦ R(N, u) is non-increasing.
@@ -44,7 +48,7 @@ func TestGameValueWithinTheorem3Bound(t *testing.T) {
 				delta = 1
 			}
 			gv := NewGameValue(k, delta)
-			if got, bound := float64(gv.Start()), Theorem3Bound(k, delta); got > bound {
+			if got, bound := float64(gv.Start()), bounds.Theorem3(k, delta); got > bound {
 				t.Errorf("k=%d Δ=%d: game value %v exceeds bound %.1f", k, delta, got, bound)
 			}
 		}

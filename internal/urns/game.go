@@ -15,7 +15,6 @@ package urns
 import (
 	"container/heap"
 	"fmt"
-	"math"
 )
 
 // Board is the mutable game state.
@@ -237,9 +236,4 @@ func Play(b *Board, p Player, a Adversary, maxSteps int, trace bool) (Result, er
 		}
 	}
 	return Result{}, fmt.Errorf("urns: game did not stop within %d steps", maxSteps)
-}
-
-// Theorem3Bound evaluates k·min{log Δ, log k} + 2k.
-func Theorem3Bound(k, delta int) float64 {
-	return float64(k)*math.Min(math.Log(float64(delta)), math.Log(float64(k))) + 2*float64(k)
 }

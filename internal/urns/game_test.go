@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"bfdn/internal/bounds"
 )
 
 func playStandard(t *testing.T, k, delta int, p Player, a Adversary) Result {
@@ -59,7 +61,7 @@ func TestTheorem3BoundAllAdversaries(t *testing.T) {
 		for _, delta := range []int{1, 2, 5, 50, 1 << 20} {
 			for name, a := range adversaries {
 				res := playStandard(t, k, delta, LeastLoadedPlayer{}, a)
-				bound := Theorem3Bound(k, delta)
+				bound := bounds.Theorem3(k, delta)
 				if float64(res.Steps) > bound {
 					t.Errorf("k=%d Δ=%d adversary=%s: %d steps exceed Theorem 3 bound %.1f",
 						k, delta, name, res.Steps, bound)
@@ -230,7 +232,7 @@ func TestCustomInitialBoardLemma2Condition(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d u=%d: %v", k, u, err)
 			}
-			if float64(res.Steps) > Theorem3Bound(k, k)+float64(k) {
+			if float64(res.Steps) > bounds.Theorem3(k, k)+float64(k) {
 				t.Errorf("k=%d u=%d: %d steps exceed bound", k, u, res.Steps)
 			}
 		}

@@ -1,6 +1,10 @@
 package urns
 
-import "testing"
+import (
+	"testing"
+
+	"bfdn/internal/bounds"
+)
 
 // TestMinimaxMatchesLeastLoadedGameValue validates the optimality claim
 // behind Theorem 3: the minimax value over ALL player strategies equals the
@@ -26,9 +30,9 @@ func TestMinimaxMatchesLeastLoadedGameValue(t *testing.T) {
 func TestMinimaxWithinTheorem3(t *testing.T) {
 	for _, k := range []int{2, 4, 6, 8} {
 		v := NewMinimax(k, k).Value()
-		if float64(v) > Theorem3Bound(k, k) {
+		if float64(v) > bounds.Theorem3(k, k) {
 			t.Errorf("k=%d: minimax value %d exceeds Theorem 3 bound %.1f",
-				k, v, Theorem3Bound(k, k))
+				k, v, bounds.Theorem3(k, k))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/tree"
 )
 
@@ -30,7 +31,7 @@ func TestWriteReadPropertyRandomInstances(t *testing.T) {
 		if !res.FullyExplored || !res.AllAtRoot {
 			return false
 		}
-		if float64(res.Rounds) > prop6Bound(tr.N(), tr.Depth(), k, tr.MaxDegree()) {
+		if float64(res.Rounds) > bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree()) {
 			t.Logf("seed=%d n=%d D=%d k=%d: %d rounds over Prop 6", seed, n, tr.Depth(), k, res.Rounds)
 			return false
 		}

@@ -1,20 +1,12 @@
 package writeread
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
+	"bfdn/internal/bounds"
 	"bfdn/internal/tree"
 )
-
-func prop6Bound(n, d, k, maxDeg int) float64 {
-	logTerm := math.Min(math.Log(float64(k)), math.Log(float64(maxDeg)))
-	if maxDeg == 0 || k == 1 {
-		logTerm = 0
-	}
-	return 2*float64(n)/float64(k) + float64(d*d)*(logTerm+3)
-}
 
 func runWR(t *testing.T, tr *tree.Tree, k int) (Result, *Engine) {
 	t.Helper()
@@ -59,7 +51,7 @@ func TestWriteReadProposition6Bound(t *testing.T) {
 	for _, tr := range testTrees(t) {
 		for _, k := range []int{1, 2, 8, 32} {
 			res, _ := runWR(t, tr, k)
-			bound := prop6Bound(tr.N(), tr.Depth(), k, tr.MaxDegree())
+			bound := bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree())
 			if float64(res.Rounds) > bound {
 				t.Errorf("%s k=%d: %d rounds exceed Prop 6 bound %.1f",
 					tr, k, res.Rounds, bound)
@@ -76,7 +68,7 @@ func TestWriteReadRandomSweepBound(t *testing.T) {
 		k := 1 + rng.Intn(20)
 		tr := tree.Random(n, d, rng)
 		res, _ := runWR(t, tr, k)
-		bound := prop6Bound(tr.N(), tr.Depth(), k, tr.MaxDegree())
+		bound := bounds.Theorem1(tr.N(), tr.Depth(), k, tr.MaxDegree())
 		if float64(res.Rounds) > bound {
 			t.Errorf("random n=%d D=%d k=%d: %d rounds exceed bound %.1f",
 				n, tr.Depth(), k, res.Rounds, bound)
