@@ -1,0 +1,117 @@
+package treemining
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math/rand"
+	"testing"
+
+	"bfdn/internal/sim"
+	"bfdn/internal/tree"
+)
+
+// goldenTrees is the fixed tree set the move fingerprints are taken over
+// (the same set as internal/core's): every generator family, plus random
+// trees wide and deep enough that many teams share nodes and split.
+func goldenTrees() []*tree.Tree {
+	rng := rand.New(rand.NewSource(2311))
+	return []*tree.Tree{
+		tree.Path(40), tree.Star(30), tree.KAry(2, 6), tree.KAry(4, 3),
+		tree.Spider(6, 8), tree.Comb(10, 4), tree.Caterpillar(12, 3),
+		tree.Broom(12, 8), tree.UnevenPaths(8, 24),
+		tree.Random(400, 12, rng), tree.RandomBinary(250, rng),
+		tree.Random(1500, 30, rng),
+	}
+}
+
+var goldenKs = []int{1, 2, 3, 8, 16, 64, 128}
+
+// moveRecorder wraps an algorithm and hashes every move of every round it
+// returns, so a change to any single grouping or split decision shows.
+type moveRecorder struct {
+	a   sim.Algorithm
+	h   hash.Hash
+	buf []byte
+}
+
+func (r *moveRecorder) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
+	moves, err := r.a.SelectMoves(v, events)
+	if err != nil {
+		return nil, err
+	}
+	r.buf = r.buf[:0]
+	for _, m := range moves {
+		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Kind))
+		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Child))
+		if m.Kind == sim.Explore {
+			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Ticket.From()))
+		}
+	}
+	r.h.Write(r.buf)
+	return moves, nil
+}
+
+// TestGoldenMoveFingerprint pins Tree-Mining's exact decisions: a SHA-256
+// over every round's moves, on every golden tree at every golden k.
+func TestGoldenMoveFingerprint(t *testing.T) {
+	const want = "7ce6f9f4bd7d08349ea6089c5da85934251f96d2f228343b5710f834d2ba4446"
+	all := sha256.New()
+	for _, tr := range goldenTrees() {
+		for _, k := range goldenKs {
+			rec := &moveRecorder{a: New(k), h: sha256.New()}
+			w, err := sim.NewWorld(tr, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(w, rec, 0)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", tr, k, err)
+			}
+			if !res.FullyExplored || !res.AllAtRoot {
+				t.Fatalf("%s k=%d: bad terminal state", tr, k)
+			}
+			sum := rec.h.Sum(nil)
+			t.Logf("%s k=%d: rounds=%d %x", tr, k, res.Rounds, sum)
+			all.Write(sum)
+		}
+	}
+	if got := hex.EncodeToString(all.Sum(nil)); got != want {
+		t.Errorf("move fingerprint = %s, want %s (run with -v for per-case digests)", got, want)
+	}
+}
+
+// TestGoldenCheckpoint pins the bytes of one mid-run checkpoint: the
+// per-subtree open-edge reserve and the seeding flag, after the world's
+// state.
+func TestGoldenCheckpoint(t *testing.T) {
+	const want = "6ddb9787182f8cdb36c566764dce01d88f746bd5274e82c609af68f2929e81ea"
+	tr := tree.Random(400, 12, rand.New(rand.NewSource(7)))
+	const k, rounds = 8, 40
+	w, err := sim.NewWorld(tr, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := New(k)
+	var events []sim.ExploreEvent
+	for round := 0; round < rounds; round++ {
+		moves, err := tm.SelectMoves(w.View(), events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moved bool
+		if events, moved, err = w.Apply(moves); err != nil || !moved {
+			t.Fatalf("round %d: moved=%v err=%v", round, moved, err)
+		}
+	}
+	ckpt, err := sim.EncodeCheckpoint(w, tm, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(ckpt)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("checkpoint at round %d (%d bytes, %d pending events) hashes to %s, want %s",
+			w.Round(), len(ckpt), len(events), got, want)
+	}
+}
