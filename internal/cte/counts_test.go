@@ -58,7 +58,7 @@ func TestOpenSubtreeCountsExact(t *testing.T) {
 					adjusted -= e.NewDangling
 				}
 			}
-			if got := int(c.open.get(node)); got != adjusted {
+			if got := int(c.open.Get(node)); got != adjusted {
 				t.Fatalf("round %d node %d: counter %d, adjusted recount %d",
 					round, node, got, adjusted)
 			}

@@ -16,42 +16,23 @@ package cte
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/teams"
 	"bfdn/internal/tree"
 )
 
 // CTE is the algorithm state. It implements sim.Algorithm.
 type CTE struct {
 	k int
-	// open[v] counts dangling edges in T(v) (maintained from explore events).
-	open nodeCounts
-	// scratch buffers reused across rounds: moves is the returned move
-	// vector; ents is the robots-sorted-by-position grouping (replacing the
-	// map[NodeID][]int that was rebuilt — one allocation per occupied node —
-	// every round); targets is the per-group alive-target list.
+	// open counts the dangling edges in each subtree T(v).
+	open teams.Counts
+	// Reusable scratch: moves is the returned move vector, grouper finds the
+	// co-located groups, targets is the per-group alive-target list.
 	moves   []sim.Move
-	ents    posEntries
+	grouper teams.Grouper
 	targets []target
-	seeded  bool
 }
-
-// posEntry packs a robot's position and id into one uint64 (pos<<32 | id,
-// both non-negative), so ordering the keys numerically IS the (pos, id) pair
-// order — robots within a group stay in index order, exactly as the
-// map-based grouping appended them — and the per-round sort runs
-// comparison-free through slices.Sort instead of through sort.Interface
-// dynamic dispatch. Keys are distinct (ids are), so the unstable pdqsort
-// still yields a deterministic permutation.
-type posEntry uint64
-
-func packPos(pos tree.NodeID, id int32) posEntry { return posEntry(pos)<<32 | posEntry(id) }
-
-func (e posEntry) pos() tree.NodeID { return tree.NodeID(e >> 32) }
-func (e posEntry) id() int32        { return int32(e & 0xffffffff) }
-
-type posEntries []posEntry
 
 // target is one alive destination of a group: an explored child with an open
 // subtree, or a dangling edge at the node itself.
@@ -63,32 +44,9 @@ type target struct {
 
 var _ sim.Algorithm = (*CTE)(nil)
 
-// nodeCounts is a growable int32 slice indexed by NodeID.
-type nodeCounts struct {
-	vals []int32
-}
-
-func (g *nodeCounts) get(v tree.NodeID) int32 {
-	if int(v) >= len(g.vals) {
-		return 0
-	}
-	return g.vals[v]
-}
-
-func (g *nodeCounts) add(v tree.NodeID, d int32) {
-	for int(v) >= len(g.vals) {
-		g.vals = append(g.vals, 0)
-	}
-	g.vals[v] += d
-}
-
 // New returns a CTE instance for k robots.
 func New(k int) *CTE {
-	return &CTE{
-		k:     k,
-		moves: make([]sim.Move, k),
-		ents:  make(posEntries, 0, k),
-	}
+	return &CTE{k: k, moves: make([]sim.Move, k)}
 }
 
 // Reset re-initializes c to the start state of a fresh New(k) while keeping
@@ -105,70 +63,30 @@ func (c *CTE) Reset(k int) {
 	for i := range c.moves {
 		c.moves[i] = sim.Move{}
 	}
-	for i := range c.open.vals {
-		c.open.vals[i] = 0
-	}
-	c.ents = c.ents[:0]
+	c.open.Reset()
 	c.targets = c.targets[:0]
-	c.seeded = false
 }
 
-// SelectMoves implements sim.Algorithm.
+// SelectMoves implements sim.Algorithm. Groups are disjoint by node and
+// reserve dangling edges only at their own node, so the order they are
+// decided in cannot change a move.
 func (c *CTE) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if !c.seeded {
-		c.open.add(tree.Root, int32(v.DanglingAt(tree.Root)))
-		c.seeded = true
-	}
-	// Maintain the per-subtree dangling counts: discovering child with m
-	// hidden children consumes one dangling edge at the parent and adds m at
-	// the child, i.e. +m at the child and (m−1) along all ancestors.
-	for _, e := range events {
-		c.open.add(e.Child, int32(e.NewDangling))
-		delta := int32(e.NewDangling - 1)
-		if delta != 0 {
-			for u := e.Parent; ; u = v.Parent(u) {
-				c.open.add(u, delta)
-				if u == tree.Root {
-					break
-				}
-			}
-		}
-	}
-
-	// Group robots by position: sort (position, robot) pairs in reusable
-	// scratch and walk the runs of equal position. Groups are disjoint by
-	// node and reservations are per-node, so processing groups in ascending
-	// node order (rather than the old map iteration order) produces the
-	// identical move vector with zero per-round allocation.
-	c.ents = c.ents[:0]
-	for i := 0; i < c.k; i++ {
-		c.ents = append(c.ents, packPos(v.Pos(i), int32(i)))
-	}
-	slices.Sort(c.ents)
-
-	for lo := 0; lo < len(c.ents); {
-		pos := c.ents[lo].pos()
-		hi := lo + 1
-		for hi < len(c.ents) && c.ents[hi].pos() == pos {
-			hi++
-		}
-		if err := c.decideGroup(v, pos, c.ents[lo:hi]); err != nil {
-			return nil, err
-		}
-		lo = hi
+	c.open.Update(v, events)
+	if err := c.grouper.Each(v, c.decideGroup); err != nil {
+		return nil, err
 	}
 	return c.moves, nil
 }
 
 // decideGroup assigns this round's moves for the robots located at node.
-func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []posEntry) error {
-	if c.open.get(node) == 0 {
+func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []int32) error {
+	if c.open.Get(node) == 0 {
 		// Subtree fully explored: head home.
-		for _, e := range robots {
+		for _, r := range robots {
 			if node == tree.Root {
-				c.moves[e.id()] = sim.Move{Kind: sim.Stay}
+				c.moves[r] = sim.Move{Kind: sim.Stay}
 			} else {
-				c.moves[e.id()] = sim.Move{Kind: sim.Up}
+				c.moves[r] = sim.Move{Kind: sim.Up}
 			}
 		}
 		return nil
@@ -177,7 +95,7 @@ func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []posEntry) erro
 	// edges at node (one target per dangling edge, shared tickets).
 	c.targets = c.targets[:0]
 	for _, ch := range v.ExploredChildren(node) {
-		if c.open.get(ch) > 0 {
+		if c.open.Get(ch) > 0 {
 			c.targets = append(c.targets, target{kind: sim.Down, child: ch})
 		}
 	}
@@ -199,20 +117,17 @@ func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []posEntry) erro
 		return fmt.Errorf("cte: node %d: open subtree without alive targets", node)
 	}
 	// Even split: robot j goes to target j mod len(targets).
-	for j, e := range robots {
+	for j, r := range robots {
 		t := c.targets[j%len(c.targets)]
 		switch t.kind {
 		case sim.Down:
-			c.moves[e.id()] = sim.Move{Kind: sim.Down, Child: t.child}
+			c.moves[r] = sim.Move{Kind: sim.Down, Child: t.child}
 		case sim.Explore:
-			c.moves[e.id()] = sim.Move{Kind: sim.Explore, Ticket: t.ticket}
+			c.moves[r] = sim.Move{Kind: sim.Explore, Ticket: t.ticket}
 		}
 	}
 	return nil
 }
-
-// NewAlgorithm is a convenience constructor mirroring core.NewAlgorithm.
-func NewAlgorithm(k int) *CTE { return New(k) }
 
 // Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
 // path (sweep.Point.ResetAlgorithm): it resets and returns the worker's

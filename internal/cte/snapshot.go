@@ -12,8 +12,7 @@ import (
 // round and are skipped.
 func (c *CTE) SnapshotState(e *snap.Encoder) {
 	e.Int(c.k)
-	e.Bool(c.seeded)
-	e.Int32s(c.open.vals)
+	c.open.Snapshot(e)
 }
 
 // RestoreState implements sim.Snapshotter; c must have been constructed (or
@@ -26,7 +25,5 @@ func (c *CTE) RestoreState(d *snap.Decoder) error {
 	if k != c.k {
 		return fmt.Errorf("cte: snapshot is for k=%d, instance has k=%d", k, c.k)
 	}
-	c.seeded = d.Bool()
-	c.open.vals = append(c.open.vals[:0], d.Int32s()...)
-	return d.Err()
+	return c.open.Restore(d)
 }

@@ -13,8 +13,7 @@ import (
 // round and are skipped.
 func (t *TreeMining) SnapshotState(e *snap.Encoder) {
 	e.Int(t.k)
-	e.Bool(t.seeded)
-	e.Int32s(t.open.vals)
+	t.open.Snapshot(e)
 }
 
 // RestoreState implements sim.Snapshotter; t must have been constructed (or
@@ -27,7 +26,5 @@ func (t *TreeMining) RestoreState(d *snap.Decoder) error {
 	if k != t.k {
 		return fmt.Errorf("treemining: snapshot is for k=%d, instance has k=%d", k, t.k)
 	}
-	t.seeded = d.Bool()
-	t.open.vals = append(t.open.vals[:0], d.Int32s()...)
-	return d.Err()
+	return t.open.Restore(d)
 }

@@ -27,42 +27,26 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/teams"
 	"bfdn/internal/tree"
 )
 
 // TreeMining is the algorithm state. It implements sim.Algorithm.
 type TreeMining struct {
 	k int
-	// open[v] counts open (unexplored) edges in the subtree T(v), maintained
-	// incrementally from explore events exactly as in internal/cte.
-	open nodeCounts
-	// Reusable scratch: moves is the returned move vector; ents groups
-	// robots by position; targets is the per-team weighted destination list.
+	// open counts the open (unexplored) edges in each subtree T(v), as in
+	// internal/cte.
+	open teams.Counts
+	// Reusable scratch: moves is the returned move vector, grouper finds the
+	// co-located teams, targets is the per-team weighted destination list.
 	moves   []sim.Move
-	ents    posEntries
+	grouper teams.Grouper
 	targets []target
-	seeded  bool
 }
 
 var _ sim.Algorithm = (*TreeMining)(nil)
-
-// posEntry pairs a robot with its position for the per-round group-by.
-type posEntry struct {
-	pos tree.NodeID
-	id  int32
-}
-
-// posEntries sorts by (pos, id) so teams keep robots in index order.
-type posEntries []posEntry
-
-func (e posEntries) Len() int { return len(e) }
-func (e posEntries) Less(i, j int) bool {
-	return e[i].pos < e[j].pos || (e[i].pos == e[j].pos && e[i].id < e[j].id)
-}
-func (e posEntries) Swap(i, j int) { e[i], e[j] = e[j], e[i] }
 
 // target is one destination a team can split towards: an explored child
 // whose subtree still holds open edges (weight = that reserve), or one
@@ -77,32 +61,9 @@ type target struct {
 	quota  int
 }
 
-// nodeCounts is a growable int32 slice indexed by NodeID.
-type nodeCounts struct {
-	vals []int32
-}
-
-func (g *nodeCounts) get(v tree.NodeID) int32 {
-	if int(v) >= len(g.vals) {
-		return 0
-	}
-	return g.vals[v]
-}
-
-func (g *nodeCounts) add(v tree.NodeID, d int32) {
-	for int(v) >= len(g.vals) {
-		g.vals = append(g.vals, 0)
-	}
-	g.vals[v] += d
-}
-
 // New returns a Tree-Mining instance for k robots.
 func New(k int) *TreeMining {
-	return &TreeMining{
-		k:     k,
-		moves: make([]sim.Move, k),
-		ents:  make(posEntries, 0, k),
-	}
+	return &TreeMining{k: k, moves: make([]sim.Move, k)}
 }
 
 // Bound evaluates the reproduction's explicit-constant instantiation of the
@@ -135,52 +96,17 @@ func (t *TreeMining) Reset(k int) {
 	for i := range t.moves {
 		t.moves[i] = sim.Move{}
 	}
-	for i := range t.open.vals {
-		t.open.vals[i] = 0
-	}
-	t.ents = t.ents[:0]
+	t.open.Reset()
 	t.targets = t.targets[:0]
-	t.seeded = false
 }
 
-// SelectMoves implements sim.Algorithm.
+// SelectMoves implements sim.Algorithm. Teams are disjoint by node and
+// reserve dangling edges only at their own node, so the order they are
+// decided in cannot change a move.
 func (t *TreeMining) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if !t.seeded {
-		t.open.add(tree.Root, int32(v.DanglingAt(tree.Root)))
-		t.seeded = true
-	}
-	// Maintain the per-subtree open-edge counts: discovering a child with m
-	// hidden children consumes one open edge at the parent and contributes m
-	// new ones at the child, i.e. +m at the child and (m−1) on all ancestors.
-	for _, e := range events {
-		t.open.add(e.Child, int32(e.NewDangling))
-		delta := int32(e.NewDangling - 1)
-		if delta != 0 {
-			for u := e.Parent; ; u = v.Parent(u) {
-				t.open.add(u, delta)
-				if u == tree.Root {
-					break
-				}
-			}
-		}
-	}
-
-	// Teams are the runs of equal position in the (position, robot) sort.
-	t.ents = t.ents[:0]
-	for i := 0; i < t.k; i++ {
-		t.ents = append(t.ents, posEntry{pos: v.Pos(i), id: int32(i)})
-	}
-	sort.Sort(&t.ents)
-
-	for lo := 0; lo < len(t.ents); {
-		hi := lo + 1
-		for hi < len(t.ents) && t.ents[hi].pos == t.ents[lo].pos {
-			hi++
-		}
-		if err := t.decideTeam(v, t.ents[lo].pos, t.ents[lo:hi]); err != nil {
-			return nil, err
-		}
-		lo = hi
+	t.open.Update(v, events)
+	if err := t.grouper.Each(v, t.decideTeam); err != nil {
+		return nil, err
 	}
 	return t.moves, nil
 }
@@ -188,13 +114,13 @@ func (t *TreeMining) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.
 // decideTeam assigns this round's moves for the team located at node: split
 // the team across the open subtrees and dangling edges below it in
 // proportion to their reserves, or climb home when the subtree is mined out.
-func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []posEntry) error {
-	if t.open.get(node) == 0 {
-		for _, e := range robots {
+func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []int32) error {
+	if t.open.Get(node) == 0 {
+		for _, r := range robots {
 			if node == tree.Root {
-				t.moves[e.id] = sim.Move{Kind: sim.Stay}
+				t.moves[r] = sim.Move{Kind: sim.Stay}
 			} else {
-				t.moves[e.id] = sim.Move{Kind: sim.Up}
+				t.moves[r] = sim.Move{Kind: sim.Up}
 			}
 		}
 		return nil
@@ -205,7 +131,7 @@ func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []posEntry
 	t.targets = t.targets[:0]
 	total := 0
 	for _, ch := range v.ExploredChildren(node) {
-		if w := int(t.open.get(ch)); w > 0 {
+		if w := int(t.open.Get(ch)); w > 0 {
 			t.targets = append(t.targets, target{kind: sim.Down, child: ch, weight: w})
 			total += w
 		}
@@ -270,16 +196,16 @@ func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []posEntry
 
 	// Emit moves: robots in team order fill targets in order.
 	ti := 0
-	for _, e := range robots {
+	for _, r := range robots {
 		for t.targets[ti].quota == 0 {
 			ti++
 		}
 		t.targets[ti].quota--
 		switch t.targets[ti].kind {
 		case sim.Down:
-			t.moves[e.id] = sim.Move{Kind: sim.Down, Child: t.targets[ti].child}
+			t.moves[r] = sim.Move{Kind: sim.Down, Child: t.targets[ti].child}
 		case sim.Explore:
-			t.moves[e.id] = sim.Move{Kind: sim.Explore, Ticket: t.targets[ti].ticket}
+			t.moves[r] = sim.Move{Kind: sim.Explore, Ticket: t.targets[ti].ticket}
 		}
 	}
 	return nil
