@@ -23,7 +23,8 @@ package levelwise
 
 import (
 	"fmt"
-	"sort"
+	"math/rand"
+	"slices"
 
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
@@ -33,17 +34,38 @@ import (
 type Levelwise struct {
 	k int
 
-	// openCount[v] tracks dangling edges at v; openList holds candidate open
-	// nodes with lazy cleanup at phase boundaries.
-	openCount map[tree.NodeID]int
-	openList  []tree.NodeID
-	inList    map[tree.NodeID]bool
+	// count[v] is the number of dangling edges at v. buckets[d] lists the
+	// nodes of depth d that were discovered with dangling edges; every
+	// bucket below lo is closed for good.
+	count   []int32
+	buckets []bucket
+	lo      int
+	// entries is the open list in checkpoint form: decoded by RestoreState
+	// and checked against the view by the next SelectMoves while restored is
+	// set, and SnapshotState's scratch otherwise.
+	entries  []entry
+	restored bool
 
 	plans  []plan
 	moves  []sim.Move
 	seeded bool
 	// Phases counts completed assignment phases (for tests).
 	Phases int
+}
+
+// bucket is the open list of one depth. A closed node never reopens, so
+// the cursor past the closed prefix nodes[:closed] only moves forward;
+// nodes[closed:sorted] are in id order, and the nodes appended after them
+// are sorted in when the bucket is next used.
+type bucket struct {
+	nodes          []tree.NodeID
+	closed, sorted int
+}
+
+// entry is one open node of a checkpoint and its dangling-edge count.
+type entry struct {
+	node  tree.NodeID
+	count int32
 }
 
 type plan struct {
@@ -59,17 +81,46 @@ var _ sim.Algorithm = (*Levelwise)(nil)
 
 // New returns a level-wise explorer for k robots.
 func New(k int) *Levelwise {
-	l := &Levelwise{
-		k:         k,
-		openCount: make(map[tree.NodeID]int),
-		inList:    make(map[tree.NodeID]bool),
-		plans:     make([]plan, k),
-		moves:     make([]sim.Move, k),
-	}
-	for i := range l.plans {
-		l.plans[i].explore = tree.Nil
-	}
+	l := &Levelwise{}
+	l.Reset(k)
 	return l
+}
+
+// Reset re-initializes l to the start state of a fresh New(k) while keeping
+// its storage; a run on a Reset instance is byte-identical to a run on a
+// fresh one (the sweep engine's algorithm-reuse contract).
+func (l *Levelwise) Reset(k int) {
+	l.k = k
+	if cap(l.plans) < k {
+		l.plans = make([]plan, k)
+	}
+	l.plans = l.plans[:k]
+	for i := range l.plans {
+		l.plans[i] = plan{down: l.plans[i].down[:0], explore: tree.Nil}
+	}
+	if cap(l.moves) < k {
+		l.moves = make([]sim.Move, k)
+	}
+	l.moves = l.moves[:k]
+	clear(l.count)
+	for i := range l.buckets {
+		l.buckets[i] = bucket{nodes: l.buckets[i].nodes[:0]}
+	}
+	l.lo = 0
+	l.entries = l.entries[:0]
+	l.restored, l.seeded, l.Phases = false, false, 0
+}
+
+// Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
+// path (sweep.Point.ResetAlgorithm): it resets and returns the worker's
+// previous instance when it is a Levelwise, and returns nil (fresh
+// construction) otherwise.
+func Recycle(prev sim.Algorithm, k int, _ *rand.Rand) sim.Algorithm {
+	if l, ok := prev.(*Levelwise); ok {
+		l.Reset(k)
+		return l
+	}
+	return nil
 }
 
 // Bound evaluates the runtime guarantee 2(D+1)·(D + ⌈(n−1)/k⌉).
@@ -78,30 +129,38 @@ func Bound(n, depth, k int) float64 {
 	return 2 * float64(depth+1) * phases
 }
 
-func (l *Levelwise) addOpen(v tree.NodeID, count int) {
+// addOpen files node, discovered with count dangling edges, in its bucket.
+func (l *Levelwise) addOpen(v *sim.View, node tree.NodeID, count int) {
 	if count <= 0 {
 		return
 	}
-	l.openCount[v] = count
-	if !l.inList[v] {
-		l.inList[v] = true
-		l.openList = append(l.openList, v)
+	if n := int(node) + 1; n > len(l.count) {
+		l.count = append(l.count, make([]int32, max(n, 2*len(l.count))-len(l.count))...)
 	}
+	l.count[node] = int32(count)
+	d := v.DepthOf(node)
+	for d >= len(l.buckets) {
+		l.buckets = append(l.buckets, bucket{})
+	}
+	l.buckets[d].nodes = append(l.buckets[d].nodes, node)
 }
 
 // SelectMoves implements sim.Algorithm.
 func (l *Levelwise) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
+	if l.restored {
+		if err := l.resume(v); err != nil {
+			return nil, err
+		}
+	}
 	if !l.seeded {
 		l.seeded = true
-		l.addOpen(tree.Root, v.DanglingAt(tree.Root))
+		l.addOpen(v, tree.Root, v.DanglingAt(tree.Root))
 	}
 	for _, e := range events {
-		if c := l.openCount[e.Parent] - 1; c > 0 {
-			l.openCount[e.Parent] = c
-		} else {
-			delete(l.openCount, e.Parent)
+		if int(e.Parent) < len(l.count) && l.count[e.Parent] > 0 {
+			l.count[e.Parent]--
 		}
-		l.addOpen(e.Child, e.NewDangling)
+		l.addOpen(v, e.Child, e.NewDangling)
 	}
 	if l.phaseDone(v) {
 		l.startPhase(v)
@@ -116,6 +175,36 @@ func (l *Levelwise) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 	return l.moves, nil
 }
 
+// resume checks a restored state against the view before anything indexes
+// a table with its nodes, then files the open-list entries in their
+// buckets. A checkpoint is untrusted input: a node the view has not
+// explored is an error.
+func (l *Levelwise) resume(v *sim.View) error {
+	for i := range l.plans {
+		p := &l.plans[i]
+		for _, u := range p.down {
+			if !v.Explored(u) {
+				return fmt.Errorf("levelwise: restored path of robot %d names unexplored node %d", i, u)
+			}
+		}
+		if p.explore != tree.Nil && !v.Explored(p.explore) {
+			return fmt.Errorf("levelwise: restored target of robot %d is unexplored node %d", i, p.explore)
+		}
+	}
+	for _, e := range l.entries {
+		if !v.Explored(e.node) {
+			return fmt.Errorf("levelwise: restored open node %d is unexplored", e.node)
+		}
+		if int(e.node) < len(l.count) && l.count[e.node] > 0 {
+			return fmt.Errorf("levelwise: restored open node %d is listed twice", e.node)
+		}
+		l.addOpen(v, e.node, int(e.count))
+	}
+	l.entries = l.entries[:0]
+	l.restored = false
+	return nil
+}
+
 func (l *Levelwise) phaseDone(v *sim.View) bool {
 	for i := 0; i < l.k; i++ {
 		p := &l.plans[i]
@@ -126,45 +215,52 @@ func (l *Levelwise) phaseDone(v *sim.View) bool {
 	return true
 }
 
-// startPhase assigns up to k dangling-edge slots, shallowest parents first.
+// live sorts in the nodes bucket d gained since its last use, moves its
+// cursor past the closed prefix, and returns the rest: the bucket's open
+// nodes in id order, with any closed since among them.
+func (l *Levelwise) live(d int) []tree.NodeID {
+	b := &l.buckets[d]
+	if len(b.nodes) > b.sorted {
+		slices.Sort(b.nodes[b.closed:])
+		b.sorted = len(b.nodes)
+	}
+	for b.closed < len(b.nodes) && l.count[b.nodes[b.closed]] == 0 {
+		b.closed++
+	}
+	return b.nodes[b.closed:]
+}
+
+// startPhase assigns up to k dangling-edge slots, shallowest parents first
+// and lowest node id first within a depth.
 func (l *Levelwise) startPhase(v *sim.View) {
-	// Compact the open list (drop closed entries) and sort by depth.
-	live := l.openList[:0]
-	for _, node := range l.openList {
-		if l.openCount[node] > 0 {
-			live = append(live, node)
-		} else {
-			delete(l.inList, node)
-		}
-	}
-	l.openList = live
-	if len(l.openList) == 0 {
-		return
-	}
-	sort.Slice(l.openList, func(i, j int) bool {
-		di, dj := v.DepthOf(l.openList[i]), v.DepthOf(l.openList[j])
-		if di != dj {
-			return di < dj
-		}
-		return l.openList[i] < l.openList[j]
-	})
 	robot := 0
-	for _, node := range l.openList {
-		for slot := 0; slot < l.openCount[node] && robot < l.k; slot++ {
-			p := &l.plans[robot]
-			p.explore = node
-			p.up = v.DepthOf(node) + 1
-			p.down = p.down[:0]
-			for u := node; u != tree.Root; u = v.Parent(u) {
-				p.down = append(p.down, u)
-			}
-			robot++
+	for d := l.lo; d < len(l.buckets) && robot < l.k; d++ {
+		live := l.live(d)
+		if len(live) == 0 && d == l.lo {
+			// A node of depth d is discovered only from an open node of
+			// depth d−1, and the buckets below lo hold none, so bucket d
+			// never refills.
+			l.lo++
 		}
-		if robot == l.k {
-			break
+		for _, node := range live {
+			for slot := int32(0); slot < l.count[node] && robot < l.k; slot++ {
+				p := &l.plans[robot]
+				p.explore = node
+				p.up = v.DepthOf(node) + 1
+				p.down = p.down[:0]
+				for u := node; u != tree.Root; u = v.Parent(u) {
+					p.down = append(p.down, u)
+				}
+				robot++
+			}
+			if robot == l.k {
+				break
+			}
 		}
 	}
-	l.Phases++
+	if robot > 0 {
+		l.Phases++
+	}
 }
 
 func (l *Levelwise) step(v *sim.View, i int) (sim.Move, error) {
