@@ -44,8 +44,7 @@ func TestSweepStreamMarginalAllocPins(t *testing.T) {
 	const n = 8
 	// Measurements are means over n points truncated to whole allocations,
 	// so they wobble by a fraction of one; half an allocation of headroom
-	// still fails on any new per-point allocation. Levelwise's map-heavy
-	// state spreads wider (216.5–218) and is pinned at its top.
+	// still fails on any new per-point allocation.
 	checkPin := func(t *testing.T, got, pin float64) {
 		t.Helper()
 		t.Logf("%.2f allocs/point (pin %.2f)", got, pin)

@@ -66,7 +66,8 @@ func allocCases() []allocCase {
 			explorePin: 40, sweepPin: 10, streamPin: 4},
 		{name: "levelwise", alg: Levelwise, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return levelwise.New(k) },
-			explorePin: 500, sweepPin: 450, streamPin: 218},
+			recycle:    levelwise.Recycle,
+			explorePin: 250, sweepPin: 10, streamPin: 4},
 		{name: "treemining", alg: TreeMining, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return treemining.New(k) },
 			recycle:    treemining.Recycle,

@@ -750,7 +750,7 @@ func convertSweepStats(stats sweep.Stats) SweepStats {
 }
 
 // recycleHook selects the sweep factory-reset hook for cfg's algorithm, so
-// steady-state sweep points reuse the worker's previous BFDN or CTE instance
+// steady-state sweep points reuse the worker's previous instance
 // (byte-identical to fresh construction) instead of constructing a new one.
 // Algorithms without a reuse path return nil and construct fresh.
 func recycleHook(cfg config) func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm {
@@ -767,6 +767,8 @@ func recycleHook(cfg config) func(prev sim.Algorithm, k int, rng *rand.Rand) sim
 		return treemining.Recycle
 	case Potential:
 		return potential.Recycle
+	case Levelwise:
+		return levelwise.Recycle
 	default:
 		return nil
 	}
