@@ -1,8 +1,10 @@
 package levelwise
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bfdn/internal/sim"
@@ -149,5 +151,37 @@ func TestBoundFormula(t *testing.T) {
 	}
 	if got := Bound(2, 1, 1); got != 2*2*(1+1) {
 		t.Errorf("Bound(2,1,1) = %v", got)
+	}
+}
+
+// TestRecycleEqualsFresh runs an instance on a deep tree, recycles it for
+// fewer robots, and checks that it snapshots like a fresh instance and then
+// runs a shallower tree exactly as a fresh one does: no bucket, cursor or
+// count from the first run may leak into the second.
+func TestRecycleEqualsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	deep, small := tree.Random(900, 40, rng), tree.Random(300, 10, rng)
+	_, used := runLW(t, deep, 16)
+	if got := Recycle(used, 6, nil); got != sim.Algorithm(used) {
+		t.Fatal("Recycle did not reuse the Levelwise instance")
+	}
+	if Recycle(nil, 6, nil) != nil {
+		t.Fatal("Recycle(nil) returned an instance")
+	}
+	if !bytes.Equal(state(used), state(New(6))) {
+		t.Fatal("a recycled instance snapshots differently from a fresh one")
+	}
+	w, err := sim.NewWorld(small, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sim.Run(w, used, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, fresh := runLW(t, small, 6)
+	if !reflect.DeepEqual(got, want) || used.Phases != fresh.Phases {
+		t.Errorf("recycled run %+v (%d phases) differs from fresh run %+v (%d phases)",
+			got, used.Phases, want, fresh.Phases)
 	}
 }
