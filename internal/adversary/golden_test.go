@@ -69,24 +69,31 @@ func runFingerprint(t *testing.T, tr *tree.Tree, k int, a sim.Algorithm) []byte 
 }
 
 // TestGoldenBreakdownFingerprints pins break-down BFDN's exact decisions
-// under a Bernoulli schedule and under the adaptive BlockDeepest adversary:
-// per adversary, a SHA-256 over every golden tree at k ∈ {1, 2, 3, 8, 16,
-// 64}.
+// under a Bernoulli schedule and under each adaptive adversary blocking
+// half the robots: per adversary, a SHA-256 over every golden tree at k ∈
+// {1, 2, 3, 8, 16, 64}.
 func TestGoldenBreakdownFingerprints(t *testing.T) {
 	want := map[string]string{
-		"bernoulli":    "233a049c5d217656afc6b78e9601ff8e68b908d72c1ab73b1dab367952515504",
-		"blockdeepest": "1d4be0d79f59a28b84d0ab7d638b032cc23d258f54e55979b918b6acaed73273",
+		"bernoulli":      "233a049c5d217656afc6b78e9601ff8e68b908d72c1ab73b1dab367952515504",
+		"blockdeepest":   "1d4be0d79f59a28b84d0ab7d638b032cc23d258f54e55979b918b6acaed73273",
+		"blockexplorers": "a00ff756ff53c6d6b4ca1edb34ed14d00abe22d5c625e48ed7c0966828946dc1",
+		"blockreturners": "004d09c6bdf41b39428b7dd37343ae650d640289f4b711a48b10fd743089f2be",
 	}
 	trees := goldenTrees()
-	for _, name := range []string{"bernoulli", "blockdeepest"} {
+	for _, name := range []string{"bernoulli", "blockdeepest", "blockexplorers", "blockreturners"} {
 		all := sha256.New()
 		for _, tr := range trees {
 			for _, k := range []int{1, 2, 3, 8, 16, 64} {
 				var a sim.Algorithm
-				if name == "bernoulli" {
+				switch name {
+				case "bernoulli":
 					a = New(k, &Bernoulli{P: 0.6, K: k, Seed: 42})
-				} else {
+				case "blockdeepest":
 					a = NewAdaptive(k, &BlockDeepest{Max: k / 2})
+				case "blockexplorers":
+					a = NewAdaptive(k, &BlockExplorers{Max: k / 2})
+				case "blockreturners":
+					a = NewAdaptive(k, &BlockReturners{Max: k / 2})
 				}
 				sum := runFingerprint(t, tr, k, a)
 				t.Logf("%s %s k=%d: %x", name, tr, k, sum)

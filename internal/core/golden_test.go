@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bfdn/internal/sim"
@@ -134,6 +136,74 @@ func TestGoldenMoveFingerprints(t *testing.T) {
 			if got := hex.EncodeToString(all.Sum(nil)); got != want[key] {
 				t.Errorf("%s: fingerprint = %s, want %s (run with -v for per-case digests)", key, got, want[key])
 			}
+		}
+	}
+}
+
+// TestGoldenCheckpoint pins the SHA-256 of a mid-run checkpoint of
+// whole-tree BFDN, with and without the shortcut ablation, and checks that
+// it restores and finishes with the uninterrupted run's Result.
+func TestGoldenCheckpoint(t *testing.T) {
+	want := map[string]string{
+		"least-loaded":          "343dd6acf90a1b111131c9ba1b7766775a9f4eb70e87c7e721890b403de34b26",
+		"least-loaded/shortcut": "87493e7108f20d28b300c59125adcac48e2264cf1e60e02671e59c10e9909ef7",
+	}
+	tr := tree.Random(400, 12, rand.New(rand.NewSource(7)))
+	const k, rounds = 8, 40
+	for _, shortcut := range []bool{false, true} {
+		key := "least-loaded"
+		var opts []Option
+		if shortcut {
+			key += "/shortcut"
+			opts = append(opts, WithShortcutReanchor())
+		}
+		w, err := sim.NewWorld(tr, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes, err := sim.Run(w, NewAlgorithm(k, opts...), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if w, err = sim.NewWorld(tr, k); err != nil {
+			t.Fatal(err)
+		}
+		a := NewAlgorithm(k, opts...)
+		var events []sim.ExploreEvent
+		for round := 0; round < rounds; round++ {
+			moves, err := a.SelectMoves(w.View(), events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var moved bool
+			if events, moved, err = w.Apply(moves); err != nil || !moved {
+				t.Fatalf("%s round %d: moved=%v err=%v", key, round, moved, err)
+			}
+		}
+		ckpt, err := sim.EncodeCheckpoint(w, a, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(ckpt)
+		if got := hex.EncodeToString(sum[:]); got != want[key] {
+			t.Errorf("%s: checkpoint at round %d (%d bytes, %d pending events) hashes to %s, want %s",
+				key, w.Round(), len(ckpt), len(events), got, want[key])
+		}
+
+		if w, err = sim.NewWorld(tr, k); err != nil {
+			t.Fatal(err)
+		}
+		b := NewAlgorithm(k, opts...)
+		if events, err = sim.RestoreCheckpoint(ckpt, w, b); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		res, err := sim.RunCheckpointedContext(context.Background(), w, b, 0, events, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: resumed run: %v", key, err)
+		}
+		if !reflect.DeepEqual(res, wantRes) {
+			t.Errorf("%s: resumed run = %+v, want %+v", key, res, wantRes)
 		}
 	}
 }

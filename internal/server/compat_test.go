@@ -124,6 +124,19 @@ func TestJobIdentityPinned(t *testing.T) {
 		}
 		check(t, js, facadeAsyncID, facadeAsyncWAL)
 	})
+	t.Run("facade/explore", func(t *testing.T) {
+		// A checkpointed exploration's job ID hashes its plan, and its
+		// journal holds the one report record.
+		const (
+			exploreID  = `3b1203592e1cdc39`
+			exploreWAL = `{"t":"report","report":{"rounds":114,"moves":334,"edgeExplorations":149,"bound":300.8320021447373,"offlineLowerBound":99.33333333333333,"fullyExplored":true,"allAtRoot":true}}`
+		)
+		js := openStore(t)
+		if _, err := bfdn.Explore(tr, 3, bfdn.WithCheckpoint(js, 16)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, js, exploreID, exploreWAL)
+	})
 	t.Run("facade/dsweep", func(t *testing.T) {
 		// The coordinator's job ID hashes its plan, and its shard bodies are
 		// what every worker parses: pin both. The first spec leaves
