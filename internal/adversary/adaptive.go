@@ -1,16 +1,16 @@
 package adversary
 
 import (
-	"bfdn/internal/core"
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
 
 // Remark 8 of the paper suggests a stronger adversary "that observes the
 // moves that the robots have selected before choosing which robots to
-// block". This file implements the state-adaptive variant: before each
-// round the adversary inspects the online view (positions, dangling edges)
-// and picks the robots to stall, under a per-round blocking budget.
+// block". This file holds the state-adaptive adversaries that NewAdaptive
+// runs: before each round the adversary inspects the online view
+// (positions, dangling edges) and picks the robots to stall, under a
+// per-round blocking budget.
 
 // Adaptive chooses, per round, which robots to block after observing the
 // exploration state. Implementations must not mutate the view.
@@ -95,64 +95,4 @@ func (b *BlockReturners) Block(v *sim.View, _ int) map[int]bool {
 		}
 	}
 	return blocked
-}
-
-// AdaptiveAlgorithm runs BFDN under a state-adaptive blocking adversary.
-type AdaptiveAlgorithm struct {
-	b            *core.BFDN
-	adv          Adaptive
-	moves        []sim.Move
-	round        int
-	allowedTotal int64
-	k            int
-}
-
-var _ sim.Algorithm = (*AdaptiveAlgorithm)(nil)
-
-// NewAdaptive returns break-down-tolerant BFDN under the adaptive adversary.
-func NewAdaptive(k int, adv Adaptive, opts ...core.Option) *AdaptiveAlgorithm {
-	return &AdaptiveAlgorithm{
-		b:     core.New(k, opts...),
-		adv:   adv,
-		moves: make([]sim.Move, k),
-		k:     k,
-	}
-}
-
-// SelectMoves implements sim.Algorithm.
-func (a *AdaptiveAlgorithm) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	blocked := a.adv.Block(v, a.round)
-	a.round++
-	a.allowedTotal += int64(a.k - len(blocked))
-	err := a.b.DecideAllowed(v, events, a.moves, func(robot int) bool {
-		return !blocked[robot]
-	})
-	return a.moves, err
-}
-
-// AllowedAverage reports A(M) so far.
-func (a *AdaptiveAlgorithm) AllowedAverage() float64 {
-	return float64(a.allowedTotal) / float64(a.k)
-}
-
-// RunAdaptive drives the algorithm until every edge is visited, mirroring
-// RunUntilExplored.
-func RunAdaptive(w *sim.World, a *AdaptiveAlgorithm, maxRounds int64) (Result, error) {
-	var events []sim.ExploreEvent
-	for r := int64(0); r < maxRounds && !w.FullyExplored(); r++ {
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
-			return Result{}, err
-		}
-		ev, _, err := w.Apply(moves)
-		if err != nil {
-			return Result{}, err
-		}
-		events = ev
-	}
-	return Result{
-		Metrics:        w.Metrics(),
-		AllowedAverage: a.AllowedAverage(),
-		FullyExplored:  w.FullyExplored(),
-	}, nil
 }

@@ -15,7 +15,7 @@ func runAdaptive(t *testing.T, tr *tree.Tree, k int, adv Adaptive) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAdaptive(w, NewAdaptive(k, adv), 10_000_000)
+	res, err := RunUntilExplored(w, NewAdaptive(k, adv), 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,13 +84,17 @@ func (s *RoundRobinBlock) Allowed(round, robot int) bool {
 	return robot != round%s.K
 }
 
-// Algorithm runs BFDN under a break-down schedule. It implements
-// sim.Algorithm and tracks the allowed-move budget A(M).
+// Algorithm runs BFDN under a break-down adversary — an oblivious
+// Schedule (New) or a state-adaptive Adaptive (NewAdaptive) — and tracks
+// the allowed-move budget A(M). It implements sim.Algorithm.
 type Algorithm struct {
 	b        *core.BFDN
 	schedule Schedule
-	moves    []sim.Move
-	round    int
+	adv      Adaptive
+	// blocked is the adaptive adversary's choice for the current round.
+	blocked map[int]bool
+	moves   []sim.Move
+	round   int
 	// allowedTotal is Σ_{t,i} M_ti over elapsed rounds.
 	allowedTotal int64
 	k            int
@@ -108,18 +112,36 @@ func New(k int, s Schedule, opts ...core.Option) *Algorithm {
 	}
 }
 
+// NewAdaptive returns break-down-tolerant BFDN under the adaptive adversary.
+func NewAdaptive(k int, adv Adaptive, opts ...core.Option) *Algorithm {
+	return &Algorithm{
+		b:     core.New(k, opts...),
+		adv:   adv,
+		moves: make([]sim.Move, k),
+		k:     k,
+	}
+}
+
+// allowed reports M_ti for the current round.
+func (a *Algorithm) allowed(robot int) bool {
+	if a.adv != nil {
+		return !a.blocked[robot]
+	}
+	return a.schedule.Allowed(a.round, robot)
+}
+
 // SelectMoves implements sim.Algorithm.
 func (a *Algorithm) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	round := a.round
-	a.round++
+	if a.adv != nil {
+		a.blocked = a.adv.Block(v, a.round)
+	}
 	for i := 0; i < a.k; i++ {
-		if a.schedule.Allowed(round, i) {
+		if a.allowed(i) {
 			a.allowedTotal++
 		}
 	}
-	err := a.b.DecideAllowed(v, events, a.moves, func(robot int) bool {
-		return a.schedule.Allowed(round, robot)
-	})
+	err := a.b.DecideAllowed(v, events, a.moves, a.allowed)
+	a.round++
 	return a.moves, err
 }
 
@@ -127,9 +149,6 @@ func (a *Algorithm) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 func (a *Algorithm) AllowedAverage() float64 {
 	return float64(a.allowedTotal) / float64(a.k)
 }
-
-// Inner exposes the underlying BFDN instance.
-func (a *Algorithm) Inner() *core.BFDN { return a.b }
 
 // Result summarizes a break-down run.
 type Result struct {
