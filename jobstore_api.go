@@ -110,13 +110,15 @@ func asyncSweepPlanBytes(points []AsyncSweepPoint, baseSeed, indexBase uint64) [
 }
 
 // explorePlanBytes derives the plan identity of a checkpointed exploration:
-// the tree, k, and every config knob that changes the run.
+// the tree, k, and every config knob that changes the run. The 1 and 0
+// stand where the plan once held BFDN's policy (always LeastLoaded) and a
+// seed no option set; keeping them keeps every job ID stable.
 func explorePlanBytes(t *Tree, k int, cfg config) []byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "explore\x00")
 	hashTree(h, t)
 	fmt.Fprintf(h, "%d\x00%d\x00%d\x00%d\x00%v\x00%d\x00",
-		k, int(cfg.alg), cfg.ell, int(cfg.policy), cfg.shortcut, cfg.seed)
+		k, int(cfg.alg), cfg.ell, 1, cfg.shortcut, 0)
 	return fingerprintPlan(h.Sum(nil))
 }
 
