@@ -107,14 +107,3 @@ func NewNamedAlgorithm(name string) (Algorithm, error) {
 
 // AlgorithmNames lists the registered algorithm names in display order.
 func AlgorithmNames() []string { return []string{"bfdn", "potential"} }
-
-// RecycleAlgorithm is the factory-reset hook for sweep workers that reuse
-// algorithm instances across points: it returns prev when it already is the
-// named algorithm (the engine's Reset will re-Reset it), and a fresh
-// instance otherwise.
-func RecycleAlgorithm(prev Algorithm, name string) (Algorithm, error) {
-	if prev != nil && prev.String() == name {
-		return prev, nil
-	}
-	return NewNamedAlgorithm(name)
-}

@@ -15,8 +15,8 @@ import (
 
 // TestRecycledPointAllocPins holds one steady-state asynchronous sweep
 // point at its measured allocations, for both strategies: the engine is
-// Rebound and Reset in place, the algorithm goes through RecycleAlgorithm,
-// and RunContext drains the event loop. The event heap, the parked-robot
+// Rebound to its one algorithm instance and Reset in place, and RunContext
+// drains the event loop. The event heap, the parked-robot
 // buffer and both strategies' indexes are reused, so what is left is the
 // Result's own WorkDist copy; a per-event or per-node allocation in the
 // loop multiplies the count past the pin at once.
@@ -38,12 +38,7 @@ func TestRecycledPointAllocPins(t *testing.T) {
 			}
 			seed := int64(0)
 			point := func() error {
-				a, err := RecycleAlgorithm(alg, c.name)
-				if err != nil {
-					return err
-				}
-				alg = a
-				e.Rebind(a, nil)
+				e.Rebind(alg, nil)
 				seed++
 				if err := e.Reset(tr, speeds, seed); err != nil {
 					return err

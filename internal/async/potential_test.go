@@ -107,20 +107,8 @@ func TestNamedAlgorithmRegistry(t *testing.T) {
 		if alg.String() != name {
 			t.Errorf("algorithm %q reports name %q", name, alg.String())
 		}
-		// Recycle returns the same instance for a matching name and a fresh
-		// one otherwise.
-		same, err := RecycleAlgorithm(alg, name)
-		if err != nil || same != alg {
-			t.Errorf("RecycleAlgorithm(%q) did not reuse: %v, %v", name, same, err)
-		}
 	}
 	if _, err := NewNamedAlgorithm("nope"); err == nil {
 		t.Error("unknown algorithm accepted")
-	}
-	if _, err := RecycleAlgorithm(nil, "bfdn"); err != nil {
-		t.Errorf("RecycleAlgorithm(nil): %v", err)
-	}
-	if alg, err := RecycleAlgorithm(NewBFDN(), "potential"); err != nil || alg.String() != "potential" {
-		t.Errorf("cross-name recycle: %v, %v", alg, err)
 	}
 }

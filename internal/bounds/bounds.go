@@ -81,25 +81,6 @@ func GuaranteeCTE(n, d float64, k int) float64 {
 	return n/lk + d
 }
 
-// GuaranteeYoStar is e^{√(log D·log log k)}·log k·(log n + log k)·(n/k + D),
-// the paper's statement of the Yo* runtime of Ortolf–Schindelhauer [13]
-// with the 2^{O(·)} constant set to e^{·}.
-func GuaranteeYoStar(n, d float64, k int) float64 {
-	if k < 3 {
-		k = 3
-	}
-	lk := math.Log(float64(k))
-	llk := math.Log(lk)
-	if llk < 0 {
-		llk = 0
-	}
-	ld := math.Log(d)
-	if ld < 0 {
-		ld = 0
-	}
-	return math.Exp(math.Sqrt(ld*llk)) * lk * (math.Log(n) + lk) * (n/float64(k) + d)
-}
-
 // GuaranteeBFDNL is n/k^{1/ℓ} + 2^{ℓ+1}·(log k/ℓ)·D^{1+1/ℓ}, minimized over
 // 2 ≤ ℓ ≤ log k / log log k (the validity range from Figure 1's caption).
 // It returns the best value and the minimizing ℓ (0 if no valid ℓ exists).

@@ -230,10 +230,6 @@ type Progress struct {
 // keep streaming to the same consumer.
 func (w *World) SetObserver(f func(Progress)) { w.observer = f }
 
-// Tree exposes the hidden tree for test assertions. Algorithms must not call
-// this; it exists so that harnesses can validate outcomes.
-func (w *World) Tree() *tree.Tree { return w.t }
-
 // ExploredCount reports the number of explored nodes.
 func (w *World) ExploredCount() int { return w.exploredCount }
 
