@@ -181,7 +181,12 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 	// per-event counts Apply recorded. The scan is quadratic in the (≤ k)
 	// pending events, which only runs once per restore.
 	if d.Err() == nil {
-		for i := range events {
+		for i, ev := range events {
+			if ev.Robot < 0 || ev.Robot >= w.k || !w.view.Explored(ev.Parent) ||
+				!w.view.Explored(ev.Child) || w.t.Parent(ev.Child) != ev.Parent {
+				return nil, fmt.Errorf("sim: checkpoint event %d (robot %d, %d→%d) is not an explore of this world: %w",
+					i, ev.Robot, ev.Parent, ev.Child, snap.ErrCorrupt)
+			}
 			later := 0
 			for _, e := range events[i+1:] {
 				if e.Parent == events[i].Parent {

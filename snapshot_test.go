@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/tree"
 )
 
 // errKill simulates a crash: the checkpoint save hook returns it to abort
@@ -135,7 +136,8 @@ func sharedParent(events []sim.ExploreEvent) bool {
 }
 
 // TestRestoreCheckpointValidation exercises the failure paths: wrong robot
-// count, wrong algorithm type, and corrupt bytes must all error cleanly.
+// count, wrong algorithm type, corrupt bytes and pending events that name
+// nodes or robots the world does not hold must all error cleanly.
 func TestRestoreCheckpointValidation(t *testing.T) {
 	tr, err := GenerateTree(FamilyRandom, 120, 8, 3)
 	if err != nil {
@@ -180,5 +182,23 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 	at, _, _ := newSimAlgorithm(tr, 4, cfg)
 	if _, err := sim.RestoreCheckpoint(ckpt[:len(ckpt)/2], wt, at); err == nil {
 		t.Fatal("truncated checkpoint accepted")
+	}
+
+	// Pending explore events that are no explore of this world. They used to
+	// be accepted, or for a Nil parent to index the dangling table at -1.
+	for _, ev := range []sim.ExploreEvent{
+		{Parent: 0, Child: 1 << 20},
+		{Parent: tree.Nil, Child: 0},
+		{Parent: tr.t.Parent(1), Child: 1, Robot: 9},
+	} {
+		bad, err := sim.EncodeCheckpoint(w, a, []sim.ExploreEvent{ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		we, _ := sim.NewWorld(tr.t, 4)
+		ae, _, _ := newSimAlgorithm(tr, 4, cfg)
+		if _, err := sim.RestoreCheckpoint(bad, we, ae); err == nil {
+			t.Errorf("checkpoint with pending event %+v accepted", ev)
+		}
 	}
 }
