@@ -75,7 +75,7 @@ func allocCases() []allocCase {
 		{name: "potential", alg: Potential, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return potential.New(k) },
 			recycle:    potential.Recycle,
-			explorePin: 200, sweepPin: 10, streamPin: 3},
+			explorePin: 60, sweepPin: 10, streamPin: 3},
 	}
 }
 

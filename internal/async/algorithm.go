@@ -91,6 +91,28 @@ func (v View) Unclaimed(u tree.NodeID) int {
 	return v.e.t.NumChildren(u) - int(v.e.claimed[u])
 }
 
+// OpenSlots reports m, the number of unclaimed dangling edges at explored
+// nodes: the open slots of the DFS-slot rule.
+func (v View) OpenSlots() int { return v.e.openSlots().Total() }
+
+// OpenSlot returns the explored node holding open slot s. The slots
+// enumerate the unclaimed edges in depth-first order of the explored
+// tree, a node's explored or claimed child subtrees in port order before
+// its own unclaimed edges. It fails when s is outside [0, OpenSlots()).
+// O(log n).
+func (v View) OpenSlot(s int) (tree.NodeID, error) {
+	r, err := v.e.openSlots().Select(s)
+	if err != nil {
+		return tree.Nil, err
+	}
+	return v.e.t.AtRank(r), nil
+}
+
+// Toward returns the neighbour of explored node from one edge closer to
+// explored node to ≠ from: the child of from that is an ancestor of to,
+// or from's parent when to is not below from. O(log Δ).
+func (v View) Toward(from, to tree.NodeID) tree.NodeID { return v.e.t.NextHop(from, to) }
+
 // NewNamedAlgorithm constructs a registered Algorithm by name ("bfdn",
 // "potential") — the spelling the bfdn facade, sweep grids, and the bfdnd
 // asyncsweep job type carry.

@@ -1,8 +1,11 @@
 package async
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"bfdn/internal/tree"
 )
 
 func TestParseLatencyRoundTrip(t *testing.T) {
@@ -80,5 +83,35 @@ func TestConstantDrawsNoRandomness(t *testing.T) {
 	Constant{}.Sample(1, rng)
 	if rng.Int63() != before {
 		t.Error("Constant.Sample consumed the rng stream")
+	}
+}
+
+// badLatency samples a fixed duration, whatever the speed.
+type badLatency float64
+
+func (b badLatency) Sample(float64, *rand.Rand) float64 { return float64(b) }
+func (badLatency) MaxFactor() float64                   { return 1 }
+func (b badLatency) String() string                     { return "bad" }
+
+// TestLatencyBelowNominalIsAnError: a sample that is NaN, negative or
+// below the nominal 1/speed breaks the Latency contract that LowerBound and
+// the event keys rely on, so the run stops with an error instead of
+// scheduling it.
+func TestLatencyBelowNominalIsAnError(t *testing.T) {
+	for _, d := range []float64{math.NaN(), -1, 0, 0.4999} {
+		e, err := NewEngine(tree.Star(4), []float64{2}, WithLatency(badLatency(d)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(0); err == nil {
+			t.Errorf("latency sample %v at speed 2 ran without an error", d)
+		}
+	}
+	e, err := NewEngine(tree.Star(4), []float64{2}, WithLatency(badLatency(0.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(0); err != nil {
+		t.Errorf("latency sample at the nominal 0.5: %v", err)
 	}
 }

@@ -116,7 +116,7 @@ func newCoord(ctx context.Context, plan Plan, shards []*shard, fleet []*workerSt
 	c := &coord{
 		ctx: cctx, cancel: cancel, plan: plan, opts: opts,
 		fleet: fleet, shards: shards,
-		merge:     newMerger(opts.OnLine, opts.Metrics),
+		merge:     newMerger(cctx, opts.OnLine, opts.Metrics),
 		queue:     queue,
 		remaining: len(queue),
 		live:      len(fleet),

@@ -277,6 +277,13 @@ func Run(ctx context.Context, plan Plan, workers []string, opts Options) ([]Line
 	root.SetAttr(tracing.Int("shards", stats.Shards), tracing.Int("retries", stats.Retries),
 		tracing.Int("hedges", stats.Hedges), tracing.Int("deadWorkers", stats.DeadWorkers))
 	err = c.fatal()
+	if err == nil && len(lines) < len(plan.Points) {
+		// Every shard completed, but the caller canceled before the merger
+		// emitted them all.
+		if err = ctx.Err(); err == nil {
+			err = fmt.Errorf("dsweep: merged %d of %d points", len(lines), len(plan.Points))
+		}
+	}
 	if err == nil && job != nil {
 		err = job.MarkDone()
 	}

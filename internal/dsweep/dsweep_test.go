@@ -424,6 +424,59 @@ func TestCancellationAbortsRun(t *testing.T) {
 	}
 }
 
+// TestCancelAfterLastShardAbortsRun is the deterministic form of the race
+// TestCancellationAbortsRun can hit: every shard completes before shard 0
+// is merged, so the cancel lands while the merger emits the whole plan in
+// one delivery. Every shard is one point, and the worker holds shard 0
+// back until the coordinator has buffered every other shard. The run must still stop emitting at the
+// cancel and return the context's error with a strict prefix.
+func TestCancelAfterLastShardAbortsRun(t *testing.T) {
+	const points = 6
+	m := dsweep.NewMetrics(obs.NewRegistry())
+	url := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 1},
+		func(w http.ResponseWriter, r *http.Request, inner http.Handler, _ int64) {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			if bytes.Contains(body, []byte(`"indexBase":0,`)) {
+				for m.ReorderPending.Value() < points-1 {
+					if r.Context().Err() != nil {
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			inner.ServeHTTP(w, r)
+		})
+	plan := testPlan(points)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	lines, _, err := dsweep.Run(ctx, plan, []string{url}, dsweep.Options{
+		MaxShardPoints:    1,
+		InflightPerWorker: 2,
+		Metrics:           m,
+		OnLine: func(dsweep.Line) {
+			if seen++; seen == 1 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run error = %v, want context.Canceled", err)
+	}
+	if seen != 1 || len(lines) != 1 {
+		t.Fatalf("OnLine saw %d lines and Run returned %d, want 1 each: nothing is emitted after the cancel", seen, len(lines))
+	}
+	if got, exp := jsonl(t, lines), jsonl(t, localLines(t, plan)[:1]); got != exp {
+		t.Fatalf("canceled run's partial output is not a prefix of the local run\n got:\n%s\nwant:\n%s", got, exp)
+	}
+}
+
 func TestInvalidPlanIsFatal(t *testing.T) {
 	// k = 0 is rejected by the worker with 400: a configuration error no
 	// retry can fix, so the run must fail without burning the retry budget.

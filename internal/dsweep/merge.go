@@ -1,6 +1,7 @@
 package dsweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,8 +13,10 @@ import (
 // every earlier point has been emitted, so the output stream — and the
 // final slice — reads exactly like a single local run. Delivering the same
 // shard twice is a no-op (hedge duplicates carry identical bytes, the first
-// copy wins).
+// copy wins). Once the run's context is done nothing more is emitted: a
+// caller that canceled from OnLine sees no line after its cancel.
 type merger struct {
+	ctx     context.Context
 	mu      sync.Mutex
 	buf     map[int][]Line // shard lo → its lines, awaiting turn
 	next    int            // next global point index to emit
@@ -22,8 +25,8 @@ type merger struct {
 	metrics *Metrics
 }
 
-func newMerger(onLine func(Line), m *Metrics) *merger {
-	return &merger{buf: map[int][]Line{}, onLine: onLine, metrics: m}
+func newMerger(ctx context.Context, onLine func(Line), m *Metrics) *merger {
+	return &merger{ctx: ctx, buf: map[int][]Line{}, onLine: onLine, metrics: m}
 }
 
 // deliver accepts one completed shard's lines (already carrying global
@@ -38,20 +41,25 @@ func (m *merger) deliver(lo int, lines []Line) {
 		return
 	}
 	m.buf[lo] = lines
-	for {
+	for m.ctx.Err() == nil {
 		ls, ok := m.buf[m.next]
 		if !ok {
 			break
 		}
 		delete(m.buf, m.next)
 		m.next += len(ls)
+		emitted := 0
 		for _, l := range ls {
+			if m.ctx.Err() != nil {
+				break
+			}
 			m.out = append(m.out, l)
+			emitted++
 			if m.onLine != nil {
 				m.onLine(l)
 			}
 		}
-		m.metrics.merged(len(ls))
+		m.metrics.merged(emitted)
 	}
 	m.metrics.pending(len(m.buf))
 }

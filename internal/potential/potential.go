@@ -30,39 +30,30 @@ import (
 	"math/rand"
 
 	"bfdn/internal/sim"
-	"bfdn/internal/slotindex"
 	"bfdn/internal/tree"
 )
 
-// Potential is the algorithm state. It implements sim.Algorithm.
+// Potential is the algorithm state. It implements sim.Algorithm. The DFS
+// slot order lives in the world (View.OpenSlot, DESIGN.md S31), so the
+// rule itself keeps nothing across rounds; the fields below only let a
+// checkpoint report what the last round saw.
 type Potential struct {
 	k      int
 	moves  []sim.Move
 	seeded bool
 
-	// slots holds the explored nodes in post-order, each weighted by its
-	// dangling edges: the DFS slot order (DESIGN.md S31), maintained from
-	// explore events in O(log n) each.
-	slots slotindex.Index
-	// elemOf[v] is explored node v's slot element; elems[e] records the
-	// node element e stands for and its parent's element, which is all a
-	// checkpoint needs to derive per-subtree open counts without a View.
-	elemOf []int32
-	elems  []elemNode
+	// view is the world's view as of the last SelectMoves (nil before the
+	// first), decided the round that call decided, and reserved the node
+	// of every reservation it made: one per edge its moves explore.
+	view     *sim.View
+	decided  int
+	reserved []tree.NodeID
 
 	// restored holds the open counts of a restored checkpoint until the
-	// first SelectMoves rebuilds slots from the view (RestoreState has
-	// none); a snapshot taken before then re-emits them verbatim.
-	restored []int32
-	rebuild  bool
-}
-
-// elemNode is the node behind one slot element and its parent's element
-// (-1 for the root). Parents are explored first, so up < the element's own
-// handle.
-type elemNode struct {
-	node tree.NodeID
-	up   int32
+	// next SelectMoves, so a snapshot taken before then re-emits them
+	// verbatim.
+	restored  []int32
+	restoring bool
 }
 
 var _ sim.Algorithm = (*Potential)(nil)
@@ -102,42 +93,19 @@ func (p *Potential) Reset(k int) {
 	for i := range p.moves {
 		p.moves[i] = sim.Move{}
 	}
-	p.slots.Reset()
-	p.elems = p.elems[:0]
+	p.view = nil
+	p.reserved = p.reserved[:0]
 	p.restored = p.restored[:0]
-	p.rebuild = false
+	p.restoring = false
 	p.seeded = false
 }
 
-// SelectMoves implements sim.Algorithm.
-func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if p.rebuild {
-		// The restored world already holds the checkpoint's pending events,
-		// so the view alone is the state to index.
-		p.rebuildFrom(v)
-	} else {
-		if !p.seeded {
-			p.add(tree.Root, -1, v.DanglingAt(tree.Root))
-			p.seeded = true
-		}
-		for _, e := range events {
-			// Events of one parent arrive in port order (robots reserve in
-			// index order, and reservations hand out ports in that order),
-			// so each new child lands after its explored siblings. A node
-			// without dangling edges never gains one, so it leaves the
-			// index: a leaf at once, a parent with its last edge.
-			pe := p.elemOf[e.Parent]
-			if ce := p.add(e.Child, pe, e.NewDangling); e.NewDangling == 0 {
-				p.slots.Remove(ce)
-			}
-			p.slots.Add(pe, -1)
-			if p.slots.Weight(pe) == 0 {
-				p.slots.Remove(pe)
-			}
-		}
-	}
-
-	m := p.slots.Total()
+// SelectMoves implements sim.Algorithm. The world keeps the slot order
+// current from its own explore events, so the events are not needed here.
+func (p *Potential) SelectMoves(v *sim.View, _ []sim.ExploreEvent) ([]sim.Move, error) {
+	p.view, p.decided, p.seeded, p.restoring = v, v.Round(), true, false
+	p.reserved = p.reserved[:0]
+	m := v.OpenSlots()
 	if m == 0 {
 		// Exploration done: climb home, stay at the root. A full round of
 		// stays ends the run.
@@ -163,11 +131,10 @@ func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 	for i := 0; i < p.k; i++ {
 		slot := i * m / p.k
 		if slot != lastSlot {
-			e, err := p.slots.Select(slot)
-			if err != nil {
+			var err error
+			if u, err = v.OpenSlot(slot); err != nil {
 				return nil, fmt.Errorf("potential: %w", err)
 			}
-			u = p.elems[e].node
 			lastSlot, haveTicket = slot, false
 		}
 		pos := v.Pos(i)
@@ -178,72 +145,18 @@ func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 					return nil, fmt.Errorf("potential: node %d: reservation failed for slot %d of %d", u, slot, m)
 				}
 				lastTicket, haveTicket = tk, true
+				p.reserved = append(p.reserved, u)
 			}
 			p.moves[i] = sim.Move{Kind: sim.Explore, Ticket: lastTicket}
 			continue
 		}
-		p.moves[i] = stepTowards(v, pos, u)
+		if c := v.Toward(pos, u); c == v.Parent(pos) {
+			p.moves[i] = sim.Move{Kind: sim.Up}
+		} else {
+			p.moves[i] = sim.Move{Kind: sim.Down, Child: c}
+		}
 	}
 	return p.moves, nil
-}
-
-// add inserts explored node v, whose parent holds element up (-1 for the
-// root), with its dangling edges as weight: immediately before the
-// parent's element, after the parent's earlier explored children. It
-// returns v's element.
-func (p *Potential) add(v tree.NodeID, up int32, dangling int) int32 {
-	var e int32
-	if up < 0 {
-		e = p.slots.Push(int32(dangling))
-	} else {
-		e = p.slots.InsertBefore(up, int32(dangling))
-	}
-	p.elems = append(p.elems, elemNode{node: v, up: up})
-	if int(v) >= len(p.elemOf) {
-		p.elemOf = append(p.elemOf, make([]int32, int(v)+1-len(p.elemOf))...)
-	}
-	p.elemOf[v] = e
-	return e
-}
-
-// rebuildFrom indexes the explored part of the view from scratch, parents
-// before children and siblings in port order — the order a run's own
-// explore events would have inserted them.
-func (p *Potential) rebuildFrom(v *sim.View) {
-	p.slots.Reset()
-	p.elems = p.elems[:0]
-	p.add(tree.Root, -1, v.DanglingAt(tree.Root))
-	for e := int32(0); int(e) < len(p.elems); e++ {
-		u := p.elems[e].node
-		for _, c := range v.ExploredChildren(u) {
-			p.add(c, e, v.DanglingAt(c))
-		}
-		if p.slots.Weight(e) == 0 {
-			p.slots.Remove(e)
-		}
-	}
-	p.restored = p.restored[:0]
-	p.rebuild = false
-	p.seeded = true
-}
-
-// stepTowards returns the one-edge move from pos towards target u ≠ pos:
-// down into the child of pos that is an ancestor of u when u lies below
-// pos, up otherwise.
-func stepTowards(v *sim.View, pos, u tree.NodeID) sim.Move {
-	dp := v.DepthOf(pos)
-	du := v.DepthOf(u)
-	if du <= dp {
-		return sim.Move{Kind: sim.Up}
-	}
-	c := u
-	for ; du > dp+1; du-- {
-		c = v.Parent(c)
-	}
-	if v.Parent(c) == pos {
-		return sim.Move{Kind: sim.Down, Child: c}
-	}
-	return sim.Move{Kind: sim.Up}
 }
 
 // Recycle is the factory-reset hook for the sweep engine's algorithm-reuse

@@ -4,19 +4,19 @@ import (
 	"fmt"
 
 	"bfdn/internal/snap"
+	"bfdn/internal/tree"
 )
 
 // SnapshotState implements sim.Snapshotter (DESIGN.md S30). The Potential
 // Function Method is memoryless beyond the per-subtree open-edge counts of
 // the explored tree (the potential of arXiv:2311.01354 is a function of
 // those counts alone), so the checkpoint is k, the seeding flag and those
-// counts, indexed by NodeID up to the largest explored node. They are
-// derived from the slot index here; the move buffer is rewritten every
-// round.
+// counts as the last SelectMoves saw them, indexed by NodeID up to the
+// largest node explored then. The move buffer is rewritten every round.
 func (p *Potential) SnapshotState(e *snap.Encoder) {
 	e.Int(p.k)
 	e.Bool(p.seeded)
-	if p.rebuild {
+	if p.restoring {
 		e.Int32s(p.restored)
 		return
 	}
@@ -24,28 +24,50 @@ func (p *Potential) SnapshotState(e *snap.Encoder) {
 }
 
 // openCounts returns open[v], the number of dangling edges in the explored
-// subtree T(v), for every v up to the largest explored node. Elements are
-// numbered parents first, so one reverse pass folds each subtree into its
-// parent after all of its own descendants.
+// subtree T(v) as the last SelectMoves saw it, for every v up to the
+// largest node explored then. When the world has since applied that
+// round, the round is undone first: each reservation explored one edge at
+// its node, and the node's newest explored child not yet undone is the
+// one it found. Ids are topologically ordered, so one reverse pass folds
+// each subtree into its parent after all of its own descendants.
 func (p *Potential) openCounts() []int32 {
-	n := 0
-	for _, en := range p.elems {
-		n = max(n, int(en.node)+1)
+	v := p.view
+	if v == nil {
+		return nil
 	}
-	open := make([]int32, n)
-	for e, en := range p.elems {
-		open[en.node] = p.slots.Weight(int32(e))
+	var open []int32 // −1 marks a node not explored
+	for u, seen := tree.NodeID(0), 0; seen < v.ExploredCount(); u++ {
+		d := int32(-1)
+		if v.Explored(u) {
+			seen++
+			d = int32(v.DanglingAt(u))
+		}
+		open = append(open, d)
 	}
-	for e := len(p.elems) - 1; e > 0; e-- {
-		en := p.elems[e]
-		open[p.elems[en.up].node] += open[en.node]
+	if v.Round() != p.decided {
+		for _, f := range p.reserved {
+			kids := v.ExploredChildren(f)
+			undone := int(open[f]) - v.DanglingAt(f)
+			open[kids[len(kids)-1-undone]] = -1
+			open[f]++
+		}
+	}
+	for len(open) > 0 && open[len(open)-1] < 0 {
+		open = open[:len(open)-1]
+	}
+	for u := len(open) - 1; u > 0; u-- {
+		if open[u] < 0 {
+			open[u] = 0
+			continue
+		}
+		open[v.Parent(tree.NodeID(u))] += open[u]
 	}
 	return open
 }
 
 // RestoreState implements sim.Snapshotter; p must have been constructed (or
-// Reset) for the snapshot's robot count. The slot index is rebuilt from the
-// view on the next SelectMoves.
+// Reset) for the snapshot's robot count. The counts are only kept for
+// re-emission: the world rebuilds its slot index from its own state.
 func (p *Potential) RestoreState(d *snap.Decoder) error {
 	k := d.Int()
 	if err := d.Err(); err != nil {
@@ -56,6 +78,7 @@ func (p *Potential) RestoreState(d *snap.Decoder) error {
 	}
 	p.seeded = d.Bool()
 	p.restored = append(p.restored[:0], d.Int32s()...)
-	p.rebuild = true
+	p.restoring = true
+	p.view = nil
 	return d.Err()
 }

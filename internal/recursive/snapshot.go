@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bfdn/internal/core"
+	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
@@ -31,7 +32,11 @@ func (b *BFDNL) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sim.Snapshotter; b must have been constructed for
-// the snapshot's k and ℓ.
+// the snapshot's k and ℓ. A checkpoint is untrusted input: it refuses
+// instances whose type, level or parameters the phase could not have
+// built, robots outside [0, k) or listed twice, negative roots, and
+// lengths past the bytes left; the next SelectMoves checks the nodes
+// against the view before using them.
 func (b *BFDNL) RestoreState(d *snap.Decoder) error {
 	k := d.Int()
 	ell := d.Int()
@@ -44,7 +49,10 @@ func (b *BFDNL) RestoreState(d *snap.Decoder) error {
 	b.phaseJ = d.Int()
 	b.ranOnce = d.Bool()
 	b.homing = d.Bool()
-	top, err := decodeAnchored(d, b.s())
+	if d.Err() != nil || b.phaseJ < 1 || b.phaseJ > 62 {
+		return fmt.Errorf("recursive: corrupt phase %d", b.phaseJ)
+	}
+	top, err := b.decodeAnchored(d, b.ell)
 	if err != nil {
 		return err
 	}
@@ -56,11 +64,12 @@ func (b *BFDNL) RestoreState(d *snap.Decoder) error {
 	case *divideDepth:
 		b.topDD = t
 	}
+	b.restored = true
 	return d.Err()
 }
 
 // s returns the current phase's base step 2^{phaseJ} (budget parameter of
-// startPhase), used to validate decoded instances.
+// startPhase), which every instance of the phase shares.
 func (b *BFDNL) s() int { return 1 << b.phaseJ }
 
 // encodeAnchored writes one node of the instance tree with a type tag.
@@ -102,33 +111,38 @@ func encodeAnchored(e *snap.Encoder, a Anchored) {
 	}
 }
 
-// decodeAnchored reconstructs one node of the instance tree. baseStep is
-// the phase's base step s, used as a sanity bound on decoded parameters.
-func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
+// decodeAnchored reconstructs one node of the instance tree at the given
+// level. The phase builds BFDN₁ at level 1 and divide-depth above it, every
+// instance with the phase's base step and divide-depth with b's k*, so a
+// node that disagrees is corrupt.
+func (b *BFDNL) decodeAnchored(d *snap.Decoder, level int) (Anchored, error) {
 	tag := d.Uint64()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	switch byte(tag) {
-	case tagBFDN1:
+	switch {
+	case level == 1 && byte(tag) == tagBFDN1:
 		depth := d.Int()
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
-		if d.Err() != nil || depth < 0 || len(robots) == 0 {
+		if d.Err() != nil || depth != b.s() || root < 0 || !b.robotSet(robots) {
 			return nil, fmt.Errorf("recursive: corrupt BFDN₁ node header")
 		}
 		a := &bfdn1{b: core.NewInstance(robots, root, core.WithMaxAnchorDepth(depth))}
 		if err := a.b.RestoreState(d); err != nil {
 			return nil, err
 		}
+		if !b.robotSet(a.b.Robots()) {
+			return nil, fmt.Errorf("recursive: corrupt BFDN₁ robot set")
+		}
 		return a, nil
-	case tagDivide:
-		level := d.Int()
+	case level > 1 && byte(tag) == tagDivide:
+		lv := d.Int()
 		kstar := d.Int()
 		s := d.Int()
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
-		if d.Err() != nil || level < 2 || kstar < 1 || s < 1 || s > baseStep || len(robots) == 0 {
+		if d.Err() != nil || lv != level || kstar != b.kstar || s != b.s() || root < 0 || !b.robotSet(robots) {
 			return nil, fmt.Errorf("recursive: corrupt divide-depth node header")
 		}
 		dd := newDivideDepth(level, robots, root, s, kstar)
@@ -144,7 +158,7 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 			return nil, fmt.Errorf("recursive: corrupt child count %d", nc)
 		}
 		for i := 0; i < nc; i++ {
-			c, err := decodeAnchored(d, baseStep)
+			c, err := b.decodeAnchored(d, level-1)
 			if err != nil {
 				return nil, err
 			}
@@ -154,10 +168,11 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 		if d.Err() != nil || np < 0 || np > len(robots) {
 			return nil, fmt.Errorf("recursive: corrupt travel plan count %d", np)
 		}
+		planned := make([]int, 0, np)
 		for i := 0; i < np; i++ {
 			robot := d.Int()
 			m := d.Int()
-			if d.Err() != nil || m < 0 {
+			if d.Err() != nil || m < 0 || m > d.Rest() {
 				return nil, fmt.Errorf("recursive: corrupt travel plan")
 			}
 			path := make([]tree.NodeID, 0, m)
@@ -165,9 +180,60 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 				path = append(path, tree.NodeID(d.Int32()))
 			}
 			dd.plans = append(dd.plans, travelPlan{robot: robot, path: path})
+			planned = append(planned, robot)
+		}
+		if !b.robotSet(planned) {
+			return nil, fmt.Errorf("recursive: corrupt travel plan robots")
 		}
 		return dd, nil
 	default:
-		return nil, fmt.Errorf("recursive: unknown Anchored type tag %d", tag)
+		return nil, fmt.Errorf("recursive: Anchored type tag %d is not an instance of level %d", tag, level)
 	}
+}
+
+// robotSet reports whether robots are distinct ids in [0, k).
+func (b *BFDNL) robotSet(robots []int) bool {
+	seen := make([]bool, b.k)
+	for _, r := range robots {
+		if r < 0 || r >= b.k || seen[r] {
+			return false
+		}
+		seen[r] = true
+	}
+	return true
+}
+
+// resume checks a restored instance tree against the view before the
+// first round uses it: every instance root, BFDN₁ anchor and travel-plan
+// node must be explored. BFDN₁ leaves check the rest of their own state
+// when they first decide (core's resume).
+func resume(v *sim.View, a Anchored) error {
+	switch t := a.(type) {
+	case *bfdn1:
+		if !v.Explored(t.b.Root()) {
+			return fmt.Errorf("recursive: restored BFDN₁ root %d is not explored", t.b.Root())
+		}
+		for j := range t.b.Robots() {
+			if !v.Explored(t.b.Anchor(j)) {
+				return fmt.Errorf("recursive: restored anchor %d is not explored", t.b.Anchor(j))
+			}
+		}
+	case *divideDepth:
+		if !v.Explored(t.root) {
+			return fmt.Errorf("recursive: restored divide-depth root %d is not explored", t.root)
+		}
+		for _, p := range t.plans {
+			for _, u := range p.path {
+				if !v.Explored(u) {
+					return fmt.Errorf("recursive: restored travel plan of robot %d names unexplored node %d", p.robot, u)
+				}
+			}
+		}
+		for _, c := range t.children {
+			if err := resume(v, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -73,6 +73,29 @@ func (v *View) ReserveDangling(id tree.NodeID) (Ticket, bool) {
 	return v.w.reserveDangling(id)
 }
 
+// OpenSlots reports m, the number of dangling edges of the explored tree:
+// the open slots of the Potential Function Method's DFS-slot rule
+// (DESIGN.md S28).
+func (v *View) OpenSlots() int { return v.w.openSlots().Total() }
+
+// OpenSlot returns the explored node holding open slot s. The slots
+// enumerate the dangling edges in depth-first order of the explored tree,
+// a node's explored child subtrees in port order before its own dangling
+// edges, so a node holds as many consecutive slots as it has dangling
+// edges. It fails when s is outside [0, OpenSlots()). O(log n).
+func (v *View) OpenSlot(s int) (tree.NodeID, error) {
+	r, err := v.w.openSlots().Select(s)
+	if err != nil {
+		return tree.Nil, err
+	}
+	return v.w.t.AtRank(r), nil
+}
+
+// Toward returns the neighbour of explored node from one edge closer to
+// explored node to ≠ from: the child of from that is an ancestor of to,
+// or from's parent when to is not below from. O(log Δ).
+func (v *View) Toward(from, to tree.NodeID) tree.NodeID { return v.w.t.NextHop(from, to) }
+
 // HasDanglingAnywhere reports whether the partially explored tree still has a
 // dangling edge. O(1) via counters: total explored nodes vs hidden size is
 // not available online, so this is maintained as explored-edge accounting.

@@ -1,10 +1,14 @@
 package tree
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzFromParents checks that FromParents either rejects its input or
 // produces a tree that survives Validate and round-trips through
-// Encode/Decode — no panics, no silent corruption.
+// Encode/Decode — no panics, no silent corruption — and whose post-order
+// intervals, IsAncestor and NextHop match their references.
 func FuzzFromParents(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -32,6 +36,7 @@ func FuzzFromParents(f *testing.F) {
 		if Encode(dec) != enc {
 			t.Fatal("encode/decode not idempotent")
 		}
+		checkRanks(t, tr, rand.New(rand.NewSource(1)), 400)
 	})
 }
 

@@ -14,6 +14,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // NodeID identifies a node of a Tree. IDs are dense: a tree with n nodes uses
@@ -43,7 +44,19 @@ type Tree struct {
 	depth    []int32
 	maxDepth int
 	maxDeg   int
+
+	// The post-order of the tree, children in port order, is computed on
+	// first use (ranked) and then read without locking: a tree that never
+	// asks for it stores nothing. span[v] is T(v)'s interval of ranks and
+	// atRank[r] the node of rank r.
+	rankOnce sync.Once
+	span     []span
+	atRank   []NodeID
 }
+
+// span is the post-order interval of a subtree: its nodes hold the ranks
+// first..last, and its root, which follows its descendants, holds last.
+type span struct{ first, last int32 }
 
 // Builder incrementally constructs a Tree. The zero value is a builder whose
 // tree already contains the root. The builder stores only the parent and
@@ -268,12 +281,82 @@ func (t *Tree) Dist(u, v NodeID) int {
 	return int(t.depth[u]+t.depth[v]) - 2*int(t.depth[l])
 }
 
-// IsAncestor reports whether a is an ancestor of v (or equals v).
+// IsAncestor reports whether a is an ancestor of v (or equals v): whether
+// v's post-order rank falls in T(a)'s interval. O(1).
 func (t *Tree) IsAncestor(a, v NodeID) bool {
-	for t.depth[v] > t.depth[a] {
-		v = t.parent[v]
+	s := t.ranked()
+	r := s[v].last
+	return s[a].first <= r && r <= s[a].last
+}
+
+// Rank returns v's position in the post-order of t, children visited in
+// port order. A node follows its subtree in post-order, so the ranks of
+// T(v) form the interval that ends at v's own.
+func (t *Tree) Rank(v NodeID) int { return int(t.ranked()[v].last) }
+
+// AtRank returns the node of post-order rank r, the inverse of Rank.
+func (t *Tree) AtRank(r int) NodeID {
+	t.ranked()
+	return t.atRank[r]
+}
+
+// NextHop returns the neighbour of from one edge closer to to ≠ from: the
+// child of from whose subtree holds to, found by binary search over the
+// children's ranks in O(log Δ), or from's parent when to is not below
+// from.
+func (t *Tree) NextHop(from, to NodeID) NodeID {
+	s := t.ranked()
+	r := s[to].last
+	if r < s[from].first || r >= s[from].last {
+		return t.parent[from]
 	}
-	return v == a
+	// The children's intervals tile T(from) minus from in port order, so
+	// the first child whose rank reaches r holds to.
+	kids := t.Children(from)
+	lo, hi := 0, len(kids)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[kids[m]].last < r {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return kids[lo]
+}
+
+// ranked returns the post-order intervals, computing them on the first
+// call.
+func (t *Tree) ranked() []span {
+	t.rankOnce.Do(t.rank)
+	return t.span
+}
+
+// rank lays out the post-order in two passes over the ids, which are
+// topologically ordered (a parent's id is below its children's): a reverse
+// pass sums subtree sizes into span[v].last, and a forward pass hands each
+// child the ranks that follow its earlier siblings', then turns the size
+// into v's own rank.
+func (t *Tree) rank() {
+	n := len(t.parent)
+	s := make([]span, n)
+	for v := n - 1; v >= 0; v-- {
+		s[v].last++
+		if v > 0 {
+			s[t.parent[v]].last += s[v].last
+		}
+	}
+	t.atRank = make([]NodeID, n)
+	for v := 0; v < n; v++ {
+		next := s[v].first
+		for _, c := range t.Children(NodeID(v)) {
+			s[c].first = next
+			next += s[c].last
+		}
+		s[v].last += s[v].first - 1
+		t.atRank[s[v].last] = NodeID(v)
+	}
+	t.span = s
 }
 
 // SubtreeSize returns the number of nodes in T(v), including v, by walking
