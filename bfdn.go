@@ -352,7 +352,7 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 	if err != nil {
 		return nil, err
 	}
-	w, err := newWorld(t, k, cfg)
+	w, err := sim.NewWorld(t.t, k)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +362,7 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 	sctx, span := tracing.Start(ctx, "sim.run",
 		tracing.Int("n", t.N()), tracing.Int("k", k))
 	defer span.End()
-	res, err := sim.RunContext(sctx, w, alg, 0)
+	res, err := sim.RunContext(sctx, w, alg, 0, nil, roundHook(w, cfg, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -371,17 +371,20 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 	return &rep, nil
 }
 
-// newWorld is the one constructor of an exploration's world: t with k
-// robots at the root, streaming progress to the WithProgress observer.
-func newWorld(t *Tree, k int, cfg config) (*sim.World, error) {
-	w, err := sim.NewWorld(t.t, k)
-	if err != nil {
-		return nil, err
+// roundHook is the one per-round hook of every exploration path: the
+// WithProgress observer, if any, in front of next (nil: the run ends at the
+// first still round).
+func roundHook(w *sim.World, cfg config, next sim.RoundHook) sim.RoundHook {
+	if cfg.progress == nil {
+		return next
 	}
-	if f := cfg.progress; f != nil {
-		w.SetObserver(func(p sim.Progress) { f(Progress(p)) })
+	return func(moves []sim.Move, events []sim.ExploreEvent, moved bool) (bool, error) {
+		cfg.progress(Progress{Round: w.Round(), Explored: w.ExploredCount(), Moves: w.Moves()})
+		if next == nil {
+			return !moved, nil
+		}
+		return next(moves, events, moved)
 	}
-	return w, nil
 }
 
 // newReport is the one constructor of a Report: the run's counters and
@@ -403,19 +406,17 @@ func exploreWithBreakdowns(ctx context.Context, t *Tree, k int, cfg config) (*Re
 	if cfg.alg != BFDN {
 		return nil, fmt.Errorf("bfdn: break-down schedules require the BFDN algorithm")
 	}
-	w, err := newWorld(t, k, cfg)
+	w, err := sim.NewWorld(t.t, k)
 	if err != nil {
 		return nil, err
 	}
-	a := adversary.New(k, cfg.schedule)
-	res, err := adversary.RunUntilExploredContext(ctx, w, a, 100_000_000)
+	const maxRounds = 100_000_000
+	res, err := sim.RunContext(ctx, w, adversary.New(k, cfg.schedule), maxRounds, nil,
+		roundHook(w, cfg, adversary.UntilExplored(w, maxRounds)))
 	if err != nil {
 		return nil, err
 	}
-	// Robots need not return under break-downs, so the world says where
-	// they ended up.
-	rep := newReport(t, k, bounds.Proposition7(t.N(), t.Depth(), k),
-		sim.Result{Metrics: res.Metrics, FullyExplored: res.FullyExplored, AllAtRoot: w.AllAtRoot()})
+	rep := newReport(t, k, bounds.Proposition7(t.N(), t.Depth(), k), res)
 	return &rep, nil
 }
 

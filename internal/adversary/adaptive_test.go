@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -103,16 +104,10 @@ func TestBlockDeepestPicksDeepest(t *testing.T) {
 	}
 	// Advance a few rounds with plain BFDN so the robots descend.
 	a := NewAdaptive(2, &BlockReturners{Max: 0})
-	var events []sim.ExploreEvent
-	for r := 0; r < 5; r++ {
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, _, err = func() ([]sim.ExploreEvent, bool, error) { return w.Apply(moves) }()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, err := sim.RunContext(context.Background(), w, a, 0, nil, func([]sim.Move, []sim.ExploreEvent, bool) (bool, error) {
+		return w.Round() == 5, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	v := w.View()
 	pol := &BlockDeepest{Max: 1}

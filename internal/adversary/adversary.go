@@ -11,7 +11,6 @@ package adversary
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"bfdn/internal/core"
@@ -158,32 +157,24 @@ type Result struct {
 	FullyExplored  bool
 }
 
-// RunUntilExplored drives the algorithm until every edge has been visited
-// (the §4.2 objective — robots need not return to the root, since the
-// adversary may stall them forever) or maxRounds elapses. Unlike sim.Run it
-// does not stop on all-still rounds: the adversary may block every robot for
-// arbitrarily many rounds.
-func RunUntilExplored(w *sim.World, a *Algorithm, maxRounds int64) (Result, error) {
-	return RunUntilExploredContext(context.Background(), w, a, maxRounds)
+// UntilExplored is the §4.2 stopping rule as a sim.RoundHook: the run ends
+// once every edge has been visited, whether or not any robot moved in the
+// round — the adversary may block every robot for arbitrarily many rounds,
+// and robots need not return to the root, since it may stall them forever.
+// A run still unexplored after maxRounds rounds ends there too, without an
+// error: its Result reports FullyExplored false. Give the run loop the same
+// cap.
+func UntilExplored(w *sim.World, maxRounds int64) sim.RoundHook {
+	return func([]sim.Move, []sim.ExploreEvent, bool) (bool, error) {
+		return w.FullyExplored() || int64(w.Round()) >= maxRounds, nil
+	}
 }
 
-// RunUntilExploredContext is RunUntilExplored with cancellation at round
-// granularity, mirroring sim.RunContext.
-func RunUntilExploredContext(ctx context.Context, w *sim.World, a *Algorithm, maxRounds int64) (Result, error) {
-	var events []sim.ExploreEvent
-	for r := int64(0); r < maxRounds && !w.FullyExplored(); r++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("adversary: canceled at round %d: %w", r, err)
-		}
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
-			return Result{}, err
-		}
-		ev, _, err := w.Apply(moves)
-		if err != nil {
-			return Result{}, err
-		}
-		events = ev
+// RunUntilExplored drives the algorithm on a fresh world until every edge
+// has been visited or maxRounds > 0 rounds elapse (UntilExplored).
+func RunUntilExplored(w *sim.World, a *Algorithm, maxRounds int64) (Result, error) {
+	if _, err := sim.RunContext(context.Background(), w, a, maxRounds, nil, UntilExplored(w, maxRounds)); err != nil {
+		return Result{}, err
 	}
 	return Result{
 		Metrics:        w.Metrics(),

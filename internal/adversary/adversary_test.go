@@ -136,3 +136,24 @@ func TestScheduleQueriesAreStable(t *testing.T) {
 		}
 	}
 }
+
+// TestRunUntilExploredRunsThroughStillRounds pins the §4.2 stopping rule:
+// a round in which no robot moves does not end a break-down run. With
+// every robot blocked forever the run goes through still rounds to its cap
+// and reports an unexplored tree without an error; blocked only for a
+// while, it goes on to explore every edge.
+func TestRunUntilExploredRunsThroughStillRounds(t *testing.T) {
+	tr := tree.Random(60, 6, rand.New(rand.NewSource(3)))
+	all := map[int]bool{0: true, 1: true, 2: true}
+	w, err := sim.NewWorld(tr, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunUntilExplored(w, New(3, &Blackout{Robots: all, From: 0, To: 1 << 30}), 40)
+	if err != nil || res.FullyExplored || res.TotalRounds != 40 || res.Rounds != 0 || res.AllowedAverage != 0 {
+		t.Errorf("blocked forever: %+v, %v; want 40 still rounds, no exploration and no error", res, err)
+	}
+	if res = runBreakdown(t, tr, 3, &Blackout{Robots: all, From: 0, To: 25}, 10_000); res.TotalRounds-res.Rounds < 25 {
+		t.Errorf("blocked for 25 rounds: %d rounds, %d with a move", res.TotalRounds, res.Rounds)
+	}
+}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -25,9 +26,9 @@ func goldenTrees() []*tree.Tree {
 	}
 }
 
-// runFingerprint drives a until every edge is visited, as RunUntilExplored
-// does, and returns a SHA-256 over every round's moves followed by the
-// run's rounds, moves and per-robot moves.
+// runFingerprint drives a until every edge is visited, under the stopping
+// rule of RunUntilExplored, and returns a SHA-256 over every round's moves
+// followed by the run's rounds, moves and per-robot moves.
 func runFingerprint(t *testing.T, tr *tree.Tree, k int, a sim.Algorithm) []byte {
 	t.Helper()
 	w, err := sim.NewWorld(tr, k)
@@ -35,16 +36,9 @@ func runFingerprint(t *testing.T, tr *tree.Tree, k int, a sim.Algorithm) []byte 
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	var events []sim.ExploreEvent
 	var buf []byte
-	for r := 0; !w.FullyExplored(); r++ {
-		if r == 1_000_000 {
-			t.Fatalf("%s k=%d: not explored within %d rounds", tr, k, r)
-		}
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
-			t.Fatalf("%s k=%d: %v", tr, k, err)
-		}
+	explored := UntilExplored(w, 1_000_000)
+	if _, err := sim.RunContext(context.Background(), w, a, 1_000_000, nil, func(moves []sim.Move, events []sim.ExploreEvent, moved bool) (bool, error) {
 		buf = buf[:0]
 		for _, m := range moves {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Kind))
@@ -54,9 +48,9 @@ func runFingerprint(t *testing.T, tr *tree.Tree, k int, a sim.Algorithm) []byte 
 			}
 		}
 		h.Write(buf)
-		if events, _, err = w.Apply(moves); err != nil {
-			t.Fatalf("%s k=%d: %v", tr, k, err)
-		}
+		return explored(moves, events, moved)
+	}); err != nil {
+		t.Fatalf("%s k=%d: %v", tr, k, err)
 	}
 	m := w.Metrics()
 	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(m.Rounds))

@@ -275,8 +275,12 @@ func (b *BFDN) DecideAllowed(v *sim.View, events []sim.ExploreEvent, moves []sim
 
 // resume checks a restored state against the view before any table grows
 // from it. A checkpoint is untrusted input: a robot out of range or listed
-// twice, or a root, anchor or BF stack node the view has not explored, is
-// an error, and so is a depth that disagrees with the view's.
+// twice, or a root, anchor, BF stack node or open node the view has not
+// explored, is an error, and so is a depth that disagrees with the view's
+// (an open node filed under another depth would be closed in the wrong
+// bucket), or a robot or open node of this instance outside its subtree
+// (its explores would be filed at depths above the root, and a
+// re-anchoring walk up from it would never meet the root).
 func (b *BFDN) resume(v *sim.View) error {
 	for _, r := range b.robots {
 		if r >= v.K() {
@@ -294,8 +298,25 @@ func (b *BFDN) resume(v *sim.View) error {
 	if !v.Explored(b.root) || b.seeded && v.DepthOf(b.root) != b.rootDepth {
 		return fmt.Errorf("core: restored root %d at depth %d is not an explored node there", b.root, b.rootDepth)
 	}
+	rd := v.DepthOf(b.root)
+	within := func(u tree.NodeID) bool {
+		for d := v.DepthOf(u); d > rd; d-- {
+			u = v.Parent(u)
+		}
+		return u == b.root
+	}
+	for d := 0; d < b.idx.Depths(); d++ {
+		for _, u := range b.idx.Members(d) {
+			if !v.Explored(u) || v.DepthOf(u) != rd+d || !within(u) {
+				return fmt.Errorf("core: restored open node %d is not an explored node at relative depth %d under %d", u, d, b.root)
+			}
+		}
+	}
 	for j := range b.rs {
 		st := &b.rs[j]
+		if r := b.robots[j]; !within(v.Pos(r)) {
+			return fmt.Errorf("core: restored robot %d at %d is outside the subtree of %d", r, v.Pos(r), b.root)
+		}
 		if b.seeded && (!v.Explored(st.anchor) || st.anchorDepth < 0 || v.DepthOf(st.anchor) != b.rootDepth+st.anchorDepth) {
 			return fmt.Errorf("core: restored anchor %d of robot %d is not an explored node at relative depth %d", st.anchor, b.robots[j], st.anchorDepth)
 		}

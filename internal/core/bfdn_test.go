@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -144,8 +146,8 @@ func TestBFDNClaim3ExcursionIdentity(t *testing.T) {
 	}
 }
 
-// TestBFDNClaim4OpenNodeCoverage steps a run manually and checks after every
-// round that every node adjacent to a dangling edge lies in the subtree of
+// TestBFDNClaim4OpenNodeCoverage checks, from a round hook after every
+// round, that every node adjacent to a dangling edge lies in the subtree of
 // some robot's anchor.
 func TestBFDNClaim4OpenNodeCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -159,20 +161,7 @@ func TestBFDNClaim4OpenNodeCoverage(t *testing.T) {
 			}
 			alg := NewAlgorithm(k)
 			v := w.View()
-			var events []sim.ExploreEvent
-			for round := 0; round < 100000; round++ {
-				moves, err := alg.SelectMoves(v, events)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev, moved, err := w.Apply(moves)
-				if err != nil {
-					t.Fatal(err)
-				}
-				events = ev
-				if !moved {
-					break
-				}
+			res, err := sim.RunContext(context.Background(), w, alg, 0, nil, func(_ []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
 				// Claim 4 check: every explored node with a dangling edge is
 				// a descendant of some anchor.
 				inner := alg.Inner()
@@ -188,13 +177,13 @@ func TestBFDNClaim4OpenNodeCoverage(t *testing.T) {
 						}
 					}
 					if !covered {
-						t.Fatalf("%s k=%d round %d: open node %d not covered by any anchor subtree",
-							tr, k, round, node)
+						return false, fmt.Errorf("round %d: open node %d not covered by any anchor subtree", v.Round(), node)
 					}
 				}
-			}
-			if !w.FullyExplored() {
-				t.Fatalf("%s k=%d: incomplete", tr, k)
+				return !moved, nil
+			})
+			if err != nil || !res.FullyExplored {
+				t.Fatalf("%s k=%d: explored=%v: %v", tr, k, res.FullyExplored, err)
 			}
 		}
 	}

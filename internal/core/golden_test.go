@@ -62,29 +62,21 @@ func goldenTrees() []*tree.Tree {
 
 var goldenKs = []int{1, 2, 3, 8, 16, 64}
 
-// moveRecorder wraps an algorithm and hashes every move of every round it
-// returns, so a change to any single re-anchoring decision shows.
-type moveRecorder struct {
-	a   sim.Algorithm
-	h   hash.Hash
-	buf []byte
-}
-
-func (r *moveRecorder) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	moves, err := r.a.SelectMoves(v, events)
-	if err != nil {
-		return nil, err
-	}
-	r.buf = r.buf[:0]
-	for _, m := range moves {
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Kind))
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Child))
-		if m.Kind == sim.Explore {
-			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Ticket.From()))
+// hashMoves is a round hook that hashes every move of every round into
+// h, so a change to any single re-anchoring decision shows.
+func hashMoves(h hash.Hash) sim.RoundHook {
+	var buf []byte
+	return func(moves []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
+		for _, m := range moves {
+			buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(m.Kind))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Child))
+			if m.Kind == sim.Explore {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Ticket.From()))
+			}
+			h.Write(buf)
 		}
+		return !moved, nil
 	}
-	r.h.Write(r.buf)
-	return moves, nil
 }
 
 // TestGoldenMoveFingerprints pins sync BFDN's exact decisions under every
@@ -116,19 +108,19 @@ func TestGoldenMoveFingerprints(t *testing.T) {
 					if shortcut {
 						opts = append(opts, WithShortcutReanchor())
 					}
-					rec := &moveRecorder{a: NewAlgorithm(k, opts...), h: sha256.New()}
+					h := sha256.New()
 					w, err := sim.NewWorld(tr, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := sim.Run(w, rec, 0)
+					res, err := sim.RunContext(context.Background(), w, NewAlgorithm(k, opts...), 0, nil, hashMoves(h))
 					if err != nil {
 						t.Fatalf("%s %s k=%d: %v", key, tr, k, err)
 					}
 					if !res.FullyExplored || !res.AllAtRoot {
 						t.Fatalf("%s %s k=%d: bad terminal state", key, tr, k)
 					}
-					sum := rec.h.Sum(nil)
+					sum := h.Sum(nil)
 					t.Logf("%s %s k=%d: rounds=%d %x", key, tr, k, res.Rounds, sum)
 					all.Write(sum)
 				}
@@ -161,44 +153,32 @@ func TestGoldenCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, err := sim.Run(w, NewAlgorithm(k, opts...), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if w, err = sim.NewWorld(tr, k); err != nil {
-			t.Fatal(err)
-		}
 		a := NewAlgorithm(k, opts...)
-		var events []sim.ExploreEvent
-		for round := 0; round < rounds; round++ {
-			moves, err := a.SelectMoves(w.View(), events)
-			if err != nil {
-				t.Fatal(err)
+		var ckpt []byte
+		wantRes, err := sim.RunContext(context.Background(), w, a, 0, nil, sim.SaveEvery(w, a, rounds, func(state []byte) error {
+			if ckpt == nil {
+				ckpt = state
 			}
-			var moved bool
-			if events, moved, err = w.Apply(moves); err != nil || !moved {
-				t.Fatalf("%s round %d: moved=%v err=%v", key, round, moved, err)
-			}
-		}
-		ckpt, err := sim.EncodeCheckpoint(w, a, events)
+			return nil
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(ckpt)
 		if got := hex.EncodeToString(sum[:]); got != want[key] {
-			t.Errorf("%s: checkpoint at round %d (%d bytes, %d pending events) hashes to %s, want %s",
-				key, w.Round(), len(ckpt), len(events), got, want[key])
+			t.Errorf("%s: checkpoint at round %d (%d bytes) hashes to %s, want %s",
+				key, rounds, len(ckpt), got, want[key])
 		}
 
 		if w, err = sim.NewWorld(tr, k); err != nil {
 			t.Fatal(err)
 		}
 		b := NewAlgorithm(k, opts...)
-		if events, err = sim.RestoreCheckpoint(ckpt, w, b); err != nil {
+		events, err := sim.RestoreCheckpoint(ckpt, w, b)
+		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		res, err := sim.RunCheckpointedContext(context.Background(), w, b, 0, events, 0, nil)
+		res, err := sim.RunContext(context.Background(), w, b, 0, events, nil)
 		if err != nil {
 			t.Fatalf("%s: resumed run: %v", key, err)
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bfdn/internal/sim"
@@ -19,13 +21,10 @@ func warmWorld(tb testing.TB, tr *tree.Tree, k, rounds int, opts ...Option) (*si
 		tb.Fatal(err)
 	}
 	a := NewAlgorithm(k, opts...)
-	var events []sim.ExploreEvent
-	for round := 0; round < rounds; round++ {
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if events, _, err = w.Apply(moves); err != nil {
+	if rounds > 0 {
+		if _, err := sim.RunContext(context.Background(), w, a, 0, nil, func([]sim.Move, []sim.ExploreEvent, bool) (bool, error) {
+			return w.Round() == rounds, nil
+		}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -201,4 +200,58 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("%d moves for %d robots", len(moves), k)
 		}
 	})
+}
+
+// TestRestoredInstanceStaysInItsSubtree: a restored instance whose robot
+// or open node lies outside its root's subtree is refused on its first
+// round. A robot outside explored there, and the index filed its finds at
+// depths above the root; an open node outside became an anchor whose path
+// home walked up past the tree's root.
+func TestRestoredInstanceStaysInItsSubtree(t *testing.T) {
+	tr := tree.KAry(3, 5)
+	// The first round with explored nodes x and y, y open, at x's depth or
+	// deeper and outside x's subtree.
+	var w *sim.World
+	x, y := tree.Nil, tree.Nil
+	for rounds := 1; y == tree.Nil; rounds++ {
+		w, _ = warmWorld(t, tr, 1, rounds)
+		v := w.View()
+		for u := tree.NodeID(1); int(u) < tr.N(); u++ {
+			for c := tree.NodeID(1); int(c) < tr.N(); c++ {
+				if v.Explored(u) && v.Explored(c) && v.DanglingAt(c) > 0 && tr.DepthOf(c) >= tr.DepthOf(u) && !tr.IsAncestor(u, c) {
+					x, y = u, c
+				}
+			}
+		}
+	}
+	// Move the robot to x, inside x's subtree and outside y's.
+	var e snap.Encoder
+	w.Snapshot(&e)
+	d := snap.NewDecoder(e.Bytes())
+	d.Int()
+	d.Int()
+	d.Int32()
+	var at snap.Encoder
+	at.Int(1)
+	at.Int(tr.N())
+	at.Int32(int32(x))
+	ckpt := append(at.Bytes(), e.Bytes()[len(e.Bytes())-d.Rest():]...)
+	for name, root := range map[string]tree.NodeID{"robot outside": y, "open node outside": x} {
+		w, err := sim.NewWorld(tr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Restore(snap.NewDecoder(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+		a := NewAlgorithm(1)
+		a.b.root, a.b.rootDepth, a.b.seeded, a.b.restored = root, tr.DepthOf(root), true, true
+		a.b.rs[0].anchor = root
+		if root == x {
+			a.b.idx.AddOpen(y, tr.DepthOf(y)-tr.DepthOf(x))
+		}
+		if _, err := sim.Run(w, a, 0); err == nil || !strings.Contains(err.Error(), "outside") && !strings.Contains(err.Error(), "under") {
+			t.Errorf("%s: resumed run = %v, want the subtree refused", name, err)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package cte
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,20 +29,7 @@ func TestOpenSubtreeCountsExact(t *testing.T) {
 	}
 	c := New(k)
 	v := w.View()
-	var events []sim.ExploreEvent
-	for round := 0; round < 1_000_000; round++ {
-		moves, err := c.SelectMoves(v, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, moved, err := w.Apply(moves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = ev
-		if !moved {
-			break
-		}
+	res, err := sim.RunContext(context.Background(), w, c, 0, nil, func(_ []sim.Move, events []sim.ExploreEvent, moved bool) (bool, error) {
 		for node := tree.NodeID(0); int(node) < tr.N(); node++ {
 			if !v.Explored(node) {
 				continue
@@ -59,13 +48,14 @@ func TestOpenSubtreeCountsExact(t *testing.T) {
 				}
 			}
 			if got := int(c.open.Get(node)); got != adjusted {
-				t.Fatalf("round %d node %d: counter %d, adjusted recount %d",
-					round, node, got, adjusted)
+				return false, fmt.Errorf("round %d node %d: counter %d, adjusted recount %d",
+					v.Round(), node, got, adjusted)
 			}
 		}
-	}
-	if !w.FullyExplored() {
-		t.Fatal("incomplete")
+		return !moved, nil
+	})
+	if err != nil || !res.FullyExplored {
+		t.Fatalf("explored=%v: %v", res.FullyExplored, err)
 	}
 }
 

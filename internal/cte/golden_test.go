@@ -1,6 +1,7 @@
 package cte
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -28,29 +29,21 @@ func goldenTrees() []*tree.Tree {
 
 var goldenKs = []int{1, 2, 3, 8, 16, 64, 128}
 
-// moveRecorder wraps an algorithm and hashes every move of every round it
-// returns, so a change to any single grouping or split decision shows.
-type moveRecorder struct {
-	a   sim.Algorithm
-	h   hash.Hash
-	buf []byte
-}
-
-func (r *moveRecorder) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	moves, err := r.a.SelectMoves(v, events)
-	if err != nil {
-		return nil, err
-	}
-	r.buf = r.buf[:0]
-	for _, m := range moves {
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Kind))
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Child))
-		if m.Kind == sim.Explore {
-			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Ticket.From()))
+// hashMoves is a round hook that hashes every move of every round into
+// h, so a change to any single grouping or split decision shows.
+func hashMoves(h hash.Hash) sim.RoundHook {
+	var buf []byte
+	return func(moves []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
+		for _, m := range moves {
+			buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(m.Kind))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Child))
+			if m.Kind == sim.Explore {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Ticket.From()))
+			}
+			h.Write(buf)
 		}
+		return !moved, nil
 	}
-	r.h.Write(r.buf)
-	return moves, nil
 }
 
 // TestGoldenMoveFingerprint pins CTE's exact decisions: a SHA-256 over
@@ -60,19 +53,19 @@ func TestGoldenMoveFingerprint(t *testing.T) {
 	all := sha256.New()
 	for _, tr := range goldenTrees() {
 		for _, k := range goldenKs {
-			rec := &moveRecorder{a: New(k), h: sha256.New()}
+			h := sha256.New()
 			w, err := sim.NewWorld(tr, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Run(w, rec, 0)
+			res, err := sim.RunContext(context.Background(), w, New(k), 0, nil, hashMoves(h))
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tr, k, err)
 			}
 			if !res.FullyExplored || !res.AllAtRoot {
 				t.Fatalf("%s k=%d: bad terminal state", tr, k)
 			}
-			sum := rec.h.Sum(nil)
+			sum := h.Sum(nil)
 			t.Logf("%s k=%d: rounds=%d %x", tr, k, res.Rounds, sum)
 			all.Write(sum)
 		}
@@ -93,24 +86,18 @@ func TestGoldenCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(k)
-	var events []sim.ExploreEvent
-	for round := 0; round < rounds; round++ {
-		moves, err := c.SelectMoves(w.View(), events)
-		if err != nil {
-			t.Fatal(err)
+	var ckpt []byte
+	save := func(state []byte) error {
+		if ckpt == nil {
+			ckpt = state
 		}
-		var moved bool
-		if events, moved, err = w.Apply(moves); err != nil || !moved {
-			t.Fatalf("round %d: moved=%v err=%v", round, moved, err)
-		}
+		return nil
 	}
-	ckpt, err := sim.EncodeCheckpoint(w, c, events)
-	if err != nil {
+	if _, err := sim.RunContext(context.Background(), w, c, 0, nil, sim.SaveEvery(w, c, rounds, save)); err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(ckpt)
 	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("checkpoint at round %d (%d bytes, %d pending events) hashes to %s, want %s",
-			w.Round(), len(ckpt), len(events), got, want)
+		t.Errorf("checkpoint at round %d (%d bytes) hashes to %s, want %s", rounds, len(ckpt), got, want)
 	}
 }

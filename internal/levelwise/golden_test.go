@@ -31,29 +31,21 @@ func goldenTrees() []*tree.Tree {
 
 var goldenKs = []int{1, 2, 3, 8, 16, 64, 128}
 
-// moveRecorder wraps an algorithm and hashes every move of every round it
-// returns, so a change to any single phase assignment shows.
-type moveRecorder struct {
-	a   sim.Algorithm
-	h   hash.Hash
-	buf []byte
-}
-
-func (r *moveRecorder) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	moves, err := r.a.SelectMoves(v, events)
-	if err != nil {
-		return nil, err
-	}
-	r.buf = r.buf[:0]
-	for _, m := range moves {
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Kind))
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Child))
-		if m.Kind == sim.Explore {
-			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Ticket.From()))
+// hashMoves is a round hook that hashes every move of every round into
+// h, so a change to any single phase assignment shows.
+func hashMoves(h hash.Hash) sim.RoundHook {
+	var buf []byte
+	return func(moves []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
+		for _, m := range moves {
+			buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(m.Kind))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Child))
+			if m.Kind == sim.Explore {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Ticket.From()))
+			}
+			h.Write(buf)
 		}
+		return !moved, nil
 	}
-	r.h.Write(r.buf)
-	return moves, nil
 }
 
 // TestGoldenMoveFingerprint pins Levelwise's exact decisions: a SHA-256
@@ -65,20 +57,20 @@ func TestGoldenMoveFingerprint(t *testing.T) {
 	for _, tr := range goldenTrees() {
 		for _, k := range goldenKs {
 			l := New(k)
-			rec := &moveRecorder{a: l, h: sha256.New()}
+			h := sha256.New()
 			w, err := sim.NewWorld(tr, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Run(w, rec, 0)
+			res, err := sim.RunContext(context.Background(), w, l, 0, nil, hashMoves(h))
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tr, k, err)
 			}
 			if !res.FullyExplored || !res.AllAtRoot {
 				t.Fatalf("%s k=%d: bad terminal state", tr, k)
 			}
-			rec.h.Write(binary.LittleEndian.AppendUint64(nil, uint64(l.Phases)))
-			sum := rec.h.Sum(nil)
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(l.Phases)))
+			sum := h.Sum(nil)
 			t.Logf("%s k=%d: rounds=%d phases=%d %x", tr, k, res.Rounds, l.Phases, sum)
 			all.Write(sum)
 		}
@@ -96,8 +88,8 @@ const checkpointK, checkpointRounds = 8, 75
 
 func checkpointTree() *tree.Tree { return tree.Random(400, 12, rand.New(rand.NewSource(7))) }
 
-// midRunCheckpoint runs Levelwise for checkpointRounds rounds and encodes
-// the checkpoint the current code writes there.
+// midRunCheckpoint runs Levelwise and returns the first checkpoint the
+// current code writes, after checkpointRounds rounds.
 func midRunCheckpoint(t *testing.T) []byte {
 	t.Helper()
 	w, err := sim.NewWorld(checkpointTree(), checkpointK)
@@ -105,19 +97,14 @@ func midRunCheckpoint(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	l := New(checkpointK)
-	var events []sim.ExploreEvent
-	for round := 0; round < checkpointRounds; round++ {
-		moves, err := l.SelectMoves(w.View(), events)
-		if err != nil {
-			t.Fatal(err)
+	var ckpt []byte
+	save := func(state []byte) error {
+		if ckpt == nil {
+			ckpt = state
 		}
-		var moved bool
-		if events, moved, err = w.Apply(moves); err != nil || !moved {
-			t.Fatalf("round %d: moved=%v err=%v", round, moved, err)
-		}
+		return nil
 	}
-	ckpt, err := sim.EncodeCheckpoint(w, l, events)
-	if err != nil {
+	if _, err := sim.RunContext(context.Background(), w, l, 0, nil, sim.SaveEvery(w, l, checkpointRounds, save)); err != nil {
 		t.Fatal(err)
 	}
 	return ckpt
@@ -156,7 +143,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := sim.RunCheckpointedContext(context.Background(), w, l, 0, events, 0, nil)
+		res, err := sim.RunContext(context.Background(), w, l, 0, events, nil)
 		if err != nil {
 			t.Fatalf("%s: resumed run: %v", name, err)
 		}

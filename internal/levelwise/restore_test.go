@@ -1,6 +1,7 @@
 package levelwise
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,13 +19,10 @@ func warmWorld(tb testing.TB, tr *tree.Tree, k, rounds int) (*sim.World, *Levelw
 		tb.Fatal(err)
 	}
 	l := New(k)
-	var events []sim.ExploreEvent
-	for round := 0; round < rounds; round++ {
-		moves, err := l.SelectMoves(w.View(), events)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if events, _, err = w.Apply(moves); err != nil {
+	if rounds > 0 {
+		if _, err := sim.RunContext(context.Background(), w, l, 0, nil, func([]sim.Move, []sim.ExploreEvent, bool) (bool, error) {
+			return w.Round() == rounds, nil
+		}); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -232,6 +232,10 @@ func (x *Index) PickRoundRobin(d int) tree.NodeID {
 // update).
 func (x *Index) Members(d int) []tree.NodeID { return x.buckets[d].members }
 
+// Depths reports the number of depth buckets, one past the deepest depth
+// the index has held an open node at.
+func (x *Index) Depths() int { return len(x.buckets) }
+
 // Snapshot writes the index verbatim: the depth cursor, the load and
 // position columns, then per bucket its member order, its heap's backing
 // array (stale entries included) and its round-robin cursor. The heap's

@@ -2,9 +2,11 @@ package potential
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math/rand"
 	"testing"
@@ -29,30 +31,22 @@ func goldenTrees() []*tree.Tree {
 
 var goldenKs = []int{1, 2, 3, 8, 16, 64}
 
-// moveRecorder wraps an algorithm and hashes every move of every round it
-// returns, so two implementations are compared decision by decision rather
-// than by round counts alone.
-type moveRecorder struct {
-	a   sim.Algorithm
-	h   hash.Hash
-	buf []byte
-}
-
-func (r *moveRecorder) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	moves, err := r.a.SelectMoves(v, events)
-	if err != nil {
-		return nil, err
-	}
-	r.buf = r.buf[:0]
-	for _, m := range moves {
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Kind))
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Child))
-		if m.Kind == sim.Explore {
-			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Ticket.From()))
+// hashMoves is a round hook that hashes every move of every round into h
+// and checks the round with c, so two implementations are compared
+// decision by decision rather than by round counts alone.
+func hashMoves(h hash.Hash, c *sim.Checker) sim.RoundHook {
+	var buf []byte
+	return func(moves []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
+		for _, m := range moves {
+			buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(m.Kind))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Child))
+			if m.Kind == sim.Explore {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Ticket.From()))
+			}
+			h.Write(buf)
 		}
+		return c.Round(moves, nil, moved)
 	}
-	r.h.Write(r.buf)
-	return moves, nil
 }
 
 // TestGoldenMoveFingerprint pins sync Potential's exact decisions: a
@@ -63,19 +57,19 @@ func TestGoldenMoveFingerprint(t *testing.T) {
 	all := sha256.New()
 	for _, tr := range goldenTrees() {
 		for _, k := range goldenKs {
-			rec := &moveRecorder{a: New(k), h: sha256.New()}
+			h := sha256.New()
 			w, err := sim.NewWorld(tr, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.RunChecked(w, rec, 0)
+			res, err := sim.RunContext(context.Background(), w, New(k), 0, nil, hashMoves(h, sim.NewChecker(w)))
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tr, k, err)
 			}
 			if !res.FullyExplored || !res.AllAtRoot {
 				t.Fatalf("%s k=%d: bad terminal state", tr, k)
 			}
-			sum := rec.h.Sum(nil)
+			sum := h.Sum(nil)
 			t.Logf("%s k=%d: rounds=%d %x", tr, k, res.Rounds, sum)
 			all.Write(sum)
 		}
@@ -97,27 +91,15 @@ func TestGoldenCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := New(k)
-	var events []sim.ExploreEvent
-	for round := 0; ; round++ {
-		moves, err := p.SelectMoves(w.View(), events)
-		if err != nil {
-			t.Fatal(err)
+	var ckpt []byte
+	if _, err := sim.RunContext(context.Background(), w, p, 0, nil, func(_ []sim.Move, events []sim.ExploreEvent, moved bool) (done bool, err error) {
+		if w.Round() > minRound && sharedParent(events) {
+			ckpt, err = sim.EncodeCheckpoint(w, p, events)
+			return true, err
 		}
-		var moved bool
-		events, moved, err = w.Apply(moves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !moved {
-			t.Fatal("run ended before a round explored two children of one parent")
-		}
-		if round >= minRound && sharedParent(events) {
-			break
-		}
-	}
-	ckpt, err := sim.EncodeCheckpoint(w, p, events)
-	if err != nil {
-		t.Fatal(err)
+		return !moved, nil
+	}); err != nil || ckpt == nil {
+		t.Fatalf("no round after round %d explored two children of one parent (%v)", minRound, err)
 	}
 	sum := sha256.Sum256(ckpt)
 	if got := hex.EncodeToString(sum[:]); got != want {
@@ -145,31 +127,18 @@ func TestRestoredRunCheckpointsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, tr := range []*tree.Tree{tree.KAry(3, 5), tree.Random(500, 14, rng), tree.Comb(12, 5)} {
 		for _, k := range []int{1, 3, 16} {
-			step := func(w *sim.World, p *Potential, events []sim.ExploreEvent) ([]sim.ExploreEvent, bool) {
-				moves, err := p.SelectMoves(w.View(), events)
-				if err != nil {
-					t.Fatal(err)
-				}
-				events, moved, err := w.Apply(moves)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return events, moved
-			}
 			w, err := sim.NewWorld(tr, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p := New(k)
 			var ckpts [][]byte
-			var events []sim.ExploreEvent
-			for moved := true; moved; {
-				events, moved = step(w, p, events)
+			if _, err := sim.RunContext(context.Background(), w, p, 0, nil, func(_ []sim.Move, events []sim.ExploreEvent, moved bool) (bool, error) {
 				ckpt, err := sim.EncodeCheckpoint(w, p, events)
-				if err != nil {
-					t.Fatal(err)
-				}
 				ckpts = append(ckpts, ckpt)
+				return !moved, err
+			}); err != nil {
+				t.Fatal(err)
 			}
 			for r := 0; r < len(ckpts); r += 1 + len(ckpts)/5 {
 				w2, err := sim.NewWorld(tr, k)
@@ -181,16 +150,22 @@ func TestRestoredRunCheckpointsMatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := r; i < len(ckpts); i++ {
-					if i > r {
-						events, _ = step(w2, p2, events)
-					}
+				i := r
+				match := func(events []sim.ExploreEvent) (bool, error) {
 					got, err := sim.EncodeCheckpoint(w2, p2, events)
-					if err != nil {
-						t.Fatal(err)
+					if err == nil && !bytes.Equal(got, ckpts[i]) {
+						err = fmt.Errorf("%s k=%d: restored at checkpoint %d, checkpoint %d differs", tr, k, r, i)
 					}
-					if !bytes.Equal(got, ckpts[i]) {
-						t.Fatalf("%s k=%d: restored at checkpoint %d, checkpoint %d differs", tr, k, r, i)
+					i++
+					return i == len(ckpts), err
+				}
+				if done, err := match(events); err != nil {
+					t.Fatal(err)
+				} else if !done {
+					if _, err := sim.RunContext(context.Background(), w2, p2, 0, events, func(_ []sim.Move, events []sim.ExploreEvent, _ bool) (bool, error) {
+						return match(events)
+					}); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}

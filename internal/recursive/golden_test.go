@@ -1,6 +1,7 @@
 package recursive
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -26,29 +27,21 @@ func goldenTrees() []*tree.Tree {
 	}
 }
 
-// moveRecorder wraps an algorithm and hashes every move of every round it
-// returns.
-type moveRecorder struct {
-	a   sim.Algorithm
-	h   hash.Hash
-	buf []byte
-}
-
-func (r *moveRecorder) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	moves, err := r.a.SelectMoves(v, events)
-	if err != nil {
-		return nil, err
-	}
-	r.buf = r.buf[:0]
-	for _, m := range moves {
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Kind))
-		r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Child))
-		if m.Kind == sim.Explore {
-			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(m.Ticket.From()))
+// hashMoves is a round hook that hashes every move of every round into
+// h.
+func hashMoves(h hash.Hash) sim.RoundHook {
+	var buf []byte
+	return func(moves []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
+		for _, m := range moves {
+			buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(m.Kind))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Child))
+			if m.Kind == sim.Explore {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Ticket.From()))
+			}
+			h.Write(buf)
 		}
+		return !moved, nil
 	}
-	r.h.Write(r.buf)
-	return moves, nil
 }
 
 // TestGoldenMoveFingerprints pins BFDN_ℓ's exact decisions: per ℓ, a
@@ -69,19 +62,19 @@ func TestGoldenMoveFingerprints(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec := &moveRecorder{a: alg, h: sha256.New()}
+				h := sha256.New()
 				w, err := sim.NewWorld(tr, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := sim.Run(w, rec, 0)
+				res, err := sim.RunContext(context.Background(), w, alg, 0, nil, hashMoves(h))
 				if err != nil {
 					t.Fatalf("ℓ=%d %s k=%d: %v", ell, tr, k, err)
 				}
 				if !res.FullyExplored || !res.AllAtRoot {
 					t.Fatalf("ℓ=%d %s k=%d: bad terminal state", ell, tr, k)
 				}
-				sum := rec.h.Sum(nil)
+				sum := h.Sum(nil)
 				t.Logf("ℓ=%d %s k=%d: rounds=%d %x", ell, tr, k, res.Rounds, sum)
 				all.Write(sum)
 			}

@@ -1,6 +1,8 @@
 package recursive
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,22 +37,9 @@ func TestBFDNLOpenNodeCoverageInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := w.View()
-		var events []sim.ExploreEvent
-		for round := 0; round < 1_000_000; round++ {
-			moves, err := alg.SelectMoves(v, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev, moved, err := w.Apply(moves)
-			if err != nil {
-				t.Fatal(err)
-			}
-			events = ev
-			if !moved {
-				break
-			}
+		res, err := sim.RunContext(context.Background(), w, alg, 0, nil, func(_ []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
 			if alg.homing {
-				continue // nothing open remains during homing
+				return !moved, nil // nothing open remains during homing
 			}
 			pairs := alg.top.ActiveAnchors(v, nil)
 			for node := tree.NodeID(0); int(node) < tc.tr.N(); node++ {
@@ -65,13 +54,13 @@ func TestBFDNLOpenNodeCoverageInvariant(t *testing.T) {
 					}
 				}
 				if !covered {
-					t.Fatalf("%s k=%d ℓ=%d round %d: open node %d uncovered by %d active anchors",
-						tc.tr, tc.k, tc.ell, round, node, len(pairs))
+					return false, fmt.Errorf("round %d: open node %d uncovered by %d active anchors", v.Round(), node, len(pairs))
 				}
 			}
-		}
-		if !w.FullyExplored() {
-			t.Fatalf("%s: incomplete", tc.tr)
+			return !moved, nil
+		})
+		if err != nil || !res.FullyExplored {
+			t.Fatalf("%s k=%d ℓ=%d: explored=%v: %v", tc.tr, tc.k, tc.ell, res.FullyExplored, err)
 		}
 	}
 }
@@ -92,33 +81,21 @@ func TestBFDNLParallelPositionsInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := w.View()
-	var events []sim.ExploreEvent
-	for round := 0; round < 1_000_000; round++ {
-		moves, err := alg.SelectMoves(v, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, moved, err := w.Apply(moves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = ev
-		if !moved {
-			break
-		}
+	res, err := sim.RunContext(context.Background(), w, alg, 0, nil, func(_ []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
 				lca := tr.LCA(v.Pos(i), v.Pos(j))
 				for a := tr.Parent(lca); a != tree.Nil; a = tr.Parent(a) {
 					if v.DanglingAt(a) > 0 {
-						t.Fatalf("round %d: robots %d,%d: open strict ancestor %d of their LCA %d",
-							round, i, j, a, lca)
+						return false, fmt.Errorf("round %d: robots %d,%d: open strict ancestor %d of their LCA %d",
+							v.Round(), i, j, a, lca)
 					}
 				}
 			}
 		}
-	}
-	if !w.FullyExplored() {
-		t.Fatal("incomplete")
+		return !moved, nil
+	})
+	if err != nil || !res.FullyExplored {
+		t.Fatalf("explored=%v: %v", res.FullyExplored, err)
 	}
 }

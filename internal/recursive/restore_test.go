@@ -26,20 +26,35 @@ func warmBFDNL(tb testing.TB, tr *tree.Tree, k, ell, rounds int) (*sim.World, *B
 		tb.Fatal(err)
 	}
 	var events []sim.ExploreEvent
-	for round := 0; round < rounds; round++ {
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
+	if rounds > 0 {
+		if _, err := sim.RunContext(context.Background(), w, a, 0, nil, func(_ []sim.Move, ev []sim.ExploreEvent, moved bool) (bool, error) {
+			events = ev
+			return !moved || w.Round() == rounds, nil
+		}); err != nil {
 			tb.Fatal(err)
-		}
-		var moved bool
-		if events, moved, err = w.Apply(moves); err != nil {
-			tb.Fatal(err)
-		}
-		if !moved {
-			break
 		}
 	}
 	return w, a, events
+}
+
+// checkpoints runs BFDN_ℓ to the end and returns its Result and its
+// checkpoint before every round that moved a robot.
+func checkpoints(tb testing.TB, tr *tree.Tree, k, ell int) (sim.Result, [][]byte) {
+	tb.Helper()
+	w, a, _ := warmBFDNL(tb, tr, k, ell, 0)
+	first, err := sim.EncodeCheckpoint(w, a, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ckpts := [][]byte{first}
+	res, err := sim.RunContext(context.Background(), w, a, 0, nil, sim.SaveEvery(w, a, 1, func(state []byte) error {
+		ckpts = append(ckpts, state)
+		return nil
+	}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, ckpts
 }
 
 func bfdnlState(a *BFDNL) []byte {
@@ -56,17 +71,8 @@ func TestEveryCheckpointRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, tr := range []*tree.Tree{tree.Random(150, 10, rng), tree.Comb(8, 5), tree.Spider(4, 9)} {
 		for _, c := range []struct{ k, ell int }{{3, 1}, {4, 2}, {9, 2}, {8, 3}} {
-			w, a, _ := warmBFDNL(t, tr, c.k, c.ell, 0)
-			want, err := sim.Run(w, a, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < want.TotalRounds; r++ {
-				w1, a1, events := warmBFDNL(t, tr, c.k, c.ell, r)
-				ckpt, err := sim.EncodeCheckpoint(w1, a1, events)
-				if err != nil {
-					t.Fatal(err)
-				}
+			want, ckpts := checkpoints(t, tr, c.k, c.ell)
+			for r, ckpt := range ckpts {
 				w2, err := sim.NewWorld(tr, c.k)
 				if err != nil {
 					t.Fatal(err)
@@ -82,7 +88,7 @@ func TestEveryCheckpointRestores(t *testing.T) {
 				if again, err := sim.EncodeCheckpoint(w2, a2, events2); err != nil || !bytes.Equal(again, ckpt) {
 					t.Fatalf("%s k=%d ℓ=%d: checkpoint at round %d does not re-encode to its bytes (%v)", tr, c.k, c.ell, r, err)
 				}
-				got, err := sim.RunCheckpointedContext(context.Background(), w2, a2, 0, events2, 0, nil)
+				got, err := sim.RunContext(context.Background(), w2, a2, 0, events2, nil)
 				if err != nil {
 					t.Fatalf("%s k=%d ℓ=%d: resumed at round %d: %v", tr, c.k, c.ell, r, err)
 				}
@@ -205,22 +211,7 @@ func planLengthState(n int) []byte {
 func TestCorruptRestoreIsAnError(t *testing.T) {
 	tr := tree.Random(300, 10, rand.New(rand.NewSource(5)))
 	const k, ell = 4, 2
-	var ckpts [][]byte
-	w, a, events := warmBFDNL(t, tr, k, ell, 0)
-	for moved := true; moved; {
-		ckpt, err := sim.EncodeCheckpoint(w, a, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpts = append(ckpts, ckpt)
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if events, moved, err = w.Apply(moves); err != nil {
-			t.Fatal(err)
-		}
-	}
+	_, ckpts := checkpoints(t, tr, k, ell)
 	restore := func(ckpt []byte) (*sim.World, *BFDNL) {
 		w, err := sim.NewWorld(tr, k)
 		if err != nil {

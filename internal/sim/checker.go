@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"bfdn/internal/tree"
@@ -22,38 +23,69 @@ func NewChecker(w *World) *Checker {
 	}
 }
 
-// Check validates the state after one Apply call: robots moved by at most
-// one edge, the explored set is connected and correctly counted, and the
-// discovered-edge accounting matches a recount. It updates the snapshot.
+// Check validates the state after one Apply call: the world's state is
+// consistent (checkState) and robots moved by at most one edge. It updates
+// the snapshot.
 func (c *Checker) Check() error {
 	w := c.w
+	if err := w.checkState(); err != nil {
+		return err
+	}
 	for i, p := range w.pos {
 		prev := c.prevPos[i]
 		if p != prev && w.t.Parent(p) != prev && w.t.Parent(prev) != p {
 			return fmt.Errorf("sim: robot %d jumped from %d to %d (not adjacent)", i, prev, p)
 		}
-		if !w.explored(p) {
+	}
+	copy(c.prevPos, w.pos)
+	return nil
+}
+
+// Round is the Checker as a RoundHook: it checks every committed round and
+// ends the run at the first still round.
+func (c *Checker) Round(_ []Move, _ []ExploreEvent, moved bool) (bool, error) {
+	if err := c.Check(); err != nil {
+		return false, fmt.Errorf("sim: round %d: %w", c.w.round-1, err)
+	}
+	return !moved, nil
+}
+
+// RunChecked is Run with a Checker validating every round; it is O(n) per
+// round and intended for tests on small trees.
+func RunChecked(w *World, a Algorithm, maxRounds int64) (Result, error) {
+	return RunContext(context.Background(), w, a, maxRounds, nil, NewChecker(w).Round)
+}
+
+// checkState validates the world's state between rounds: every robot
+// stands on an explored node, the explored set is closed under parents,
+// each explored node's explored children are exactly the first
+// NumChildren − dangling of its children, and the explored count and the
+// discovered-edge accounting match a recount. It is O(n); Restore runs it
+// once on every checkpoint, and the Checker after every round.
+func (w *World) checkState() error {
+	t, n := w.t, w.t.N()
+	for i, p := range w.pos {
+		if p < 0 || int(p) >= n || !w.explored(p) {
 			return fmt.Errorf("sim: robot %d stands on unexplored node %d", i, p)
 		}
 	}
-	count := 0
-	discovered := 0
-	for v := 0; v < w.t.N(); v++ {
-		if !w.explored(tree.NodeID(v)) {
+	count, discovered := 0, 0
+	for v := tree.NodeID(0); int(v) < n; v++ {
+		if !w.explored(v) {
 			continue
 		}
 		count++
-		discovered += w.t.NumChildren(tree.NodeID(v))
-		if tree.NodeID(v) != tree.Root && !w.explored(w.t.Parent(tree.NodeID(v))) {
+		discovered += t.NumChildren(v)
+		if v != tree.Root && !w.explored(t.Parent(v)) {
 			return fmt.Errorf("sim: explored node %d has unexplored parent", v)
 		}
-		nk := w.nextKid(tree.NodeID(v))
+		nk := w.nextKid(v)
 		if nk < 0 {
 			return fmt.Errorf("sim: node %d has dangling count %d beyond degree", v, w.dangling[v])
 		}
-		for j := 0; j < nk; j++ {
-			if !w.explored(w.t.Children(tree.NodeID(v))[j]) {
-				return fmt.Errorf("sim: node %d: child cursor covers unexplored child", v)
+		for j, c := range t.Children(v) {
+			if w.explored(c) != (j < nk) {
+				return fmt.Errorf("sim: node %d: child %d is explored=%v, its cursor is %d", v, c, w.explored(c), nk)
 			}
 		}
 	}
@@ -63,39 +95,5 @@ func (c *Checker) Check() error {
 	if discovered != w.metrics.DiscoveredEdges {
 		return fmt.Errorf("sim: discovered edges %d, recount %d", w.metrics.DiscoveredEdges, discovered)
 	}
-	copy(c.prevPos, w.pos)
 	return nil
-}
-
-// RunChecked is Run with a Checker validating every round; it is O(n) per
-// round and intended for tests on small trees.
-func RunChecked(w *World, a Algorithm, maxRounds int64) (Result, error) {
-	if maxRounds <= 0 {
-		n, d := int64(w.t.N()), int64(w.t.Depth())
-		maxRounds = 3*n*d + 2*d + 16
-	}
-	checker := NewChecker(w)
-	var events []ExploreEvent
-	for r := int64(0); r < maxRounds; r++ {
-		moves, err := a.SelectMoves(w.view, events)
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: round %d: %w", w.round, err)
-		}
-		ev, anyMoved, err := w.Apply(moves)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := checker.Check(); err != nil {
-			return Result{}, fmt.Errorf("round %d: %w", w.round-1, err)
-		}
-		events = ev
-		if !anyMoved {
-			return Result{
-				Metrics:       w.Metrics(),
-				FullyExplored: w.FullyExplored(),
-				AllAtRoot:     w.AllAtRoot(),
-			}, nil
-		}
-	}
-	return Result{}, fmt.Errorf("%w (%d rounds, %s)", ErrRoundLimit, maxRounds, w.t)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"bfdn/internal/tree"
@@ -87,10 +89,10 @@ func TestMetricsCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestObserverStreamsProgress drives a small run with an observer installed
-// and checks the streamed snapshots are per-round, monotone, and end at the
-// full exploration.
-func TestObserverStreamsProgress(t *testing.T) {
+// TestRoundHookStreamsProgress streams the world's progress from a round
+// hook: one call per committed round, explored nodes and moves never fall,
+// and the last call sees the full exploration and the run's moves.
+func TestRoundHookStreamsProgress(t *testing.T) {
 	tr, err := tree.FromParents([]int32{-1, 0, 0, 1, 1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -99,44 +101,20 @@ func TestObserverStreamsProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Progress
-	w.SetObserver(func(p Progress) { got = append(got, p) })
-	res, err := Run(w, soloDFS{}, 0)
+	rounds, explored, moves := 0, 0, int64(0)
+	res, err := RunContext(context.Background(), w, soloDFS{}, 0, nil, func(_ []Move, _ []ExploreEvent, moved bool) (bool, error) {
+		if rounds++; w.Round() != rounds || w.ExploredCount() < explored || w.Moves() < moves {
+			return false, fmt.Errorf("call %d at round %d: %d explored and %d moves after %d and %d",
+				rounds, w.Round(), w.ExploredCount(), w.Moves(), explored, moves)
+		}
+		explored, moves = w.ExploredCount(), w.Moves()
+		return !moved, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) == 0 {
-		t.Fatal("observer never invoked")
-	}
-	for i, p := range got {
-		if p.Round != i+1 {
-			t.Fatalf("snapshot %d has Round %d, want %d", i, p.Round, i+1)
-		}
-		if i > 0 {
-			prev := got[i-1]
-			if p.Explored < prev.Explored || p.Moves < prev.Moves {
-				t.Fatalf("progress regressed: %+v -> %+v", prev, p)
-			}
-		}
-	}
-	last := got[len(got)-1]
-	if last.Explored != tr.N() {
-		t.Fatalf("final Explored = %d, want %d", last.Explored, tr.N())
-	}
-	if last.Moves != res.Moves {
-		t.Fatalf("final Moves = %d, want %d", last.Moves, res.Moves)
-	}
-
-	// Removing the observer stops the stream.
-	if err := w.Reset(tr, 2); err != nil {
-		t.Fatal(err)
-	}
-	seen := len(got)
-	w.SetObserver(nil)
-	if _, err := Run(w, soloDFS{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != seen {
-		t.Fatal("observer fired after SetObserver(nil)")
+	if rounds != res.TotalRounds || explored != tr.N() || moves != res.Moves {
+		t.Errorf("hook saw %d rounds ending at %d explored and %d moves; the run took %d rounds and %d moves",
+			rounds, explored, moves, res.TotalRounds, res.Moves)
 	}
 }

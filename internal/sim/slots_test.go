@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -135,20 +136,23 @@ func TestOpenSlotsMatchDFSEnumeration(t *testing.T) {
 		if ti%2 == 1 {
 			firstQuery = rng.Intn(40)
 		}
+		if firstQuery == 0 {
+			checkSlots(t, w, rng)
+		}
 		var ckpt []byte
-		for round := 0; round < 400 && !w.FullyExplored(); round++ {
-			if round >= firstQuery {
+		_, err := RunContext(context.Background(), w, alg, 400, nil, func([]Move, []ExploreEvent, bool) (bool, error) {
+			if w.round >= firstQuery {
 				checkSlots(t, w, rng)
 			}
-			if round == 20 {
+			if w.round == 20 {
 				var e snap.Encoder
 				w.Snapshot(&e)
 				ckpt = e.Bytes()
 			}
-			moves, _ := alg.SelectMoves(w.View(), nil)
-			if _, _, err := w.Apply(moves); err != nil {
-				t.Fatal(err)
-			}
+			return w.FullyExplored(), nil
+		})
+		if err != nil && !errors.Is(err, ErrRoundLimit) {
+			t.Fatal(err)
 		}
 		checkSlots(t, w, rng)
 		if ckpt != nil {
@@ -212,11 +216,10 @@ func TestRestoreRefusesInconsistentCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		alg := &randomExplorer{rng: rand.New(rand.NewSource(1))}
-		for round := 0; round < 30; round++ {
-			moves, _ := alg.SelectMoves(w.View(), nil)
-			if _, _, err := w.Apply(moves); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := RunContext(context.Background(), w, alg, 0, nil, func([]Move, []ExploreEvent, bool) (bool, error) {
+			return w.round == 30, nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		corrupt(w)
 		var e snap.Encoder

@@ -71,7 +71,11 @@ func (w *World) Snapshot(e *snap.Encoder) {
 // Restore reads a Snapshot back into w, which must already hold the same
 // tree and robot count (NewWorld or Reset with the checkpoint's plan).
 // Reservation state is cleared: every stored reservation belonged to a
-// round strictly before the restored one, so none can be live.
+// round strictly before the restored one, so none can be live. A snapshot
+// whose state no run could reach — a robot off the explored tree, an
+// explored node under an unexplored parent, counts that disagree with a
+// recount — is refused with snap.ErrCorrupt; the world is then left in an
+// unspecified state.
 func (w *World) Restore(d *snap.Decoder) error {
 	k, n := d.Int(), d.Int()
 	if err := d.Err(); err != nil {
@@ -99,7 +103,6 @@ func (w *World) Restore(d *snap.Decoder) error {
 		// written invalidates the res table without sweeping it.
 		w.stampBase += int64(w.round) + 1
 		w.slotsLive = false
-		count := 0
 		for v := 0; v < n; v++ {
 			d := int32(-1)
 			if explored[v] {
@@ -108,12 +111,8 @@ func (w *World) Restore(d *snap.Decoder) error {
 					return fmt.Errorf("sim: snapshot gives node %d %d explored children of %d: %w", v, nextKid[v], nc, snap.ErrCorrupt)
 				}
 				d = nc - nextKid[v]
-				count++
 			}
 			w.dangling[v] = d
-		}
-		if count != w.exploredCount {
-			return fmt.Errorf("sim: snapshot counts %d explored nodes, its explored set holds %d: %w", w.exploredCount, count, snap.ErrCorrupt)
 		}
 	}
 	w.round = d.Int()
@@ -128,7 +127,13 @@ func (w *World) Restore(d *snap.Decoder) error {
 	w.metrics.StillRobotRounds = d.Int()
 	w.metrics.EdgeExplorations = d.Int()
 	w.metrics.DiscoveredEdges = d.Int()
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if err := w.checkState(); err != nil {
+		return fmt.Errorf("%w: %w", err, snap.ErrCorrupt)
+	}
+	return nil
 }
 
 // EncodeCheckpoint serializes a mid-run (world, algorithm, pending events)
@@ -192,8 +197,9 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 	// pending events, which only runs once per restore.
 	if d.Err() == nil {
 		for i, ev := range events {
-			if ev.Robot < 0 || ev.Robot >= w.k || !w.view.Explored(ev.Parent) ||
-				!w.view.Explored(ev.Child) || w.t.Parent(ev.Child) != ev.Parent {
+			if ev.Robot < 0 || ev.Robot >= w.k || w.pos[ev.Robot] != ev.Child || !w.view.Explored(ev.Parent) ||
+				!w.view.Explored(ev.Child) || w.t.Parent(ev.Child) != ev.Parent ||
+				ev.NewDangling != w.t.NumChildren(ev.Child) {
 				return nil, fmt.Errorf("sim: checkpoint event %d (robot %d, %d→%d) is not an explore of this world: %w",
 					i, ev.Robot, ev.Parent, ev.Child, snap.ErrCorrupt)
 			}

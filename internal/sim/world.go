@@ -105,10 +105,9 @@ type World struct {
 	// is exactly what an unstamped node reports.
 	stampBase int64
 
-	round    int
-	metrics  Metrics
-	view     *View
-	observer func(Progress)
+	round   int
+	metrics Metrics
+	view    *View
 	// evBuf is the reusable explore-event buffer returned by Apply; it is
 	// valid until the next Apply call (no caller retains events across
 	// rounds), so steady-state rounds allocate nothing.
@@ -224,26 +223,10 @@ func (w *World) AllAtRoot() bool {
 // Metrics returns a copy of the accumulated metrics.
 func (w *World) Metrics() Metrics { return w.metrics.clone() }
 
-// Progress is the per-round snapshot streamed to a World observer: the
-// paper's analytical quantities (round index, explored-node count, total
-// moves) at the granularity an operator gauge wants, without the full trace
-// recorder.
-type Progress struct {
-	// Round is the number of committed rounds so far.
-	Round int
-	// Explored is the number of explored nodes (n at completion).
-	Explored int
-	// Moves is the total edge traversals over all robots so far.
-	Moves int64
-}
-
-// SetObserver installs f, invoked once per committed round (after each
-// successful Apply) with the world's progress. A nil f removes the observer.
-// The hook costs one nil check per round when unset; observers run on the
-// simulating goroutine, so they must be fast and must not call back into the
-// world. The observer survives Reset — the sweep engine's recycled worlds
-// keep streaming to the same consumer.
-func (w *World) SetObserver(f func(Progress)) { w.observer = f }
+// Moves reports the total edge traversals over all robots so far; with
+// Round and ExploredCount it is the progress a RoundHook can stream without
+// copying the metrics.
+func (w *World) Moves() int64 { return w.metrics.Moves }
 
 // ExploredCount reports the number of explored nodes.
 func (w *World) ExploredCount() int { return w.exploredCount }
@@ -407,9 +390,6 @@ func (w *World) Apply(moves []Move) ([]ExploreEvent, bool, error) {
 		}
 	}
 	w.evBuf = events[:0]
-	if w.observer != nil {
-		w.observer(Progress{Round: w.round, Explored: w.exploredCount, Moves: w.metrics.Moves})
-	}
 	return events, anyMoved, nil
 }
 
@@ -431,21 +411,36 @@ type Result struct {
 // ErrRoundLimit is returned by Run when the algorithm exceeds the safety cap.
 var ErrRoundLimit = errors.New("sim: round limit exceeded")
 
+// RoundHook is called by the run loop after each committed round with the
+// round's moves, its explore events (valid until the next round) and
+// whether any robot moved. It decides when the run ends: done stops it with
+// the world's Result, and an error aborts it and is returned as is. A nil
+// hook ends the run at the first round in which no robot moves — the
+// termination condition of Algorithm 1. Hooks run on the simulating
+// goroutine, so they must be fast; they may read the world but must not
+// step it.
+type RoundHook func(moves []Move, events []ExploreEvent, moved bool) (done bool, err error)
+
 // Run drives the algorithm until a round in which no robot moves (the
 // termination condition of Algorithm 1) or until maxRounds rounds have
 // elapsed. maxRounds ≤ 0 selects the cap 3·D·n + 2·D + 4 implied by the
 // paper's termination argument.
 func Run(w *World, a Algorithm, maxRounds int64) (Result, error) {
-	return RunContext(context.Background(), w, a, maxRounds)
+	return RunContext(context.Background(), w, a, maxRounds, nil, nil)
 }
 
-// RunContext is Run with cancellation at round granularity: the context is
-// checked once per round before the algorithm is consulted, so an abandoned
-// run stops burning CPU within one round. On cancellation it returns the
-// context's error (wrapped; test with errors.Is) and a zero Result; the
-// world is left mid-run in a consistent state.
-func RunContext(ctx context.Context, w *World, a Algorithm, maxRounds int64) (Result, error) {
-	return runCheckpointed(ctx, w, a, maxRounds, nil, 0, nil, nil)
+// RunContext is Run with cancellation, pending events and a round hook.
+// The context is checked once per round before the algorithm is consulted,
+// so an abandoned run stops burning CPU within one round; on cancellation it
+// returns the context's error (wrapped; test with errors.Is) and a zero
+// Result, leaving the world mid-run in a consistent state. events seeds the
+// first SelectMoves call: nil for a fresh run, or the pending explore
+// events returned by RestoreCheckpoint when continuing a restored world
+// (DESIGN.md S30; the round counter then continues from where the
+// checkpoint left off, against the same absolute maxRounds cap). hook ends
+// the run (nil: at the first still round).
+func RunContext(ctx context.Context, w *World, a Algorithm, maxRounds int64, events []ExploreEvent, hook RoundHook) (Result, error) {
+	return run(ctx, w, a, maxRounds, events, hook, nil)
 }
 
 // RunRecycledContext is RunContext for engine callers that recycle worlds
@@ -455,21 +450,30 @@ func RunContext(ctx context.Context, w *World, a Algorithm, maxRounds int64) (Re
 // for its report. The caller owns the buffer; handing out arena-carved
 // slices keeps per-point results independent.
 func RunRecycledContext(ctx context.Context, w *World, a Algorithm, maxRounds int64, movesPerRobot []int64) (Result, error) {
-	return runCheckpointed(ctx, w, a, maxRounds, nil, 0, nil, movesPerRobot)
+	return run(ctx, w, a, maxRounds, nil, nil, movesPerRobot)
 }
 
-// RunCheckpointedContext is RunContext for resumable runs (DESIGN.md S30).
-// events seeds the first SelectMoves call: nil for a fresh run, or the
-// pending explore events returned by RestoreCheckpoint when continuing a
-// restored world mid-run (the round counter then continues from where the
-// checkpoint left off, against the same absolute maxRounds cap). When
-// every > 0 and save is non-nil, save receives an EncodeCheckpoint buffer
-// after each block of every committed rounds; a save error aborts the run.
-func RunCheckpointedContext(ctx context.Context, w *World, a Algorithm, maxRounds int64, events []ExploreEvent, every int, save func([]byte) error) (Result, error) {
-	return runCheckpointed(ctx, w, a, maxRounds, events, every, save, nil)
+// SaveEvery returns the checkpointing hook of a resumable run (DESIGN.md
+// S30): after each block of every committed rounds (every > 0) it hands
+// save an EncodeCheckpoint buffer of w and a, and a save error aborts the
+// run. It ends the run at the first still round.
+func SaveEvery(w *World, a Algorithm, every int, save func([]byte) error) RoundHook {
+	return func(_ []Move, events []ExploreEvent, moved bool) (bool, error) {
+		if !moved || w.round%every != 0 {
+			return !moved, nil
+		}
+		state, err := EncodeCheckpoint(w, a, events)
+		if err == nil {
+			if err = save(state); err != nil {
+				err = fmt.Errorf("sim: checkpoint at round %d: %w", w.round, err)
+			}
+		}
+		return false, err
+	}
 }
 
-func runCheckpointed(ctx context.Context, w *World, a Algorithm, maxRounds int64, events []ExploreEvent, every int, save func([]byte) error, movesPerRobot []int64) (Result, error) {
+// run is the one loop that steps a World.
+func run(ctx context.Context, w *World, a Algorithm, maxRounds int64, events []ExploreEvent, hook RoundHook, movesPerRobot []int64) (Result, error) {
 	if maxRounds <= 0 {
 		n, d := int64(w.t.N()), int64(w.t.Depth())
 		maxRounds = 3*n*d + 2*d + 4
@@ -487,28 +491,24 @@ func runCheckpointed(ctx context.Context, w *World, a Algorithm, maxRounds int64
 			return Result{}, err
 		}
 		events = ev
-		if !anyMoved {
+		done := !anyMoved
+		if hook != nil {
+			if done, err = hook(moves, ev, anyMoved); err != nil {
+				return Result{}, err
+			}
+		}
+		if done {
 			res := Result{
 				Metrics:       w.metrics,
 				FullyExplored: w.FullyExplored(),
 				AllAtRoot:     w.AllAtRoot(),
 			}
-			if movesPerRobot != nil {
-				copy(movesPerRobot, w.metrics.MovesPerRobot)
-				res.Metrics.MovesPerRobot = movesPerRobot
-			} else {
-				res.Metrics.MovesPerRobot = append([]int64(nil), w.metrics.MovesPerRobot...)
+			if movesPerRobot == nil {
+				movesPerRobot = make([]int64, w.k)
 			}
+			copy(movesPerRobot, w.metrics.MovesPerRobot)
+			res.Metrics.MovesPerRobot = movesPerRobot
 			return res, nil
-		}
-		if every > 0 && save != nil && w.round%every == 0 {
-			state, err := EncodeCheckpoint(w, a, events)
-			if err != nil {
-				return Result{}, err
-			}
-			if err := save(state); err != nil {
-				return Result{}, fmt.Errorf("sim: checkpoint at round %d: %w", w.round, err)
-			}
 		}
 	}
 	return Result{}, fmt.Errorf("%w (%d rounds, %s)", ErrRoundLimit, maxRounds, w.t)

@@ -275,7 +275,7 @@ func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	w, err := newWorld(t, k, cfg)
+	w, err := sim.NewWorld(t.t, k)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +292,7 @@ func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Repo
 	if every <= 0 {
 		every = 1024
 	}
-	res, err := sim.RunCheckpointedContext(ctx, w, alg, 0, events, every, job.SaveSnapshot)
+	res, err := sim.RunContext(ctx, w, alg, 0, events, roundHook(w, cfg, sim.SaveEvery(w, alg, every, job.SaveSnapshot)))
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
 
@@ -63,7 +64,7 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 
 				// Uninterrupted reference run.
 				w1, a1 := build()
-				want, err := sim.RunContext(context.Background(), w1, a1, 0)
+				want, err := sim.Run(w1, a1, 0)
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
@@ -74,18 +75,7 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 
 				// Killed run: crash right after the first checkpoint.
 				w2, a2 := build()
-				var ckpt []byte
-				_, err = sim.RunCheckpointedContext(context.Background(), w2, a2, 0, nil, 3,
-					func(state []byte) error {
-						ckpt = append([]byte(nil), state...)
-						return errKill
-					})
-				if !errors.Is(err, errKill) {
-					t.Fatalf("killed run: want errKill, got %v", err)
-				}
-				if len(ckpt) == 0 {
-					t.Fatal("no checkpoint captured before the crash")
-				}
+				ckpt := checkpointAt(t, w2, a2, 3)
 
 				// Restore into a completely fresh world + algorithm.
 				w3, a3 := build()
@@ -104,7 +94,7 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 					t.Fatalf("restore → re-snapshot is not byte-identical: %d vs %d bytes", len(resnap), len(ckpt))
 				}
 
-				got, err := sim.RunCheckpointedContext(context.Background(), w3, a3, 0, events, 0, nil)
+				got, err := sim.RunContext(context.Background(), w3, a3, 0, events, nil)
 				if err != nil {
 					t.Fatalf("resumed run: %v", err)
 				}
@@ -121,6 +111,21 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// checkpointAt runs a on w to its first checkpoint, at the given round, and
+// crashes the run there: it returns the checkpoint the crash left behind.
+func checkpointAt(t *testing.T, w *sim.World, a sim.Algorithm, round int) []byte {
+	t.Helper()
+	var ckpt []byte
+	_, err := sim.RunContext(context.Background(), w, a, 0, nil, sim.SaveEvery(w, a, round, func(state []byte) error {
+		ckpt = state
+		return errKill
+	}))
+	if !errors.Is(err, errKill) {
+		t.Fatalf("killed run: want errKill, got %v", err)
+	}
+	return ckpt
 }
 
 // sharedParent reports whether two events explored children of one parent.
@@ -152,14 +157,7 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpt []byte
-	if _, err := sim.RunCheckpointedContext(context.Background(), w, a, 0, nil, 2,
-		func(state []byte) error {
-			ckpt = append([]byte(nil), state...)
-			return errKill
-		}); !errors.Is(err, errKill) {
-		t.Fatalf("want errKill, got %v", err)
-	}
+	ckpt := checkpointAt(t, w, a, 2)
 
 	// Wrong robot count.
 	w5, _ := sim.NewWorld(tr.t, 5)
@@ -201,4 +199,111 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 			t.Errorf("checkpoint with pending event %+v accepted", ev)
 		}
 	}
+
+	// A world no run could reach, in every algorithm's checkpoint after 3
+	// rounds: a robot off the tree or on an unexplored node, or an explored
+	// node under an unexplored parent. Restore used to accept all of them;
+	// the resumed runs then panicked, reported a full exploration, or ran to
+	// their round cap.
+	pt, err := GenerateTree(FamilyRandom, 300, 12, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := int32(pt.N() - 1) // unexplored at round 3, and so is its parent
+	probes := map[string]func(pos []int32, explored []bool, count *int, nextKid []int32){
+		"robot below 0":   func(pos []int32, _ []bool, _ *int, _ []int32) { pos[0] = -3 },
+		"robot past n":    func(pos []int32, _ []bool, _ *int, _ []int32) { pos[0] = last + 6 },
+		"robot on hidden": func(pos []int32, _ []bool, _ *int, _ []int32) { pos[0] = last },
+		"hidden parent": func(_ []int32, explored []bool, count *int, nextKid []int32) {
+			explored[last], nextKid[last] = true, 0
+			*count++
+		},
+	}
+	for _, alg := range Algorithms() {
+		cfg := defaultConfig()
+		cfg.alg = alg
+		build := func() (*sim.World, sim.Algorithm) {
+			a, _, err := newSimAlgorithm(pt, 4, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := sim.NewWorld(pt.t, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w, a
+		}
+		w, a := build()
+		ckpt := checkpointAt(t, w, a, 3)
+		for name, edit := range probes {
+			w, a := build()
+			if _, err := sim.RestoreCheckpoint(rewriteWorld(ckpt, edit), w, a); !errors.Is(err, snap.ErrCorrupt) {
+				t.Errorf("%s: %s: RestoreCheckpoint = %v, want snap.ErrCorrupt", alg, name, err)
+			}
+		}
+	}
+}
+
+// rewriteWorld decodes the world section of a checkpoint up to its cursors,
+// lets edit change the robot positions, explored set, explored count and
+// explored-children cursors, and re-encodes the checkpoint around them.
+func rewriteWorld(ckpt []byte, edit func(pos []int32, explored []bool, count *int, nextKid []int32)) []byte {
+	d := snap.NewDecoder(ckpt)
+	version, k, n := d.Uint64(), d.Int(), d.Int()
+	pos := make([]int32, k)
+	for i := range pos {
+		pos[i] = d.Int32()
+	}
+	explored, count, nextKid := d.Bools(), d.Int(), d.Int32s()
+	edit(pos, explored, &count, nextKid)
+	var e snap.Encoder
+	e.Uint64(version)
+	e.Int(k)
+	e.Int(n)
+	for _, p := range pos {
+		e.Int32(p)
+	}
+	e.Bools(explored)
+	e.Int(count)
+	e.Int32s(nextKid)
+	return append(e.Bytes(), ckpt[len(ckpt)-d.Rest():]...)
+}
+
+// FuzzCheckpoint feeds arbitrary bytes to RestoreCheckpoint for every sync
+// algorithm on a small world, and resumes an accepted checkpoint for a few
+// rounds with a Checker after every round: a checkpoint must be refused
+// with an error, or resume into legal rounds (an algorithm may still refuse
+// its restored state with an error), never a panic. testdata/fuzz/
+// FuzzCheckpoint seeds it with real checkpoints of every algorithm and
+// mutations of them.
+func FuzzCheckpoint(f *testing.F) {
+	tr, err := GenerateTree(FamilyRandom, 60, 6, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const k = 4
+	algs := Algorithms()
+	f.Fuzz(func(t *testing.T, data []byte, alg uint8) {
+		cfg := defaultConfig()
+		cfg.alg = algs[int(alg)%len(algs)]
+		a, _, err := newSimAlgorithm(tr, k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sim.NewWorld(tr.t, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := sim.RestoreCheckpoint(data, w, a)
+		if err != nil {
+			return
+		}
+		checker := sim.NewChecker(w)
+		_, _ = sim.RunContext(context.Background(), w, a, int64(w.Round())+50, events, func(_ []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
+			if err := checker.Check(); err != nil {
+				t.Fatalf("%s: an accepted checkpoint resumed into round %d: %v", cfg.alg, w.Round(), err)
+			}
+			return !moved, nil
+		})
+	})
 }

@@ -1,6 +1,7 @@
 package bfdn
 
 import (
+	"context"
 	"fmt"
 
 	"bfdn/internal/sim"
@@ -37,11 +38,11 @@ func ExploreTraced(t *Tree, k int, every int, opts ...Option) (*Report, *Trace, 
 	if every > 1 {
 		rec.Every = every
 	}
-	w, err := newWorld(t, k, cfg)
+	w, err := sim.NewWorld(t.t, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := sim.Run(w, rec, 0)
+	res, err := sim.RunContext(context.Background(), w, rec, 0, nil, roundHook(w, cfg, nil))
 	if err != nil {
 		return nil, nil, err
 	}
