@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"bfdn/internal/openindex"
@@ -45,9 +44,6 @@ type BFDN struct {
 	rs     []robotState
 	stats  Stats
 	seeded bool
-	// restored marks a state decoded by RestoreState that the next
-	// DecideAllowed must check against the view before using it.
-	restored bool
 	// reanchorAt scratch (shortcut mode): the down-chain and up-chain of the
 	// shortest explored path, reused across re-anchors.
 	scratchDown []tree.NodeID
@@ -176,7 +172,7 @@ func (b *BFDN) Reset(robots []int, root tree.NodeID, rng *rand.Rand) {
 		*st = robotState{stack: st.stack[:0]}
 	}
 	b.stats.reset()
-	b.seeded, b.restored = false, false
+	b.seeded = false
 }
 
 // Stats returns the accumulated instrumentation.
@@ -198,9 +194,38 @@ func (b *BFDN) InBF(j int) bool { return len(b.rs[j].stack) > 0 }
 // MaxAnchorDepth reports the relative anchor-depth limit (-1 if unlimited).
 func (b *BFDN) MaxAnchorDepth() int { return b.maxAnchorDepth }
 
+// Seeded reports whether the instance has decided a round since it was
+// built or Reset.
+func (b *BFDN) Seeded() bool { return b.seeded }
+
+// within reports whether explored node u lies in the instance's subtree.
+func (b *BFDN) within(v *sim.View, u tree.NodeID) bool {
+	for d := v.DepthOf(u); d > v.DepthOf(b.root); d-- {
+		u = v.Parent(u)
+	}
+	return u == b.root
+}
+
+// CheckRobots reports a controlled robot that stands outside the
+// instance's subtree: its explores would be filed at depths above the
+// root, and a re-anchoring walk up from it would never meet the root. An
+// instance checks its robots when it seeds; BFDN_ℓ checks those of a
+// restored instance that has already seeded (DESIGN.md S30).
+func (b *BFDN) CheckRobots(v *sim.View) error {
+	for _, r := range b.robots {
+		if !b.within(v, v.Pos(r)) {
+			return fmt.Errorf("core: robot %d at %d is outside the subtree of %d", r, v.Pos(r), b.root)
+		}
+	}
+	return nil
+}
+
 // seed initializes the open-node index by walking the explored part of the
 // instance's subtree, and anchors every robot at the instance root.
-func (b *BFDN) seed(v *sim.View) {
+func (b *BFDN) seed(v *sim.View) error {
+	if err := b.CheckRobots(v); err != nil {
+		return err
+	}
 	b.rootDepth = v.DepthOf(b.root)
 	stack := []tree.NodeID{b.root}
 	for len(stack) > 0 {
@@ -216,6 +241,7 @@ func (b *BFDN) seed(v *sim.View) {
 		b.idx.ChangeLoad(b.root, 0, 1)
 	}
 	b.seeded = true
+	return nil
 }
 
 // absorb updates the open-node index with the explore events of the previous
@@ -250,13 +276,10 @@ func (b *BFDN) Decide(v *sim.View, events []sim.ExploreEvent, moves []sim.Move) 
 // Stay move and their internal state is left untouched. allowed == nil
 // allows everyone.
 func (b *BFDN) DecideAllowed(v *sim.View, events []sim.ExploreEvent, moves []sim.Move, allowed func(robot int) bool) error {
-	if b.restored {
-		if err := b.resume(v); err != nil {
+	if !b.seeded {
+		if err := b.seed(v); err != nil {
 			return err
 		}
-	}
-	if !b.seeded {
-		b.seed(v)
 	}
 	b.absorb(v, events)
 	for j, r := range b.robots {
@@ -270,63 +293,6 @@ func (b *BFDN) DecideAllowed(v *sim.View, events []sim.ExploreEvent, moves []sim
 		}
 		moves[r] = m
 	}
-	return nil
-}
-
-// resume checks a restored state against the view before any table grows
-// from it. A checkpoint is untrusted input: a robot out of range or listed
-// twice, or a root, anchor, BF stack node or open node the view has not
-// explored, is an error, and so is a depth that disagrees with the view's
-// (an open node filed under another depth would be closed in the wrong
-// bucket), or a robot or open node of this instance outside its subtree
-// (its explores would be filed at depths above the root, and a
-// re-anchoring walk up from it would never meet the root).
-func (b *BFDN) resume(v *sim.View) error {
-	for _, r := range b.robots {
-		if r >= v.K() {
-			return fmt.Errorf("core: restored robot %d is out of range for %d robots", r, v.K())
-		}
-	}
-	b.isMine.setBits(b.robots)
-	distinct := 0
-	for _, w := range b.isMine {
-		distinct += bits.OnesCount64(w)
-	}
-	if distinct != len(b.robots) {
-		return fmt.Errorf("core: restored robot set lists a robot twice")
-	}
-	if !v.Explored(b.root) || b.seeded && v.DepthOf(b.root) != b.rootDepth {
-		return fmt.Errorf("core: restored root %d at depth %d is not an explored node there", b.root, b.rootDepth)
-	}
-	rd := v.DepthOf(b.root)
-	within := func(u tree.NodeID) bool {
-		for d := v.DepthOf(u); d > rd; d-- {
-			u = v.Parent(u)
-		}
-		return u == b.root
-	}
-	for d := 0; d < b.idx.Depths(); d++ {
-		for _, u := range b.idx.Members(d) {
-			if !v.Explored(u) || v.DepthOf(u) != rd+d || !within(u) {
-				return fmt.Errorf("core: restored open node %d is not an explored node at relative depth %d under %d", u, d, b.root)
-			}
-		}
-	}
-	for j := range b.rs {
-		st := &b.rs[j]
-		if r := b.robots[j]; !within(v.Pos(r)) {
-			return fmt.Errorf("core: restored robot %d at %d is outside the subtree of %d", r, v.Pos(r), b.root)
-		}
-		if b.seeded && (!v.Explored(st.anchor) || st.anchorDepth < 0 || v.DepthOf(st.anchor) != b.rootDepth+st.anchorDepth) {
-			return fmt.Errorf("core: restored anchor %d of robot %d is not an explored node at relative depth %d", st.anchor, b.robots[j], st.anchorDepth)
-		}
-		for _, u := range st.stack {
-			if !v.Explored(u) {
-				return fmt.Errorf("core: restored BF stack of robot %d names unexplored node %d", b.robots[j], u)
-			}
-		}
-	}
-	b.restored = false
 	return nil
 }
 

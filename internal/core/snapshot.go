@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
+	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
@@ -13,10 +15,22 @@ import (
 // constructed with the same options, mirroring the Reset/Recycle contract.
 // The RandomOpen policy cannot be checkpointed (its rand.Rand stream is not
 // serializable); RestoreState rejects it.
-func (a *Algorithm) SnapshotState(e *snap.Encoder) { a.b.SnapshotState(e) }
+func (a *Algorithm) SnapshotState(e *snap.Encoder, _ *sim.View, _ []sim.ExploreEvent) {
+	a.b.SnapshotState(e)
+}
 
-// RestoreState implements sim.Snapshotter.
-func (a *Algorithm) RestoreState(d *snap.Decoder) error { return a.b.RestoreState(d) }
+// RestoreState implements sim.Snapshotter. The whole-tree instance is
+// rooted at the tree's root, so all its robots stand in its subtree; a
+// checkpoint that names another root is refused.
+func (a *Algorithm) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEvent) error {
+	if err := a.b.RestoreState(d, v); err != nil {
+		return err
+	}
+	if a.b.root != tree.Root {
+		return fmt.Errorf("core: snapshot root %d is not the tree's root", a.b.root)
+	}
+	return nil
+}
 
 // SnapshotState serializes the instance's cross-round state: robot set,
 // root, per-robot excursion state, statistics, and the anchor index
@@ -55,10 +69,18 @@ func (b *BFDN) SnapshotState(e *snap.Encoder) {
 
 // RestoreState restores a checkpoint written by SnapshotState into b, which
 // must have been constructed (or Reset) with the same configuration and
-// robot count. Buffers are reused where capacity allows. It refuses
-// negative robots and nodes and lengths past the bytes left; the next
-// DecideAllowed checks the rest against the view before using it.
-func (b *BFDN) RestoreState(d *snap.Decoder) error {
+// robot count, and checks it against v as it decodes. Buffers are reused
+// where capacity allows. A checkpoint is untrusted input: a robot out of
+// range or listed twice, a root, anchor, BF stack node or open node the
+// view has not explored, a depth that disagrees with the view's (an open
+// node filed under another depth would be closed in the wrong bucket), an
+// open node outside the instance's subtree (a re-anchoring walk up from it
+// would never meet the root), and a length past the bytes left are errors.
+// The robots' positions are not checked here: a BFDN_ℓ instance may be
+// restored while its robots are still on their way into its subtree, so
+// seeding checks them, and BFDN_ℓ checks those of a seeded instance
+// (CheckRobots).
+func (b *BFDN) RestoreState(d *snap.Decoder, v *sim.View) error {
 	if b.policy == RandomOpen {
 		return fmt.Errorf("core: the RandomOpen policy cannot be restored from a checkpoint")
 	}
@@ -70,30 +92,41 @@ func (b *BFDN) RestoreState(d *snap.Decoder) error {
 		return fmt.Errorf("core: snapshot has %d robots, instance has %d", len(robots), len(b.rs))
 	}
 	for _, r := range robots {
-		if r < 0 {
-			return fmt.Errorf("core: snapshot has negative robot id %d", r)
+		if r < 0 || r >= v.K() {
+			return fmt.Errorf("core: snapshot robot %d is out of range for %d robots", r, v.K())
 		}
 	}
 	b.robots = append(b.robots[:0], robots...)
+	b.isMine.setBits(b.robots)
+	distinct := 0
+	for _, w := range b.isMine {
+		distinct += bits.OnesCount64(w)
+	}
+	if distinct != len(b.robots) {
+		return fmt.Errorf("core: snapshot robot set lists a robot twice")
+	}
 	b.root = tree.NodeID(d.Int32())
 	b.rootDepth = d.Int()
 	b.seeded = d.Bool()
-	if b.root < 0 {
-		return fmt.Errorf("core: corrupt root %d", b.root)
+	if d.Err() != nil || !v.Explored(b.root) || b.seeded && v.DepthOf(b.root) != b.rootDepth {
+		return fmt.Errorf("core: snapshot root %d at depth %d is not an explored node there", b.root, b.rootDepth)
 	}
 	for j := range b.rs {
 		st := &b.rs[j]
 		st.anchor = tree.NodeID(d.Int32())
 		st.anchorDepth = d.Int()
 		n := d.Int()
-		if d.Err() != nil || st.anchor < 0 || n < 0 || n > d.Rest() {
-			return fmt.Errorf("core: corrupt anchor or BF stack for robot slot %d", j)
+		if d.Err() != nil || n < 0 || n > d.Rest() {
+			return fmt.Errorf("core: corrupt BF stack for robot slot %d", j)
+		}
+		if !v.Explored(st.anchor) || b.seeded && (st.anchorDepth < 0 || v.DepthOf(st.anchor) != b.rootDepth+st.anchorDepth) {
+			return fmt.Errorf("core: snapshot anchor %d of robot %d is not an explored node at relative depth %d", st.anchor, b.robots[j], st.anchorDepth)
 		}
 		st.stack = st.stack[:0]
 		for i := 0; i < n; i++ {
 			u := tree.NodeID(d.Int32())
-			if u < 0 {
-				return fmt.Errorf("core: robot slot %d: corrupt BF stack node %d", j, u)
+			if !v.Explored(u) {
+				return fmt.Errorf("core: snapshot BF stack of robot %d names unexplored node %d", b.robots[j], u)
 			}
 			st.stack = append(st.stack, u)
 		}
@@ -116,9 +149,16 @@ func (b *BFDN) RestoreState(d *snap.Decoder) error {
 		})
 	}
 	b.stats.IdleSelections = d.Int()
-	b.restored = true
 	if err := b.idx.Restore(d); err != nil {
 		return err
+	}
+	rd := v.DepthOf(b.root)
+	for dd := 0; dd < b.idx.Depths(); dd++ {
+		for _, u := range b.idx.Members(dd) {
+			if !v.Explored(u) || v.DepthOf(u) != rd+dd || !b.within(v, u) {
+				return fmt.Errorf("core: snapshot open node %d is not an explored node at relative depth %d under %d", u, dd, b.root)
+			}
+		}
 	}
 	return d.Err()
 }

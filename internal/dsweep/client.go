@@ -103,10 +103,6 @@ type attemptError struct {
 	// cannot fix (HTTP 400: the plan itself is invalid for this fleet).
 	busy  bool
 	fatal bool
-	// job is the worker-assigned X-Bfdnd-Job ID when the attempt got far
-	// enough to receive one; retry/hedge log records carry it so coordinator
-	// and worker logs join on the same key.
-	job string
 }
 
 func (e *attemptError) Error() string { return e.err.Error() }
@@ -129,10 +125,8 @@ type serverLine struct {
 // Every deviation — non-200 status, unparseable line, out-of-order or
 // missing points, a truncated stream (no done line) — is reported as an
 // *attemptError so the coordinator can retry or fail over; a shard is never
-// half-merged. The returned job is the worker's X-Bfdnd-Job ID ("" when the
-// attempt died before admission), the key that joins coordinator records
-// with the worker's own job logs.
-func runShard(ctx context.Context, client *http.Client, w *workerState, plan Plan, s *shard, opts Options) ([]Line, string, *attemptError) {
+// half-merged.
+func runShard(ctx context.Context, client *http.Client, w *workerState, plan Plan, s *shard, opts Options) ([]Line, *attemptError) {
 	body, err := json.Marshal(struct {
 		Seed      int64             `json:"seed"`
 		IndexBase int               `json:"indexBase"`
@@ -140,13 +134,13 @@ func runShard(ctx context.Context, client *http.Client, w *workerState, plan Pla
 		Points    []json.RawMessage `json:"points"`
 	}{plan.Seed, s.lo, opts.ShardTimeout.Milliseconds(), plan.Points[s.lo:s.hi]})
 	if err != nil {
-		return nil, "", &attemptError{err: fmt.Errorf("dsweep: marshal shard [%d,%d): %w", s.lo, s.hi, err), fatal: true}
+		return nil, &attemptError{err: fmt.Errorf("dsweep: marshal shard [%d,%d): %w", s.lo, s.hi, err), fatal: true}
 	}
 	actx, cancel := context.WithTimeout(ctx, opts.ShardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, w.url+"/v1/sweep", bytes.NewReader(body))
 	if err != nil {
-		return nil, "", &attemptError{err: err, fatal: true}
+		return nil, &attemptError{err: err, fatal: true}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	// Propagate the dispatch span so a traced worker continues this trace
@@ -154,12 +148,12 @@ func runShard(ctx context.Context, client *http.Client, w *workerState, plan Pla
 	tracing.Inject(ctx, req.Header)
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, "", &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): %w", w.url, s.lo, s.hi, err)}
+		return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): %w", w.url, s.lo, s.hi, err)}
 	}
 	defer resp.Body.Close()
 	// The worker assigns the job ID at admission and echoes it on every
-	// response it owns; attach it to the dispatch span and every outcome so
-	// coordinator records and worker logs join on one key.
+	// response it owns; attach it to the dispatch span so the coordinator's
+	// trace and the worker's job logs join on one key.
 	job := resp.Header.Get("X-Bfdnd-Job")
 	if job != "" {
 		tracing.FromContext(ctx).SetAttr(tracing.String("job", job))
@@ -168,13 +162,13 @@ func runShard(ctx context.Context, client *http.Client, w *workerState, plan Pla
 	case http.StatusOK:
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): worker busy (%d)", w.url, s.lo, s.hi, resp.StatusCode), busy: true, job: job}
+		return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): worker busy (%d)", w.url, s.lo, s.hi, resp.StatusCode), busy: true}
 	case http.StatusBadRequest:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s rejected shard [%d,%d): %s", w.url, s.lo, s.hi, bytes.TrimSpace(msg)), fatal: true, job: job}
+		return nil, &attemptError{err: fmt.Errorf("dsweep: %s rejected shard [%d,%d): %s", w.url, s.lo, s.hi, bytes.TrimSpace(msg)), fatal: true}
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): status %d: %s", w.url, s.lo, s.hi, resp.StatusCode, bytes.TrimSpace(msg)), job: job}
+		return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): status %d: %s", w.url, s.lo, s.hi, resp.StatusCode, bytes.TrimSpace(msg))}
 	}
 
 	lines := make([]Line, 0, s.hi-s.lo)
@@ -184,28 +178,28 @@ func runShard(ctx context.Context, client *http.Client, w *workerState, plan Pla
 	for sc.Scan() {
 		var sl serverLine
 		if err := json.Unmarshal(sc.Bytes(), &sl); err != nil {
-			return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): malformed line %q: %w", w.url, s.lo, s.hi, sc.Text(), err), job: job}
+			return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): malformed line %q: %w", w.url, s.lo, s.hi, sc.Text(), err)}
 		}
 		if sl.Done {
 			sawDone = true
 			continue
 		}
 		if sawDone {
-			return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): point line after done line", w.url, s.lo, s.hi), job: job}
+			return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): point line after done line", w.url, s.lo, s.hi)}
 		}
 		if sl.Point != len(lines) {
-			return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): line %d has point %d — stream out of order", w.url, s.lo, s.hi, len(lines), sl.Point), job: job}
+			return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): line %d has point %d — stream out of order", w.url, s.lo, s.hi, len(lines), sl.Point)}
 		}
 		if sl.Error == "" && len(sl.Report) == 0 {
-			return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): point %d has neither report nor error", w.url, s.lo, s.hi, sl.Point), job: job}
+			return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): point %d has neither report nor error", w.url, s.lo, s.hi, sl.Point)}
 		}
 		lines = append(lines, Line{Point: s.lo + sl.Point, Report: sl.Report, Error: sl.Error})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): stream read: %w", w.url, s.lo, s.hi, err), job: job}
+		return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): stream read: %w", w.url, s.lo, s.hi, err)}
 	}
 	if !sawDone || len(lines) != s.hi-s.lo {
-		return nil, job, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): truncated stream (%d/%d points, done=%v)", w.url, s.lo, s.hi, len(lines), s.hi-s.lo, sawDone), job: job}
+		return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): truncated stream (%d/%d points, done=%v)", w.url, s.lo, s.hi, len(lines), s.hi-s.lo, sawDone)}
 	}
-	return lines, job, nil
+	return lines, nil
 }

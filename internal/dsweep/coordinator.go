@@ -193,7 +193,7 @@ func (c *coord) workerLoop(w *workerState) {
 		c.mu.Lock()
 		s.cancels = append(s.cancels, acancel)
 		// A second concurrent copy of the shard means this dispatch is the
-		// hedge duplicate; the flag only decorates the span and log record.
+		// hedge duplicate; the flag only decorates the span.
 		hedge := s.inflight > 1
 		c.mu.Unlock()
 		// One span per attempt, all siblings under dsweep.run: retries and
@@ -206,16 +206,11 @@ func (c *coord) workerLoop(w *workerState) {
 			span.SetAttr(tracing.String("hedge", "true"))
 		}
 		start := time.Now()
-		lines, job, aerr := runShard(sctx, c.opts.Client, w, c.plan, s, c.opts)
+		lines, aerr := runShard(sctx, c.opts.Client, w, c.plan, s, c.opts)
 		span.SetAttr(tracing.String("outcome", attemptOutcome(aerr)))
 		span.End()
 		acancel()
-		backoff := c.complete(w, s, lines, aerr, time.Since(start))
-		if aerr == nil && c.opts.Logger != nil {
-			c.opts.Logger.Info("shard done", "worker", w.url, "lo", s.lo, "hi", s.hi,
-				"job", job, "hedge", hedge, "elapsedMs", time.Since(start).Milliseconds())
-		}
-		if backoff > 0 {
+		if backoff := c.complete(w, s, lines, aerr, time.Since(start)); backoff > 0 {
 			select {
 			case <-c.ctx.Done():
 				return
@@ -265,10 +260,6 @@ func (c *coord) next(w *workerState) *shard {
 				c.hedges++
 				c.opts.Metrics.hedge()
 				c.startLocked(s, w)
-				if c.opts.Logger != nil {
-					c.opts.Logger.Info("shard hedged", "worker", w.url,
-						"lo", s.lo, "hi", s.hi)
-				}
 				return s
 			}
 		}
@@ -386,7 +377,6 @@ func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptEr
 	}
 
 	var backoff time.Duration
-	died := false
 	switch {
 	case aerr.fatal:
 		c.failLocked(aerr.err)
@@ -410,7 +400,6 @@ func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptEr
 		c.opts.Metrics.shard(w.url, "error", elapsed)
 		if w.consecFails >= c.opts.WorkerFailLimit && !w.dead {
 			w.dead = true
-			died = true
 			c.live--
 			c.deadWorkers++
 			c.opts.Metrics.workerDead()
@@ -425,19 +414,7 @@ func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptEr
 			backoff = backoffDur(c.opts, s.attempts)
 		}
 	}
-	fails := w.consecFails
 	c.mu.Unlock()
-	if c.opts.Logger != nil {
-		// The job key is the worker's X-Bfdnd-Job ID (empty when the attempt
-		// never reached admission): grep it on the worker to see the same
-		// attempt from the other side.
-		c.opts.Logger.Warn("shard retry", "worker", w.url, "lo", s.lo, "hi", s.hi,
-			"job", aerr.job, "outcome", attemptOutcome(aerr), "err", aerr.err)
-		if died {
-			c.opts.Logger.Warn("worker dead", "worker", w.url,
-				"consecFails", fails)
-		}
-	}
 	c.cond.Broadcast()
 	return backoff
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"time"
 
@@ -86,11 +85,6 @@ type Options struct {
 	// trace context is propagated to workers as a traceparent header, so a
 	// traced fleet's worker spans join the coordinator's trace ID.
 	Tracer *tracing.Tracer
-	// Logger, when non-nil, receives per-attempt coordinator records (shard
-	// done/retry/hedge, worker death). Each record carries the worker's
-	// X-Bfdnd-Job ID when one was assigned, so coordinator and worker logs
-	// join on the job key; nil disables logging.
-	Logger *slog.Logger
 	// OnLine, when non-nil, streams each merged line in strict global point
 	// order as soon as it is final. It is called from coordinator
 	// goroutines under the merge lock: keep it fast.

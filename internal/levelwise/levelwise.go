@@ -40,11 +40,6 @@ type Levelwise struct {
 	count   []int32
 	buckets []bucket
 	lo      int
-	// entries is the open list in checkpoint form: decoded by RestoreState
-	// and checked against the view by the next SelectMoves while restored is
-	// set, and SnapshotState's scratch otherwise.
-	entries  []entry
-	restored bool
 
 	plans  []plan
 	moves  []sim.Move
@@ -60,12 +55,6 @@ type Levelwise struct {
 type bucket struct {
 	nodes          []tree.NodeID
 	closed, sorted int
-}
-
-// entry is one open node of a checkpoint and its dangling-edge count.
-type entry struct {
-	node  tree.NodeID
-	count int32
 }
 
 type plan struct {
@@ -107,8 +96,7 @@ func (l *Levelwise) Reset(k int) {
 		l.buckets[i] = bucket{nodes: l.buckets[i].nodes[:0]}
 	}
 	l.lo = 0
-	l.entries = l.entries[:0]
-	l.restored, l.seeded, l.Phases = false, false, 0
+	l.seeded, l.Phases = false, 0
 }
 
 // Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
@@ -147,11 +135,6 @@ func (l *Levelwise) addOpen(v *sim.View, node tree.NodeID, count int) {
 
 // SelectMoves implements sim.Algorithm.
 func (l *Levelwise) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if l.restored {
-		if err := l.resume(v); err != nil {
-			return nil, err
-		}
-	}
 	if !l.seeded {
 		l.seeded = true
 		l.addOpen(v, tree.Root, v.DanglingAt(tree.Root))
@@ -173,36 +156,6 @@ func (l *Levelwise) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 		l.moves[i] = m
 	}
 	return l.moves, nil
-}
-
-// resume checks a restored state against the view before anything indexes
-// a table with its nodes, then files the open-list entries in their
-// buckets. A checkpoint is untrusted input: a node the view has not
-// explored is an error.
-func (l *Levelwise) resume(v *sim.View) error {
-	for i := range l.plans {
-		p := &l.plans[i]
-		for _, u := range p.down {
-			if !v.Explored(u) {
-				return fmt.Errorf("levelwise: restored path of robot %d names unexplored node %d", i, u)
-			}
-		}
-		if p.explore != tree.Nil && !v.Explored(p.explore) {
-			return fmt.Errorf("levelwise: restored target of robot %d is unexplored node %d", i, p.explore)
-		}
-	}
-	for _, e := range l.entries {
-		if !v.Explored(e.node) {
-			return fmt.Errorf("levelwise: restored open node %d is unexplored", e.node)
-		}
-		if int(e.node) < len(l.count) && l.count[e.node] > 0 {
-			return fmt.Errorf("levelwise: restored open node %d is listed twice", e.node)
-		}
-		l.addOpen(v, e.node, int(e.count))
-	}
-	l.entries = l.entries[:0]
-	l.restored = false
-	return nil
 }
 
 func (l *Levelwise) phaseDone(v *sim.View) bool {

@@ -11,28 +11,53 @@ import (
 )
 
 // warmWorld returns a world that Levelwise has run for the given number of
-// rounds, so restored nodes have a chance of naming explored nodes.
-func warmWorld(tb testing.TB, tr *tree.Tree, k, rounds int) (*sim.World, *Levelwise) {
+// rounds, with the instance that ran it and the pending events, so
+// restored nodes have a chance of naming explored nodes.
+func warmWorld(tb testing.TB, tr *tree.Tree, k, rounds int) (*sim.World, *Levelwise, []sim.ExploreEvent) {
 	tb.Helper()
 	w, err := sim.NewWorld(tr, k)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	l := New(k)
+	var events []sim.ExploreEvent
 	if rounds > 0 {
-		if _, err := sim.RunContext(context.Background(), w, l, 0, nil, func([]sim.Move, []sim.ExploreEvent, bool) (bool, error) {
+		if _, err := sim.RunContext(context.Background(), w, l, 0, nil, func(_ []sim.Move, ev []sim.ExploreEvent, _ bool) (bool, error) {
+			events = ev
 			return w.Round() == rounds, nil
 		}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return w, l
+	return w, l, events
 }
 
 func state(l *Levelwise) []byte {
 	var e snap.Encoder
-	l.SnapshotState(&e)
+	l.SnapshotState(&e, nil, nil)
 	return e.Bytes()
+}
+
+// movesOfK fails the test when the algorithm it wraps returns no error
+// and a move set whose length is not k; the world would refuse that set
+// with an error a fuzz target could not tell from a refusal.
+type movesOfK struct {
+	t *testing.T
+	sim.Algorithm
+}
+
+func (m movesOfK) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
+	moves, err := m.Algorithm.SelectMoves(v, events)
+	if err == nil && len(moves) != v.K() {
+		m.t.Fatalf("round %d: %d moves for %d robots", v.Round(), len(moves), v.K())
+	}
+	return moves, err
+}
+
+// entry is one open node of a checkpoint and its dangling-edge count.
+type entry struct {
+	node  tree.NodeID
+	count int32
 }
 
 // corruptState encodes a k-robot state with the given open-list entries
@@ -63,8 +88,8 @@ func corruptState(k int, entries []entry, path []tree.NodeID) []byte {
 }
 
 // TestCorruptRestoreIsAnError feeds checkpoints naming nodes the world does
-// not hold: RestoreState or the next SelectMoves must return an error, where
-// an unchecked node used to index past the end of a table and panic.
+// not hold: RestoreState must return an error, where an unchecked node used
+// to index past the end of a table and panic.
 func TestCorruptRestoreIsAnError(t *testing.T) {
 	tr := tree.Random(300, 10, rand.New(rand.NewSource(5)))
 	const k = 4
@@ -76,37 +101,32 @@ func TestCorruptRestoreIsAnError(t *testing.T) {
 		"open node listed twice":  corruptState(k, []entry{{0, 1}, {0, 1}}, nil),
 		"unexplored open node":    corruptState(k, []entry{{tree.NodeID(tr.N() - 1), 1}}, nil),
 	} {
-		w, _ := warmWorld(t, tr, k, 0)
-		l := New(k)
-		if err := l.RestoreState(snap.NewDecoder(data)); err != nil {
-			continue
-		}
-		if _, err := l.SelectMoves(w.View(), nil); err == nil {
-			t.Errorf("%s: restored and selected moves without an error", name)
+		w, _, _ := warmWorld(t, tr, k, 0)
+		if err := New(k).RestoreState(snap.NewDecoder(data), w.View(), nil); err == nil {
+			t.Errorf("%s: restored without an error", name)
 		}
 	}
 }
 
-// FuzzRestore feeds arbitrary bytes to RestoreState and runs one
-// SelectMoves on a small world a few rounds into a run: the result must be
-// an error or a move set, never a panic.
+// FuzzRestore feeds arbitrary bytes to RestoreState against a small world
+// a few rounds into a run and the explores of its last round, and resumes
+// an accepted state for up to five rounds: each must be an error or a move
+// set for every robot, never a panic.
 func FuzzRestore(f *testing.F) {
 	tr := tree.Random(60, 6, rand.New(rand.NewSource(3)))
 	const k, rounds = 3, 9
 	for _, r := range []int{0, 1, rounds, 2 * rounds} {
-		_, l := warmWorld(f, tr, k, r)
+		_, l, _ := warmWorld(f, tr, k, r)
 		f.Add(state(l))
 	}
 	f.Add(corruptState(k, nil, []tree.NodeID{1 << 20}))
 	f.Add(corruptState(k, []entry{{1 << 20, 1}, {0, 2}}, []tree.NodeID{2, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, _ := warmWorld(t, tr, k, rounds)
+		w, _, events := warmWorld(t, tr, k, rounds)
 		l := New(k)
-		if l.RestoreState(snap.NewDecoder(data)) != nil {
+		if l.RestoreState(snap.NewDecoder(data), w.View(), events) != nil {
 			return
 		}
-		if moves, err := l.SelectMoves(w.View(), nil); err == nil && len(moves) != k {
-			t.Fatalf("%d moves for %d robots", len(moves), k)
-		}
+		_, _ = sim.RunContext(context.Background(), w, movesOfK{t, l}, int64(w.Round())+5, events, nil)
 	})
 }

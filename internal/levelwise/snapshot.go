@@ -3,6 +3,7 @@ package levelwise
 import (
 	"fmt"
 
+	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
@@ -12,27 +13,28 @@ import (
 // a phase start would assign them, shallowest first and by id within a
 // depth, so the bytes depend only on the decision state. Sorting the
 // buckets for it does what the next phase start would do, so it changes no
-// decision. A restored state not yet resumed writes its decoded entries
-// back verbatim. Per-robot phase plans (remaining descent path, the node to
+// decision. Per-robot phase plans (remaining descent path, the node to
 // explore, the trip home) are stored verbatim.
-func (l *Levelwise) SnapshotState(e *snap.Encoder) {
+func (l *Levelwise) SnapshotState(e *snap.Encoder, _ *sim.View, _ []sim.ExploreEvent) {
 	e.Int(l.k)
 	e.Bool(l.seeded)
 	e.Int(l.Phases)
-	if !l.restored {
-		l.entries = l.entries[:0]
-		for d := range l.buckets {
-			for _, node := range l.live(d) {
-				if c := l.count[node]; c > 0 {
-					l.entries = append(l.entries, entry{node, c})
-				}
+	open := 0
+	for d := range l.buckets {
+		for _, node := range l.live(d) {
+			if l.count[node] > 0 {
+				open++
 			}
 		}
 	}
-	e.Int(len(l.entries))
-	for _, en := range l.entries {
-		e.Int32(int32(en.node))
-		e.Int(int(en.count))
+	e.Int(open)
+	for d := range l.buckets {
+		for _, node := range l.live(d) {
+			if c := l.count[node]; c > 0 {
+				e.Int32(int32(node))
+				e.Int(int(c))
+			}
+		}
 	}
 	for i := range l.plans {
 		p := &l.plans[i]
@@ -46,9 +48,11 @@ func (l *Levelwise) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sim.Snapshotter; l must have been constructed for
-// the snapshot's robot count. It refuses negative nodes and counts; the
-// next SelectMoves checks every node against the view before using it.
-func (l *Levelwise) RestoreState(d *snap.Decoder) error {
+// the snapshot's robot count. It files the open list in its buckets as it
+// decodes it. A checkpoint is untrusted input: a node v has not explored,
+// an open node listed twice, a negative count and a length past the bytes
+// left are errors.
+func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEvent) error {
 	k := d.Int()
 	if err := d.Err(); err != nil {
 		return err
@@ -64,11 +68,14 @@ func (l *Levelwise) RestoreState(d *snap.Decoder) error {
 		return fmt.Errorf("levelwise: corrupt open-list length %d", n)
 	}
 	for i := 0; i < n; i++ {
-		en := entry{node: tree.NodeID(d.Int32()), count: d.Int32()}
-		if d.Err() != nil || en.node < 0 || en.count < 0 {
-			return fmt.Errorf("levelwise: corrupt open-list entry (%d, %d)", en.node, en.count)
+		node, count := tree.NodeID(d.Int32()), d.Int32()
+		if d.Err() != nil || !v.Explored(node) || count < 0 {
+			return fmt.Errorf("levelwise: open-list entry (%d, %d) names an unexplored node or a negative count", node, count)
 		}
-		l.entries = append(l.entries, en)
+		if int(node) < len(l.count) && l.count[node] > 0 {
+			return fmt.Errorf("levelwise: open node %d is listed twice", node)
+		}
+		l.addOpen(v, node, int(count))
 	}
 	for i := range l.plans {
 		p := &l.plans[i]
@@ -78,17 +85,16 @@ func (l *Levelwise) RestoreState(d *snap.Decoder) error {
 		}
 		for j := 0; j < m; j++ {
 			u := tree.NodeID(d.Int32())
-			if u < 0 {
-				return fmt.Errorf("levelwise: robot %d: corrupt path node %d", i, u)
+			if !v.Explored(u) {
+				return fmt.Errorf("levelwise: path of robot %d names unexplored node %d", i, u)
 			}
 			p.down = append(p.down, u)
 		}
 		p.explore = tree.NodeID(d.Int32())
 		p.up = d.Int()
-		if p.explore < tree.Nil {
-			return fmt.Errorf("levelwise: robot %d: corrupt target node %d", i, p.explore)
+		if p.explore != tree.Nil && !v.Explored(p.explore) {
+			return fmt.Errorf("levelwise: target of robot %d is unexplored node %d", i, p.explore)
 		}
 	}
-	l.restored = true
 	return d.Err()
 }

@@ -35,25 +35,10 @@ import (
 
 // Potential is the algorithm state. It implements sim.Algorithm. The DFS
 // slot order lives in the world (View.OpenSlot, DESIGN.md S31), so the
-// rule itself keeps nothing across rounds; the fields below only let a
-// checkpoint report what the last round saw.
+// rule keeps nothing across rounds but its move buffer.
 type Potential struct {
-	k      int
-	moves  []sim.Move
-	seeded bool
-
-	// view is the world's view as of the last SelectMoves (nil before the
-	// first), decided the round that call decided, and reserved the node
-	// of every reservation it made: one per edge its moves explore.
-	view     *sim.View
-	decided  int
-	reserved []tree.NodeID
-
-	// restored holds the open counts of a restored checkpoint until the
-	// next SelectMoves, so a snapshot taken before then re-emits them
-	// verbatim.
-	restored  []int32
-	restoring bool
+	k     int
+	moves []sim.Move
 }
 
 var _ sim.Algorithm = (*Potential)(nil)
@@ -93,18 +78,11 @@ func (p *Potential) Reset(k int) {
 	for i := range p.moves {
 		p.moves[i] = sim.Move{}
 	}
-	p.view = nil
-	p.reserved = p.reserved[:0]
-	p.restored = p.restored[:0]
-	p.restoring = false
-	p.seeded = false
 }
 
 // SelectMoves implements sim.Algorithm. The world keeps the slot order
 // current from its own explore events, so the events are not needed here.
 func (p *Potential) SelectMoves(v *sim.View, _ []sim.ExploreEvent) ([]sim.Move, error) {
-	p.view, p.decided, p.seeded, p.restoring = v, v.Round(), true, false
-	p.reserved = p.reserved[:0]
 	m := v.OpenSlots()
 	if m == 0 {
 		// Exploration done: climb home, stay at the root. A full round of
@@ -145,7 +123,6 @@ func (p *Potential) SelectMoves(v *sim.View, _ []sim.ExploreEvent) ([]sim.Move, 
 					return nil, fmt.Errorf("potential: node %d: reservation failed for slot %d of %d", u, slot, m)
 				}
 				lastTicket, haveTicket = tk, true
-				p.reserved = append(p.reserved, u)
 			}
 			p.moves[i] = sim.Move{Kind: sim.Explore, Ticket: lastTicket}
 			continue

@@ -27,9 +27,6 @@ type BFDNL struct {
 	moves   []sim.Move
 	ranOnce bool
 	homing  bool
-	// restored marks an instance tree decoded by RestoreState that the
-	// next SelectMoves must check against the view before using it.
-	restored bool
 }
 
 var _ sim.Algorithm = (*BFDNL)(nil)
@@ -117,12 +114,6 @@ func (b *BFDNL) phaseIterationsDone(v *sim.View) bool {
 
 // SelectMoves implements sim.Algorithm.
 func (b *BFDNL) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if b.restored {
-		if err := resume(v, b.top); err != nil {
-			return nil, err
-		}
-		b.restored = false
-	}
 	for i := range b.moves {
 		b.moves[i] = sim.Move{Kind: sim.Stay}
 	}

@@ -59,14 +59,30 @@ func checkpoints(tb testing.TB, tr *tree.Tree, k, ell int) (sim.Result, [][]byte
 
 func bfdnlState(a *BFDNL) []byte {
 	var e snap.Encoder
-	a.SnapshotState(&e)
+	a.SnapshotState(&e, nil, nil)
 	return e.Bytes()
+}
+
+// movesOfK fails the test when the algorithm it wraps returns no error
+// and a move set whose length is not k; the world would refuse that set
+// with an error a fuzz target could not tell from a refusal.
+type movesOfK struct {
+	t *testing.T
+	sim.Algorithm
+}
+
+func (m movesOfK) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
+	moves, err := m.Algorithm.SelectMoves(v, events)
+	if err == nil && len(moves) != v.K() {
+		m.t.Fatalf("round %d: %d moves for %d robots", v.Round(), len(moves), v.K())
+	}
+	return moves, err
 }
 
 // TestEveryCheckpointRestores restores BFDN_ℓ from its checkpoint at every
 // round of runs with ℓ = 1..3: every one must be accepted by the checks
-// RestoreState and the first resumed round apply, re-encode to the same
-// bytes, and finish with the uninterrupted run's Result.
+// RestoreState applies, re-encode to the same bytes, and finish with the
+// uninterrupted run's Result.
 func TestEveryCheckpointRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, tr := range []*tree.Tree{tree.Random(150, 10, rng), tree.Comb(8, 5), tree.Spider(4, 9)} {
@@ -100,9 +116,10 @@ func TestEveryCheckpointRestores(t *testing.T) {
 	}
 }
 
-// corruptions are edits of a warm BFDN_ℓ(4, 2) instance tree whose
-// checkpoints name robots, nodes or parameters the run cannot hold.
-func corruptions() map[string]func(a *BFDNL) bool {
+// corruptions are edits of a warm BFDN_ℓ(4, 2) instance tree, restored in
+// the world of v, whose checkpoints name robots, nodes or parameters the
+// run cannot hold.
+func corruptions() map[string]func(v *sim.View, a *BFDNL) bool {
 	leaf := func(a *BFDNL) *bfdn1 {
 		if a.topDD == nil || len(a.topDD.children) == 0 {
 			return nil
@@ -116,17 +133,17 @@ func corruptions() map[string]func(a *BFDNL) bool {
 		}
 		return &a.topDD.plans[0]
 	}
-	return map[string]func(a *BFDNL) bool{
-		"negative phase":        func(a *BFDNL) bool { a.phaseJ = -1; return true },
-		"phase past int":        func(a *BFDNL) bool { a.phaseJ = 70; return true },
-		"divide level too high": func(a *BFDNL) bool { a.topDD.level = 1 << 40; return true },
-		"divide k* changed":     func(a *BFDNL) bool { a.topDD.kstar = 7; return true },
-		"divide step changed":   func(a *BFDNL) bool { a.topDD.s = 1; return true },
-		"divide negative robot": func(a *BFDNL) bool { a.topDD.robots[1] = -5; return true },
-		"divide robot past k":   func(a *BFDNL) bool { a.topDD.robots[1] = 9; return true },
-		"divide robot twice":    func(a *BFDNL) bool { a.topDD.robots[1] = a.topDD.robots[0]; return true },
-		"divide root past tree": func(a *BFDNL) bool { a.topDD.root = 1 << 20; return true },
-		"leaf negative robot": func(a *BFDNL) bool {
+	return map[string]func(v *sim.View, a *BFDNL) bool{
+		"negative phase":        func(_ *sim.View, a *BFDNL) bool { a.phaseJ = -1; return true },
+		"phase past int":        func(_ *sim.View, a *BFDNL) bool { a.phaseJ = 70; return true },
+		"divide level too high": func(_ *sim.View, a *BFDNL) bool { a.topDD.level = 1 << 40; return true },
+		"divide k* changed":     func(_ *sim.View, a *BFDNL) bool { a.topDD.kstar = 7; return true },
+		"divide step changed":   func(_ *sim.View, a *BFDNL) bool { a.topDD.s = 1; return true },
+		"divide negative robot": func(_ *sim.View, a *BFDNL) bool { a.topDD.robots[1] = -5; return true },
+		"divide robot past k":   func(_ *sim.View, a *BFDNL) bool { a.topDD.robots[1] = 9; return true },
+		"divide robot twice":    func(_ *sim.View, a *BFDNL) bool { a.topDD.robots[1] = a.topDD.robots[0]; return true },
+		"divide root past tree": func(_ *sim.View, a *BFDNL) bool { a.topDD.root = 1 << 20; return true },
+		"leaf negative robot": func(_ *sim.View, a *BFDNL) bool {
 			l := leaf(a)
 			if l == nil || len(l.b.Robots()) < 2 {
 				return false
@@ -134,7 +151,7 @@ func corruptions() map[string]func(a *BFDNL) bool {
 			l.b.Robots()[1] = -5
 			return true
 		},
-		"leaf robot past k": func(a *BFDNL) bool {
+		"leaf robot past k": func(_ *sim.View, a *BFDNL) bool {
 			l := leaf(a)
 			if l == nil {
 				return false
@@ -142,14 +159,37 @@ func corruptions() map[string]func(a *BFDNL) bool {
 			l.b.Robots()[0] = 1 << 30
 			return true
 		},
-		"leaf root past tree": func(a *BFDNL) bool {
+		"leaf robot in a sibling's subtree": func(v *sim.View, a *BFDNL) bool {
+			// A seeded leaf lists a robot of a sibling that stands outside
+			// its subtree.
+			if a.homing || a.topDD == nil {
+				return false
+			}
+			for _, c := range a.topDD.children {
+				l, ok := c.(*bfdn1)
+				if !ok || !l.b.Seeded() {
+					continue
+				}
+				root := l.b.Root()
+				for _, sib := range a.topDD.children {
+					for _, r := range sib.(*bfdn1).b.Robots() {
+						if ancestorAtDepth(v, v.Pos(r), v.DepthOf(root)) != root {
+							l.b.Robots()[0] = r
+							return true
+						}
+					}
+				}
+			}
+			return false
+		},
+		"leaf root past tree": func(_ *sim.View, a *BFDNL) bool {
 			if l := leaf(a); l != nil {
 				*l = bfdn1{b: newBFDN1(l.b.Robots(), 1<<20, a.s()).b}
 				return true
 			}
 			return false
 		},
-		"plan robot past k": func(a *BFDNL) bool {
+		"plan robot past k": func(_ *sim.View, a *BFDNL) bool {
 			p := plan(a)
 			if p == nil {
 				return false
@@ -157,7 +197,7 @@ func corruptions() map[string]func(a *BFDNL) bool {
 			p.robot = 9
 			return true
 		},
-		"plan node past tree": func(a *BFDNL) bool {
+		"plan node past tree": func(_ *sim.View, a *BFDNL) bool {
 			p := plan(a)
 			if p == nil {
 				return false
@@ -165,7 +205,7 @@ func corruptions() map[string]func(a *BFDNL) bool {
 			p.path = append(p.path, 1<<20)
 			return true
 		},
-		"plan node negative": func(a *BFDNL) bool {
+		"plan node negative": func(_ *sim.View, a *BFDNL) bool {
 			p := plan(a)
 			if p == nil {
 				return false
@@ -205,14 +245,14 @@ func planLengthState(n int) []byte {
 // TestCorruptRestoreIsAnError: a checkpoint naming robots outside [0, k)
 // or twice, nodes the world has not explored, parameters the phase could
 // not have built, or a plan longer than its bytes is refused by
-// RestoreState or by the first resumed round, where robots {0, −5} used to
-// panic in core's robot set, a negative phase in a shift, and a huge level
-// or path length to loop or allocate before any check.
+// RestoreState, where robots {0, −5} used to panic in core's robot set, a
+// negative phase in a shift, and a huge level or path length to loop or
+// allocate before any check.
 func TestCorruptRestoreIsAnError(t *testing.T) {
 	tr := tree.Random(300, 10, rand.New(rand.NewSource(5)))
 	const k, ell = 4, 2
 	_, ckpts := checkpoints(t, tr, k, ell)
-	restore := func(ckpt []byte) (*sim.World, *BFDNL) {
+	restore := func(ckpt []byte) (*sim.World, *BFDNL, []sim.ExploreEvent) {
 		w, err := sim.NewWorld(tr, k)
 		if err != nil {
 			t.Fatal(err)
@@ -221,19 +261,21 @@ func TestCorruptRestoreIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RestoreCheckpoint(ckpt, w, a); err != nil {
+		events, err := sim.RestoreCheckpoint(ckpt, w, a)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return w, a
+		return w, a, events
 	}
 	for name, corrupt := range corruptions() {
 		// The first round whose state holds what the corruption edits.
 		var w *sim.World
 		var warm *BFDNL
+		var events []sim.ExploreEvent
 		found := false
 		for r := 1; r < len(ckpts) && !found; r++ {
-			w, warm = restore(ckpts[r])
-			found = corrupt(warm)
+			w, warm, events = restore(ckpts[r])
+			found = corrupt(w.View(), warm)
 		}
 		if !found {
 			t.Fatalf("%s: no round's state holds what the corruption edits", name)
@@ -242,27 +284,25 @@ func TestCorruptRestoreIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.RestoreState(snap.NewDecoder(bfdnlState(warm))); err != nil {
-			continue
-		}
-		if _, err := sim.Run(w, a, 0); err == nil {
-			t.Errorf("%s: restored and ran to the end without an error", name)
+		if err := a.RestoreState(snap.NewDecoder(bfdnlState(warm)), w.View(), events); err == nil {
+			t.Errorf("%s: restored without an error", name)
 		}
 	}
-	data := planLengthState(20_000_000)
+	w, _, events := warmBFDNL(t, tr, k, ell, 1)
 	a, err := NewBFDNL(k, ell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RestoreState(snap.NewDecoder(data)); err == nil {
+	if err := a.RestoreState(snap.NewDecoder(planLengthState(20_000_000)), w.View(), events); err == nil {
 		t.Error("a plan length past the buffer restored without an error")
 	}
 }
 
-// FuzzRestore feeds arbitrary bytes to RestoreState for ℓ = 1..3 and runs a
-// few rounds on a small world a few rounds into a run: the result must be
-// an error or legal rounds, never a panic or a hang. It is seeded with real
-// checkpoints and the corrupt cases above.
+// FuzzRestore feeds arbitrary bytes to RestoreState for ℓ = 1..3 against a
+// small world a few rounds into a run and the explores of its last round,
+// and resumes an accepted state for up to five rounds: each must be an
+// error or a move set for every robot, never a panic or a hang. It is
+// seeded with real checkpoints and the corrupt cases above.
 func FuzzRestore(f *testing.F) {
 	tr := tree.Random(60, 6, rand.New(rand.NewSource(3)))
 	const k, rounds = 4, 9
@@ -274,33 +314,22 @@ func FuzzRestore(f *testing.F) {
 	}
 	for _, corrupt := range corruptions() {
 		for _, r := range []int{1, rounds} {
-			_, a, _ := warmBFDNL(f, tr, k, 2, r)
-			if corrupt(a) {
+			w, a, _ := warmBFDNL(f, tr, k, 2, r)
+			if corrupt(w.View(), a) {
 				f.Add(bfdnlState(a), uint8(2))
 			}
 		}
 	}
 	f.Add(planLengthState(20_000_000), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, ell uint8) {
-		w, _, _ := warmBFDNL(t, tr, k, 2, rounds)
+		w, _, events := warmBFDNL(t, tr, k, 2, rounds)
 		a, err := NewBFDNL(k, 1+int(ell%3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.RestoreState(snap.NewDecoder(data)) != nil {
+		if a.RestoreState(snap.NewDecoder(data), w.View(), events) != nil {
 			return
 		}
-		for i := 0; i < 5; i++ {
-			moves, err := a.SelectMoves(w.View(), nil)
-			if err != nil {
-				return
-			}
-			if len(moves) != k {
-				t.Fatalf("%d moves for %d robots", len(moves), k)
-			}
-			if _, _, err := w.Apply(moves); err != nil {
-				return
-			}
-		}
+		_, _ = sim.RunContext(context.Background(), w, movesOfK{t, a}, int64(w.Round())+5, events, nil)
 	})
 }

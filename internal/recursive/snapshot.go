@@ -3,7 +3,6 @@ package recursive
 import (
 	"fmt"
 
-	"bfdn/internal/core"
 	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
@@ -22,7 +21,7 @@ const (
 // team assignment, iteration/phase cursors and travel plans, and each leaf
 // stores its depth-limited core.BFDN state (anchor index verbatim), so a
 // restored BFDN_ℓ run is byte-identical to an uninterrupted one.
-func (b *BFDNL) SnapshotState(e *snap.Encoder) {
+func (b *BFDNL) SnapshotState(e *snap.Encoder, _ *sim.View, _ []sim.ExploreEvent) {
 	e.Int(b.k)
 	e.Int(b.ell)
 	e.Int(b.phaseJ)
@@ -34,10 +33,10 @@ func (b *BFDNL) SnapshotState(e *snap.Encoder) {
 // RestoreState implements sim.Snapshotter; b must have been constructed for
 // the snapshot's k and ℓ. A checkpoint is untrusted input: it refuses
 // instances whose type, level or parameters the phase could not have
-// built, robots outside [0, k) or listed twice, negative roots, and
-// lengths past the bytes left; the next SelectMoves checks the nodes
-// against the view before using them.
-func (b *BFDNL) RestoreState(d *snap.Decoder) error {
+// built, robots outside [0, k) or listed twice, instance roots and travel
+// plans that name nodes v has not explored, and lengths past the bytes
+// left; each BFDN₁ leaf checks its own state against v as it decodes.
+func (b *BFDNL) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEvent) error {
 	k := d.Int()
 	ell := d.Int()
 	if err := d.Err(); err != nil {
@@ -52,7 +51,7 @@ func (b *BFDNL) RestoreState(d *snap.Decoder) error {
 	if d.Err() != nil || b.phaseJ < 1 || b.phaseJ > 62 {
 		return fmt.Errorf("recursive: corrupt phase %d", b.phaseJ)
 	}
-	top, err := b.decodeAnchored(d, b.ell)
+	top, err := b.decodeAnchored(d, v, b.ell)
 	if err != nil {
 		return err
 	}
@@ -64,7 +63,6 @@ func (b *BFDNL) RestoreState(d *snap.Decoder) error {
 	case *divideDepth:
 		b.topDD = t
 	}
-	b.restored = true
 	return d.Err()
 }
 
@@ -112,10 +110,14 @@ func encodeAnchored(e *snap.Encoder, a Anchored) {
 }
 
 // decodeAnchored reconstructs one node of the instance tree at the given
-// level. The phase builds BFDN₁ at level 1 and divide-depth above it, every
-// instance with the phase's base step and divide-depth with b's k*, so a
-// node that disagrees is corrupt.
-func (b *BFDNL) decodeAnchored(d *snap.Decoder, level int) (Anchored, error) {
+// level and checks it against v. The phase builds BFDN₁ at level 1 and
+// divide-depth above it, every instance with the phase's base step and
+// divide-depth with b's k*, so a node that disagrees is corrupt, and so is
+// a root or travel-plan node v has not explored. A leaf that has seeded
+// holds its robots in its subtree until BFDN_ℓ sends everyone home; one
+// that has not checks them when it seeds, since they may still be on
+// their way there.
+func (b *BFDNL) decodeAnchored(d *snap.Decoder, v *sim.View, level int) (Anchored, error) {
 	tag := d.Uint64()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -125,15 +127,17 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, level int) (Anchored, error) {
 		depth := d.Int()
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
-		if d.Err() != nil || depth != b.s() || root < 0 || !b.robotSet(robots) {
-			return nil, fmt.Errorf("recursive: corrupt BFDN₁ node header")
+		if d.Err() != nil || depth != b.s() || !v.Explored(root) || !b.robotSet(robots) {
+			return nil, fmt.Errorf("recursive: corrupt BFDN₁ node header (root %d)", root)
 		}
-		a := &bfdn1{b: core.NewInstance(robots, root, core.WithMaxAnchorDepth(depth))}
-		if err := a.b.RestoreState(d); err != nil {
+		a := newBFDN1(robots, root, depth)
+		if err := a.b.RestoreState(d, v); err != nil {
 			return nil, err
 		}
-		if !b.robotSet(a.b.Robots()) {
-			return nil, fmt.Errorf("recursive: corrupt BFDN₁ robot set")
+		if a.b.Seeded() && !b.homing {
+			if err := a.b.CheckRobots(v); err != nil {
+				return nil, err
+			}
 		}
 		return a, nil
 	case level > 1 && byte(tag) == tagDivide:
@@ -142,8 +146,8 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, level int) (Anchored, error) {
 		s := d.Int()
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
-		if d.Err() != nil || lv != level || kstar != b.kstar || s != b.s() || root < 0 || !b.robotSet(robots) {
-			return nil, fmt.Errorf("recursive: corrupt divide-depth node header")
+		if d.Err() != nil || lv != level || kstar != b.kstar || s != b.s() || !v.Explored(root) || !b.robotSet(robots) {
+			return nil, fmt.Errorf("recursive: corrupt divide-depth node header (root %d)", root)
 		}
 		dd := newDivideDepth(level, robots, root, s, kstar)
 		dd.iter = d.Int()
@@ -158,7 +162,7 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, level int) (Anchored, error) {
 			return nil, fmt.Errorf("recursive: corrupt child count %d", nc)
 		}
 		for i := 0; i < nc; i++ {
-			c, err := b.decodeAnchored(d, level-1)
+			c, err := b.decodeAnchored(d, v, level-1)
 			if err != nil {
 				return nil, err
 			}
@@ -177,7 +181,11 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, level int) (Anchored, error) {
 			}
 			path := make([]tree.NodeID, 0, m)
 			for j := 0; j < m; j++ {
-				path = append(path, tree.NodeID(d.Int32()))
+				u := tree.NodeID(d.Int32())
+				if !v.Explored(u) {
+					return nil, fmt.Errorf("recursive: travel plan of robot %d names unexplored node %d", robot, u)
+				}
+				path = append(path, u)
 			}
 			dd.plans = append(dd.plans, travelPlan{robot: robot, path: path})
 			planned = append(planned, robot)
@@ -201,39 +209,4 @@ func (b *BFDNL) robotSet(robots []int) bool {
 		seen[r] = true
 	}
 	return true
-}
-
-// resume checks a restored instance tree against the view before the
-// first round uses it: every instance root, BFDN₁ anchor and travel-plan
-// node must be explored. BFDN₁ leaves check the rest of their own state
-// when they first decide (core's resume).
-func resume(v *sim.View, a Anchored) error {
-	switch t := a.(type) {
-	case *bfdn1:
-		if !v.Explored(t.b.Root()) {
-			return fmt.Errorf("recursive: restored BFDN₁ root %d is not explored", t.b.Root())
-		}
-		for j := range t.b.Robots() {
-			if !v.Explored(t.b.Anchor(j)) {
-				return fmt.Errorf("recursive: restored anchor %d is not explored", t.b.Anchor(j))
-			}
-		}
-	case *divideDepth:
-		if !v.Explored(t.root) {
-			return fmt.Errorf("recursive: restored divide-depth root %d is not explored", t.root)
-		}
-		for _, p := range t.plans {
-			for _, u := range p.path {
-				if !v.Explored(u) {
-					return fmt.Errorf("recursive: restored travel plan of robot %d names unexplored node %d", p.robot, u)
-				}
-			}
-		}
-		for _, c := range t.children {
-			if err := resume(v, c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

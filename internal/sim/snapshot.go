@@ -24,9 +24,17 @@ import (
 // skipped; anything with cross-round memory — anchors, stacks, open-node
 // counts, lazy-heap internals whose tie-breaking depends on insertion
 // history — is serialized verbatim.
+//
+// Both methods get the world's view and the pending explore events: the
+// explores of the checkpoint's last round, which the next SelectMoves
+// consumes. An algorithm only ever sees the explored tree, so RestoreState
+// checks every node it decodes against v, and state that is a function of
+// the world (per-subtree open counts) against v with pending undone, and
+// refuses a mismatch; the world is already restored and checked when it
+// runs.
 type Snapshotter interface {
-	SnapshotState(e *snap.Encoder)
-	RestoreState(d *snap.Decoder) error
+	SnapshotState(e *snap.Encoder, v *View, pending []ExploreEvent)
+	RestoreState(d *snap.Decoder, v *View, pending []ExploreEvent) error
 }
 
 // checkpointVersion tags the EncodeCheckpoint format; a mismatch on restore
@@ -156,14 +164,16 @@ func EncodeCheckpoint(w *World, a Algorithm, events []ExploreEvent) ([]byte, err
 		e.Int(ev.Robot)
 		e.Int(ev.NewDangling)
 	}
-	s.SnapshotState(&e)
+	s.SnapshotState(&e, w.view, events)
 	return e.Bytes(), nil
 }
 
 // RestoreCheckpoint reads an EncodeCheckpoint buffer back into a world and
 // algorithm prepared with the checkpoint's plan (same tree, robot count and
 // constructor options, freshly Reset). It returns the pending explore
-// events to hand to the first SelectMoves of the resumed run.
+// events to hand to the first SelectMoves of the resumed run. The world,
+// the pending events and then the algorithm's state are each checked as
+// they are read, so a corrupt checkpoint fails here, before any round runs.
 func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, error) {
 	s, ok := a.(Snapshotter)
 	if !ok {
@@ -189,30 +199,35 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 			NewDangling: d.Int(),
 		}
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
 	// ParentDangling is derived state and not part of the checkpoint format.
 	// Checkpoints are taken between rounds, so the restored world's dangling
 	// counts are the end-of-round values; replaying them per parent (events
 	// are in round order, counts ascend from the final value) reproduces the
-	// per-event counts Apply recorded. The scan is quadratic in the (≤ k)
-	// pending events, which only runs once per restore.
-	if d.Err() == nil {
-		for i, ev := range events {
-			if ev.Robot < 0 || ev.Robot >= w.k || w.pos[ev.Robot] != ev.Child || !w.view.Explored(ev.Parent) ||
-				!w.view.Explored(ev.Child) || w.t.Parent(ev.Child) != ev.Parent ||
-				ev.NewDangling != w.t.NumChildren(ev.Child) {
-				return nil, fmt.Errorf("sim: checkpoint event %d (robot %d, %d→%d) is not an explore of this world: %w",
-					i, ev.Robot, ev.Parent, ev.Child, snap.ErrCorrupt)
-			}
-			later := 0
-			for _, e := range events[i+1:] {
-				if e.Parent == events[i].Parent {
-					later++
-				}
-			}
-			events[i].ParentDangling = w.danglingAt(events[i].Parent) + later
+	// per-event counts Apply recorded. Each child is explored once, so no
+	// two events share one. The scan is quadratic in the (≤ k) pending
+	// events, which only runs once per restore.
+	for i, ev := range events {
+		if ev.Robot < 0 || ev.Robot >= w.k || w.pos[ev.Robot] != ev.Child || !w.view.Explored(ev.Parent) ||
+			!w.view.Explored(ev.Child) || w.t.Parent(ev.Child) != ev.Parent ||
+			ev.NewDangling != w.t.NumChildren(ev.Child) {
+			return nil, fmt.Errorf("sim: checkpoint event %d (robot %d, %d→%d) is not an explore of this world: %w",
+				i, ev.Robot, ev.Parent, ev.Child, snap.ErrCorrupt)
 		}
+		later := 0
+		for _, e := range events[i+1:] {
+			if e.Child == ev.Child {
+				return nil, fmt.Errorf("sim: checkpoint events explore node %d twice: %w", ev.Child, snap.ErrCorrupt)
+			}
+			if e.Parent == ev.Parent {
+				later++
+			}
+		}
+		events[i].ParentDangling = w.danglingAt(ev.Parent) + later
 	}
-	if err := s.RestoreState(d); err != nil {
+	if err := s.RestoreState(d, w.view, events); err != nil {
 		return nil, fmt.Errorf("sim: restore algorithm: %w", err)
 	}
 	if err := d.Err(); err != nil {

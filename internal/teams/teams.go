@@ -1,6 +1,9 @@
 // Package teams holds what CTE (internal/cte) and Tree-Mining
 // (internal/treemining) share: the per-subtree open-edge counts both keep
 // from explore events, and the grouping of co-located robots into teams.
+// OpenCounts derives the same counts from the world; a checkpoint's counts
+// are checked against it, and Potential (internal/potential) writes it as
+// its checkpoint.
 //
 // Both algorithms decide per team — the robots standing on one node — and a
 // team reserves dangling edges only at its own node, so the order teams are
@@ -9,6 +12,9 @@
 package teams
 
 import (
+	"fmt"
+	"slices"
+
 	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
@@ -72,11 +78,58 @@ func (c *Counts) Snapshot(e *snap.Encoder) {
 	e.Int32s(c.vals)
 }
 
-// Restore reads a Snapshot back.
-func (c *Counts) Restore(d *snap.Decoder) error {
+// Restore reads a Snapshot back, taken after the round whose explores are
+// pending. Counts that fold in every explore but the pending ones are
+// OpenCounts(v, pending), and they are seeded exactly when a round has
+// run; anything else is refused with snap.ErrCorrupt.
+func (c *Counts) Restore(d *snap.Decoder, v *sim.View, pending []sim.ExploreEvent) error {
 	c.seeded = d.Bool()
 	c.vals = append(c.vals[:0], d.Int32s()...)
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	var want []int32
+	if c.seeded {
+		want = OpenCounts(v, pending)
+	}
+	if c.seeded != (v.Round() > 0) || !slices.Equal(c.vals, want) {
+		return fmt.Errorf("teams: open counts disagree with the world at round %d: %w", v.Round(), snap.ErrCorrupt)
+	}
+	return nil
+}
+
+// OpenCounts returns, for every node up to the largest one explored before
+// the pending explores, the number of open edges in its explored subtree
+// T(v) with those explores undone: the counts that Counts.Update holds
+// when it has folded in every round but the last. Undoing an explore
+// hides its child and reopens the edge at its parent. Ids are
+// topologically ordered, so one reverse pass folds each subtree into its
+// parent after all of its own descendants. O(largest explored id).
+func OpenCounts(v *sim.View, pending []sim.ExploreEvent) []int32 {
+	var open []int32 // −1 marks a node not explored
+	for u, seen := tree.NodeID(0), 0; seen < v.ExploredCount(); u++ {
+		d := int32(-1)
+		if v.Explored(u) {
+			seen++
+			d = int32(v.DanglingAt(u))
+		}
+		open = append(open, d)
+	}
+	for _, e := range pending {
+		open[e.Child] = -1
+		open[e.Parent]++
+	}
+	for len(open) > 0 && open[len(open)-1] < 0 {
+		open = open[:len(open)-1]
+	}
+	for u := len(open) - 1; u > 0; u-- {
+		if open[u] < 0 {
+			open[u] = 0
+			continue
+		}
+		open[v.Parent(tree.NodeID(u))] += open[u]
+	}
+	return open
 }
 
 // Grouper finds the teams of a round in O(k) without sorting. A reverse

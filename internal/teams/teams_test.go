@@ -114,22 +114,18 @@ func TestEachMatchesSortedGrouping(t *testing.T) {
 // zero value and then counts a new run exactly as a fresh one does.
 func TestCountsResetEqualsFresh(t *testing.T) {
 	run := func(c *Counts, tr *tree.Tree) []byte {
-		w, err := sim.NewWorld(tr, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(9))
-		moves := make([]sim.Move, 3)
-		var events []sim.ExploreEvent
-		for round := 0; round < 50; round++ {
-			c.Update(w.View(), events)
-			randomMoves(w.View(), rng, moves)
-			if events, _, err = w.Apply(moves); err != nil {
-				t.Fatal(err)
-			}
-		}
+		w, events := walk(t, c, tr, 3, 50)
 		var e snap.Encoder
 		c.Snapshot(&e)
+		var restored Counts
+		if err := restored.Restore(snap.NewDecoder(e.Bytes()), w.View(), events); err != nil {
+			t.Fatal(err)
+		}
+		var again snap.Encoder
+		restored.Snapshot(&again)
+		if !bytes.Equal(again.Bytes(), e.Bytes()) {
+			t.Fatal("Restore(Snapshot) is not byte-identical")
+		}
 		return e.Bytes()
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -146,13 +142,65 @@ func TestCountsResetEqualsFresh(t *testing.T) {
 	if !bytes.Equal(run(&used, small), run(&fresh, small)) {
 		t.Fatal("a reset Counts counts a new run differently from a fresh one")
 	}
-	var restored Counts
-	if err := restored.Restore(snap.NewDecoder(run(&Counts{}, small))); err != nil {
+}
+
+// walk runs k robots at random on tr for the given number of rounds,
+// folding each round's explores into c before the next, and returns the
+// world with the explores of its last round.
+func walk(t *testing.T, c *Counts, tr *tree.Tree, k, rounds int) (*sim.World, []sim.ExploreEvent) {
+	t.Helper()
+	w, err := sim.NewWorld(tr, k)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var e2 snap.Encoder
-	restored.Snapshot(&e2)
-	if want := run(&Counts{}, small); !bytes.Equal(e2.Bytes(), want) {
-		t.Fatal("Restore(Snapshot) is not byte-identical")
+	rng := rand.New(rand.NewSource(9))
+	moves := make([]sim.Move, k)
+	var events []sim.ExploreEvent
+	for round := 0; round < rounds; round++ {
+		c.Update(w.View(), events)
+		randomMoves(w.View(), rng, moves)
+		if events, _, err = w.Apply(moves); err != nil {
+			t.Fatal(err)
+		}
+		if got := OpenCounts(w.View(), events); !slices.Equal(got, c.vals) {
+			t.Fatalf("round %d: OpenCounts = %v, Update counted %v", round, got, c.vals)
+		}
+	}
+	return w, events
+}
+
+// TestCountsRestoreRefusesOtherCounts: Restore accepts only the counts the
+// world implies, seeded exactly when a round has run; a count one off, a
+// node short, or a seeding flag that disagrees with the round is refused
+// with snap.ErrCorrupt.
+func TestCountsRestoreRefusesOtherCounts(t *testing.T) {
+	var c Counts
+	w, events := walk(t, &c, tree.Random(200, 8, rand.New(rand.NewSource(11))), 4, 40)
+	encode := func(seeded bool, vals []int32) []byte {
+		var e snap.Encoder
+		e.Bool(seeded)
+		e.Int32s(vals)
+		return e.Bytes()
+	}
+	off := slices.Clone(c.vals)
+	off[len(off)/2]++
+	fresh, err := sim.NewWorld(tree.Path(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		data    []byte
+		w       *sim.World
+		pending []sim.ExploreEvent
+	}{
+		"a count one off":       {encode(true, off), w, events},
+		"a node short":          {encode(true, c.vals[:len(c.vals)-1]), w, events},
+		"unseeded after rounds": {encode(false, nil), w, events},
+		"seeded before a round": {encode(true, []int32{1}), fresh, nil},
+	} {
+		var restored Counts
+		if err := restored.Restore(snap.NewDecoder(tc.data), tc.w.View(), tc.pending); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: Restore = %v, want snap.ErrCorrupt", name, err)
+		}
 	}
 }

@@ -182,21 +182,29 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 		t.Fatal("truncated checkpoint accepted")
 	}
 
-	// Pending explore events that are no explore of this world. They used to
-	// be accepted, or for a Nil parent to index the dangling table at -1.
-	for _, ev := range []sim.ExploreEvent{
-		{Parent: 0, Child: 1 << 20},
-		{Parent: tree.Nil, Child: 0},
-		{Parent: tr.t.Parent(1), Child: 1, Robot: 9},
+	// Pending explore events that are no explore of this world, or one
+	// explore listed twice. They used to be accepted, or for a Nil parent to
+	// index the dangling table at -1.
+	wp, _ := sim.NewWorld(tr.t, 4)
+	ap, _, _ := newSimAlgorithm(tr, 4, cfg)
+	pending, err := sim.RestoreCheckpoint(ckpt, wp, ap)
+	if err != nil || len(pending) == 0 {
+		t.Fatalf("the round-2 checkpoint restores with %d pending events: %v", len(pending), err)
+	}
+	for _, evs := range [][]sim.ExploreEvent{
+		{{Parent: 0, Child: 1 << 20}},
+		{{Parent: tree.Nil, Child: 0}},
+		{{Parent: tr.t.Parent(1), Child: 1, Robot: 9}},
+		{pending[0], pending[0]},
 	} {
-		bad, err := sim.EncodeCheckpoint(w, a, []sim.ExploreEvent{ev})
+		bad, err := sim.EncodeCheckpoint(w, a, evs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		we, _ := sim.NewWorld(tr.t, 4)
 		ae, _, _ := newSimAlgorithm(tr, 4, cfg)
 		if _, err := sim.RestoreCheckpoint(bad, we, ae); err == nil {
-			t.Errorf("checkpoint with pending event %+v accepted", ev)
+			t.Errorf("checkpoint with pending events %+v accepted", evs)
 		}
 	}
 
@@ -210,6 +218,9 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := int32(pt.N() - 1) // unexplored at round 3, and so is its parent
+	if last != hiddenNode {
+		t.Fatalf("the probe tree has %d nodes, want %d", pt.N(), hiddenNode+1)
+	}
 	probes := map[string]func(pos []int32, explored []bool, count *int, nextKid []int32){
 		"robot below 0":   func(pos []int32, _ []bool, _ *int, _ []int32) { pos[0] = -3 },
 		"robot past n":    func(pos []int32, _ []bool, _ *int, _ []int32) { pos[0] = last + 6 },
@@ -241,7 +252,100 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 				t.Errorf("%s: %s: RestoreCheckpoint = %v, want snap.ErrCorrupt", alg, name, err)
 			}
 		}
+		if edit := algProbes[alg]; edit != nil {
+			w, a := build()
+			if _, err := sim.RestoreCheckpoint(rewriteAlgorithm(t, ckpt, pt, edit), w, a); err == nil {
+				t.Errorf("%s: RestoreCheckpoint accepted an algorithm state its world contradicts", alg)
+			}
+		}
 	}
+}
+
+// algProbes edits the algorithm half of a round-3 checkpoint on the tree of
+// TestRestoreCheckpointValidation so it contradicts the world, one edit per
+// algorithm with state: a node the world has not explored (BFDN's first
+// anchor, BFDN_ℓ's top instance root, Levelwise's first open node), or the
+// root's open count one off (CTE, Tree-Mining and Potential keep the
+// per-subtree open counts). RestoreCheckpoint used to accept all six: the
+// first three failed on a later round, and nothing checked the counts.
+var algProbes = map[Algorithm]func(d *snap.Decoder, e *snap.Encoder){
+	BFDN: func(d *snap.Decoder, e *snap.Encoder) {
+		e.Ints(d.Ints())    // robots
+		e.Int32(d.Int32())  // root
+		e.Int(d.Int())      // root depth
+		e.Bool(d.Bool())    // seeded
+		d.Int32()           // robot 0's anchor
+		e.Int32(hiddenNode) // replaced
+	},
+	BFDNRecursive: func(d *snap.Decoder, e *snap.Encoder) {
+		e.Int(d.Int())       // k
+		e.Int(d.Int())       // ℓ
+		e.Int(d.Int())       // phase
+		e.Bool(d.Bool())     // ran once
+		e.Bool(d.Bool())     // homing
+		e.Uint64(d.Uint64()) // the top instance: divide-depth at ℓ = 2
+		e.Int(d.Int())       // level
+		e.Int(d.Int())       // k*
+		e.Int(d.Int())       // base step
+		e.Ints(d.Ints())     // robots
+		d.Int32()            // root
+		e.Int32(hiddenNode)  // replaced
+	},
+	Levelwise: func(d *snap.Decoder, e *snap.Encoder) {
+		e.Int(d.Int())      // k
+		e.Bool(d.Bool())    // seeded
+		e.Int(d.Int())      // phases
+		e.Int(d.Int())      // open-list length
+		d.Int32()           // first open node
+		e.Int32(hiddenNode) // replaced
+	},
+	CTE:        offByOne,
+	TreeMining: offByOne,
+	Potential:  offByOne,
+}
+
+// hiddenNode is a node TestRestoreCheckpointValidation's round-3 world
+// has not explored: the last node of its 300-node tree.
+const hiddenNode = 299
+
+// offByOne raises the root's open count in a k, seeded, counts state.
+func offByOne(d *snap.Decoder, e *snap.Encoder) {
+	e.Int(d.Int())
+	e.Bool(d.Bool())
+	open := d.Int32s()
+	open[0]++
+	e.Int32s(open)
+}
+
+// rewriteAlgorithm lets edit read the algorithm half of a checkpoint of a
+// 4-robot run on tr up to the field it changes, writing what it keeps and
+// the change, and splices that between the checkpoint's world and pending
+// events and the rest of the algorithm half.
+func rewriteAlgorithm(t *testing.T, ckpt []byte, tr *Tree, edit func(d *snap.Decoder, e *snap.Encoder)) []byte {
+	t.Helper()
+	w, err := sim.NewWorld(tr.t, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := snap.NewDecoder(ckpt)
+	d.Uint64()
+	if err := w.Restore(d); err != nil {
+		t.Fatal(err)
+	}
+	for i := d.Int(); i > 0; i-- {
+		d.Int32()
+		d.Int32()
+		d.Int()
+		d.Int()
+	}
+	out := append([]byte(nil), ckpt[:len(ckpt)-d.Rest()]...)
+	var e snap.Encoder
+	edit(d, &e)
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, e.Bytes()...)
+	return append(out, ckpt[len(ckpt)-d.Rest():]...)
 }
 
 // rewriteWorld decodes the world section of a checkpoint up to its cursors,
