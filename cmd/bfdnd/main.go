@@ -160,7 +160,7 @@ func run() error {
 		// The heartbeat loop keeps this worker's lease alive in the remote
 		// registry and merges the registry's fleet view back, so every
 		// announcing worker converges on the same roster.
-		go dsweep.Announce(ctx, http.DefaultClient, *announce, *advertise, reg, *registryTTL/3)
+		go dsweep.Announce(ctx, *announce, *advertise, reg, *registryTTL/3)
 		logger.Info("announcing", "registry", *announce, "advertise", *advertise)
 	}
 

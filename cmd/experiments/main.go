@@ -108,7 +108,7 @@ func run() error {
 			urls = strings.Split(*fleet, ",")
 		} else {
 			var err error
-			if urls, err = dsweep.FetchWorkers(context.Background(), nil, *registry); err != nil {
+			if urls, err = dsweep.FetchWorkers(context.Background(), *registry); err != nil {
 				return err
 			}
 			if len(urls) == 0 {

@@ -457,18 +457,6 @@ func (b *BFDN) assignAnchor(v *sim.View, j, robot int) (tree.NodeID, error) {
 	return anchor, nil
 }
 
-// ActiveCount reports the number of controlled robots that are active in the
-// sense of §5: away from the instance root, or anchored at an open node.
-func (b *BFDN) ActiveCount(v *sim.View) int {
-	n := 0
-	for j, r := range b.robots {
-		if v.Pos(r) != b.root || b.rs[j].anchor != b.root || len(b.rs[j].stack) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // ShallowDone reports whether no open node remains at relative depth ≤ the
 // anchor-depth limit (always false before the first Decide call).
 func (b *BFDN) ShallowDone() bool {

@@ -41,7 +41,7 @@ type workerState struct {
 // at dispatch and be declared dead by the failure logic — a worker that is
 // merely restarting gets its chance); draining workers are dropped. It
 // fails only when nothing remains.
-func probeFleet(ctx context.Context, urls []string, opts Options) ([]*workerState, error) {
+func probeFleet(ctx context.Context, urls []string) ([]*workerState, error) {
 	states := make([]*workerState, len(urls))
 	var wg sync.WaitGroup
 	for i, u := range urls {
@@ -54,13 +54,13 @@ func probeFleet(ctx context.Context, urls []string, opts Options) ([]*workerStat
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, opts.CapacityTimeout)
+			cctx, cancel := context.WithTimeout(ctx, capacityTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(cctx, http.MethodGet, w.url+"/capacity", nil)
 			if err != nil {
 				return
 			}
-			resp, err := opts.Client.Do(req)
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				return
 			}
@@ -83,9 +83,9 @@ func probeFleet(ctx context.Context, urls []string, opts Options) ([]*workerStat
 			continue
 		}
 		seen[w.url] = true
-		w.conc = opts.InflightPerWorker
-		if w.cap.MaxJobs > 0 && w.conc > w.cap.MaxJobs {
-			w.conc = w.cap.MaxJobs
+		w.conc = inflightPerWorker
+		if w.cap.MaxJobs > 0 {
+			w.conc = min(w.conc, w.cap.MaxJobs)
 		}
 		fleet = append(fleet, w)
 	}
@@ -126,17 +126,17 @@ type serverLine struct {
 // missing points, a truncated stream (no done line) — is reported as an
 // *attemptError so the coordinator can retry or fail over; a shard is never
 // half-merged.
-func runShard(ctx context.Context, client *http.Client, w *workerState, plan Plan, s *shard, opts Options) ([]Line, *attemptError) {
+func runShard(ctx context.Context, w *workerState, plan Plan, s *shard) ([]Line, *attemptError) {
 	body, err := json.Marshal(struct {
 		Seed      int64             `json:"seed"`
 		IndexBase int               `json:"indexBase"`
 		TimeoutMS int64             `json:"timeoutMs"`
 		Points    []json.RawMessage `json:"points"`
-	}{plan.Seed, s.lo, opts.ShardTimeout.Milliseconds(), plan.Points[s.lo:s.hi]})
+	}{plan.Seed, s.lo, shardTimeout.Milliseconds(), plan.Points[s.lo:s.hi]})
 	if err != nil {
 		return nil, &attemptError{err: fmt.Errorf("dsweep: marshal shard [%d,%d): %w", s.lo, s.hi, err), fatal: true}
 	}
-	actx, cancel := context.WithTimeout(ctx, opts.ShardTimeout)
+	actx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, w.url+"/v1/sweep", bytes.NewReader(body))
 	if err != nil {
@@ -146,7 +146,7 @@ func runShard(ctx context.Context, client *http.Client, w *workerState, plan Pla
 	// Propagate the dispatch span so a traced worker continues this trace
 	// instead of starting its own; without a span in ctx nothing is written.
 	tracing.Inject(ctx, req.Header)
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, &attemptError{err: fmt.Errorf("dsweep: %s shard [%d,%d): %w", w.url, s.lo, s.hi, err)}
 	}

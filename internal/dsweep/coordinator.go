@@ -17,7 +17,7 @@ import (
 type shard struct {
 	lo, hi int
 	// attempts counts failure dispatches, busyTries busy ones; each has its
-	// own budget (Options.MaxAttempts / MaxBusyRetries).
+	// own budget (maxAttempts / maxBusyRetries).
 	attempts  int
 	busyTries int
 	// excluded holds workers that failed this shard; the queue skips them
@@ -35,19 +35,19 @@ type shard struct {
 	cancels []context.CancelFunc
 }
 
-// partition cuts n points into contiguous shards. The target is
-// Options.Oversub shards per fleet dispatch slot — enough queue depth for
-// work stealing to absorb speed differences and failover to re-spread a
-// dead worker's load — capped by Options.MaxShardPoints and by the smallest
-// maxPoints any worker advertises.
-func partition(n int, fleet []*workerState, opts Options) []*shard {
-	return cutShards(n, shardSize(n, fleet, opts))
+// partition cuts n points into contiguous shards. The target is oversub
+// shards per fleet dispatch slot — enough queue depth for work stealing to
+// absorb speed differences and failover to re-spread a dead worker's load —
+// capped by maxShardPoints and by the smallest maxPoints any worker
+// advertises.
+func partition(n int, fleet []*workerState) []*shard {
+	return cutShards(n, shardSize(n, fleet))
 }
 
 // shardSize picks the shard size for n points against the probed fleet (see
 // partition). Resumable runs journal this size and reuse it on resume, so
 // the cut stays a pure function of the plan even if the fleet changes.
-func shardSize(n int, fleet []*workerState, opts Options) int {
+func shardSize(n int, fleet []*workerState) int {
 	slots, minMax := 0, 0
 	for _, w := range fleet {
 		slots += w.conc
@@ -55,10 +55,7 @@ func shardSize(n int, fleet []*workerState, opts Options) int {
 			minMax = w.cap.MaxPoints
 		}
 	}
-	size := (n + opts.Oversub*slots - 1) / (opts.Oversub * slots)
-	if size > opts.MaxShardPoints {
-		size = opts.MaxShardPoints
-	}
+	size := min((n+oversub*slots-1)/(oversub*slots), maxShardPoints)
 	if minMax > 0 && size > minMax {
 		size = minMax
 	}
@@ -116,7 +113,7 @@ func newCoord(ctx context.Context, plan Plan, shards []*shard, fleet []*workerSt
 	c := &coord{
 		ctx: cctx, cancel: cancel, plan: plan, opts: opts,
 		fleet: fleet, shards: shards,
-		merge:     newMerger(cctx, opts.OnLine, opts.Metrics),
+		merge:     newMerger(cctx, opts.OnLine),
 		queue:     queue,
 		remaining: len(queue),
 		live:      len(fleet),
@@ -130,7 +127,6 @@ func newCoord(ctx context.Context, plan Plan, shards []*shard, fleet []*workerSt
 // then folds the counters into stats and returns the merged lines.
 func (c *coord) run(stats *Stats) []Line {
 	defer c.cancel()
-	c.opts.Metrics.queueDepth(len(c.queue))
 	var wg sync.WaitGroup
 	for _, w := range c.fleet {
 		for i := 0; i < w.conc; i++ {
@@ -205,12 +201,11 @@ func (c *coord) workerLoop(w *workerState) {
 		if hedge {
 			span.SetAttr(tracing.String("hedge", "true"))
 		}
-		start := time.Now()
-		lines, aerr := runShard(sctx, c.opts.Client, w, c.plan, s, c.opts)
+		lines, aerr := runShard(sctx, w, c.plan, s)
 		span.SetAttr(tracing.String("outcome", attemptOutcome(aerr)))
 		span.End()
 		acancel()
-		if backoff := c.complete(w, s, lines, aerr, time.Since(start)); backoff > 0 {
+		if backoff := c.complete(w, s, lines, aerr); backoff > 0 {
 			select {
 			case <-c.ctx.Done():
 				return
@@ -258,7 +253,6 @@ func (c *coord) next(w *workerState) *shard {
 			if s := c.hedgeCandidateLocked(w); s != nil {
 				s.hedged = true
 				c.hedges++
-				c.opts.Metrics.hedge()
 				c.startLocked(s, w)
 				return s
 			}
@@ -270,8 +264,6 @@ func (c *coord) next(w *workerState) *shard {
 func (c *coord) startLocked(s *shard, w *workerState) {
 	s.inflight++
 	s.runners[w.url] = true
-	c.opts.Metrics.inflight(w.url, +1)
-	c.opts.Metrics.queueDepth(len(c.queue))
 }
 
 // unstickLocked clears the exclusion set of any queued shard that every
@@ -313,15 +305,13 @@ func (c *coord) hedgeCandidateLocked(w *workerState) *shard {
 // off before its next pull (0 = none). Exactly one attempt per shard wins;
 // late duplicates (hedge losers, attempts canceled after the win) are
 // discarded without side effects on retry budgets or worker health.
-func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptError, elapsed time.Duration) time.Duration {
+func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptError) time.Duration {
 	c.mu.Lock()
 	s.inflight--
 	delete(s.runners, w.url)
-	c.opts.Metrics.inflight(w.url, -1)
 
 	if s.done || c.err != nil {
 		c.mu.Unlock()
-		c.opts.Metrics.shard(w.url, "discard", elapsed)
 		c.cond.Broadcast()
 		return 0
 	}
@@ -334,14 +324,12 @@ func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptEr
 		if len(s.excluded) > 0 {
 			// The shard failed elsewhere and completed here: a failover.
 			c.failovers++
-			c.opts.Metrics.failover()
 		}
 		for _, cf := range s.cancels {
 			cf()
 		}
 		s.cancels = nil
 		c.mu.Unlock()
-		c.opts.Metrics.shard(w.url, "ok", elapsed)
 		// Journal before merge: once a line is visible to OnLine it must be
 		// durable, or a crash after emission could resume with a hole. The
 		// append fsyncs; failure to journal is fatal for the run (delivering
@@ -371,7 +359,6 @@ func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptEr
 			c.err = c.ctx.Err()
 		}
 		c.mu.Unlock()
-		c.opts.Metrics.shard(w.url, "discard", elapsed)
 		c.cond.Broadcast()
 		return 0
 	}
@@ -383,9 +370,7 @@ func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptEr
 	case aerr.busy:
 		s.busyTries++
 		c.retries++
-		c.opts.Metrics.retry()
-		c.opts.Metrics.shard(w.url, "busy", elapsed)
-		if s.busyTries > c.opts.MaxBusyRetries {
+		if s.busyTries > maxBusyRetries {
 			c.failLocked(fmt.Errorf("dsweep: shard [%d,%d): still busy after %d retries: %w", s.lo, s.hi, s.busyTries-1, aerr.err))
 		} else {
 			c.requeueLocked(s)
@@ -396,18 +381,15 @@ func (c *coord) complete(w *workerState, s *shard, lines []Line, aerr *attemptEr
 		c.retries++
 		s.excluded[w.url] = true
 		w.consecFails++
-		c.opts.Metrics.retry()
-		c.opts.Metrics.shard(w.url, "error", elapsed)
-		if w.consecFails >= c.opts.WorkerFailLimit && !w.dead {
+		if w.consecFails >= c.opts.workerFailLimit && !w.dead {
 			w.dead = true
 			c.live--
 			c.deadWorkers++
-			c.opts.Metrics.workerDead()
 		}
 		switch {
 		case c.live == 0:
 			c.failLocked(fmt.Errorf("dsweep: all workers failed; last error: %w", aerr.err))
-		case s.attempts >= c.opts.MaxAttempts:
+		case s.attempts >= maxAttempts:
 			c.failLocked(fmt.Errorf("dsweep: shard [%d,%d) failed %d times, giving up: %w", s.lo, s.hi, s.attempts, aerr.err))
 		default:
 			c.requeueLocked(s)
@@ -427,7 +409,6 @@ func (c *coord) requeueLocked(s *shard) {
 	}
 	c.queue = append(c.queue, s)
 	c.unstickLocked()
-	c.opts.Metrics.queueDepth(len(c.queue))
 }
 
 // failLocked records the run's first fatal error and aborts every in-flight
@@ -440,12 +421,12 @@ func (c *coord) failLocked(err error) {
 }
 
 // backoffDur is exponential backoff with jitter: attempt n sleeps in
-// [d/2, d] for d = min(RetryBase·2ⁿ⁻¹, RetryMax). Jitter decorrelates
+// [d/2, d] for d = min(retryBase·2ⁿ⁻¹, retryMax). Jitter decorrelates
 // retries across workers; it never influences results, only timing.
 func backoffDur(opts Options, attempt int) time.Duration {
-	d := opts.RetryMax
+	d := opts.retryMax
 	if attempt-1 < 20 {
-		if b := opts.RetryBase << uint(attempt-1); b > 0 && b < d {
+		if b := opts.retryBase << uint(attempt-1); b > 0 && b < d {
 			d = b
 		}
 	}

@@ -31,7 +31,7 @@
 // size, and a draining worker is skipped at startup. Faster or larger
 // workers therefore pull proportionally more of the queue.
 //
-// Observability: pass Options.Metrics (NewMetrics on an obs.Registry) to get
-// the dsweep_* family — per-worker shard latency histograms and outcome
-// counters, retry/failover/hedge totals, queue and reorder-buffer gauges.
+// Observability: Run returns Stats (shards, retries, failovers, hedges,
+// dead workers), and Options.Tracer records one dsweep.dispatch span per
+// shard attempt. The coordinator registers no metrics.
 package dsweep

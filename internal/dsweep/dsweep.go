@@ -1,10 +1,10 @@
 package dsweep
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"time"
 
 	"bfdn/internal/jobstore"
@@ -34,51 +34,13 @@ type Line struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// Options tune the coordinator. The zero value is valid and selects the
-// defaults documented per field.
+// Options tune the coordinator. The zero value is valid.
 type Options struct {
-	// Client issues all worker HTTP requests; nil selects a private client
-	// with no global timeout (per-attempt deadlines come from ShardTimeout).
-	Client *http.Client
-	// ShardTimeout bounds one dispatch attempt of one shard, end to end
-	// (connection, worker simulation, stream read); ≤ 0 selects 2m. It is
-	// also sent to the worker as the request's timeoutMs so the worker's
-	// deadline matches the coordinator's.
-	ShardTimeout time.Duration
-	// CapacityTimeout bounds the startup GET /capacity probe per worker;
-	// ≤ 0 selects 5s.
-	CapacityTimeout time.Duration
-	// MaxAttempts bounds how many times one shard may be dispatched after
-	// failures (transport errors, 5xx, malformed streams) before the whole
-	// run fails; ≤ 0 selects 4. Busy responses (429, 503) have their own
-	// budget, MaxBusyRetries (≤ 0 selects 10), since they signal back-off,
-	// not damage.
-	MaxAttempts    int
-	MaxBusyRetries int
-	// RetryBase and RetryMax shape the per-worker exponential backoff with
-	// jitter after a failed or busy attempt; ≤ 0 select 50ms and 2s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// WorkerFailLimit is how many consecutive failures mark a worker dead
-	// (its unfinished shards fail over to the others); ≤ 0 selects 3.
-	WorkerFailLimit int
-	// InflightPerWorker caps concurrent shards on one worker, further
-	// clamped by the worker's advertised maxJobs; ≤ 0 selects 2.
-	InflightPerWorker int
-	// Oversub targets Oversub shards per in-flight slot when cutting the
-	// plan, so the queue stays long enough for work stealing and failover
-	// to balance load; ≤ 0 selects 4. MaxShardPoints caps shard size
-	// (further clamped by the smallest advertised maxPoints); ≤ 0 selects
-	// 512.
-	Oversub        int
-	MaxShardPoints int
 	// Hedge enables hedged dispatch of straggler tail shards: when the
 	// queue is empty and a worker is idle, it re-dispatches the oldest
 	// in-flight shard; the first completion wins and the duplicate is
 	// discarded (results are deterministic, so both copies agree).
 	Hedge bool
-	// Metrics, when non-nil, receives the dsweep_* instrument family.
-	Metrics *Metrics
 	// Tracer, when non-nil, records the run as one trace: a dsweep.run root
 	// with probe/partition/merge children and one dsweep.dispatch span per
 	// shard attempt (retries and hedge duplicates appear as siblings). The
@@ -99,44 +61,48 @@ type Options struct {
 	// byte-identical to an uninterrupted run; a job already marked done is
 	// answered entirely from the journal without contacting any worker.
 	Store *jobstore.Store
+
+	// retryBase, retryMax and workerFailLimit override the constants of
+	// the same names when non-zero. Only the fault-injection tests set
+	// them, so that a failing worker is declared dead before a healthy
+	// one has drained the queue.
+	retryBase, retryMax time.Duration
+	workerFailLimit     int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 2 * time.Minute
-	}
-	if o.CapacityTimeout <= 0 {
-		o.CapacityTimeout = 5 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.MaxBusyRetries <= 0 {
-		o.MaxBusyRetries = 10
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
-	if o.WorkerFailLimit <= 0 {
-		o.WorkerFailLimit = 3
-	}
-	if o.InflightPerWorker <= 0 {
-		o.InflightPerWorker = 2
-	}
-	if o.Oversub <= 0 {
-		o.Oversub = 4
-	}
-	if o.MaxShardPoints <= 0 {
-		o.MaxShardPoints = 512
-	}
-	return o
-}
+// The coordinator's fixed budgets. Every worker request goes through
+// http.DefaultClient, with no global timeout: each attempt has its own.
+const (
+	// shardTimeout bounds one dispatch attempt of one shard, end to end
+	// (connection, worker simulation, stream read). It is also sent to the
+	// worker as the request's timeoutMs so the worker's deadline matches
+	// the coordinator's.
+	shardTimeout = 2 * time.Minute
+	// capacityTimeout bounds the startup GET /capacity probe per worker.
+	capacityTimeout = 5 * time.Second
+	// maxAttempts bounds how many times one shard may be dispatched after
+	// failures (transport errors, 5xx, malformed streams) before the whole
+	// run fails. Busy responses (429, 503) have their own budget,
+	// maxBusyRetries, since they signal back-off, not damage.
+	maxAttempts    = 4
+	maxBusyRetries = 10
+	// retryBase and retryMax shape the per-worker exponential backoff with
+	// jitter after a failed or busy attempt.
+	retryBase = 50 * time.Millisecond
+	retryMax  = 2 * time.Second
+	// workerFailLimit is how many consecutive failures mark a worker dead
+	// (its unfinished shards fail over to the others).
+	workerFailLimit = 3
+	// inflightPerWorker caps concurrent shards on one worker, further
+	// clamped by the worker's advertised maxJobs.
+	inflightPerWorker = 2
+	// oversub targets oversub shards per in-flight slot when cutting the
+	// plan, so the queue stays long enough for work stealing and failover
+	// to balance load. maxShardPoints caps shard size, further clamped by
+	// the smallest advertised maxPoints.
+	oversub        = 4
+	maxShardPoints = 512
+)
 
 // Stats summarizes one coordinator run.
 type Stats struct {
@@ -176,7 +142,9 @@ func (s Stats) String() string {
 // cannot help), or when ctx is canceled; on failure the merged prefix
 // produced so far is returned alongside the error.
 func Run(ctx context.Context, plan Plan, workers []string, opts Options) ([]Line, Stats, error) {
-	opts = opts.withDefaults()
+	opts.retryBase = cmp.Or(opts.retryBase, retryBase)
+	opts.retryMax = cmp.Or(opts.retryMax, retryMax)
+	opts.workerFailLimit = cmp.Or(opts.workerFailLimit, workerFailLimit)
 	stats := Stats{Points: len(plan.Points), ShardsByWorker: map[string]int{}}
 	if len(plan.Points) == 0 {
 		return nil, stats, nil
@@ -223,7 +191,7 @@ func Run(ctx context.Context, plan Plan, workers []string, opts Options) ([]Line
 	defer root.End()
 
 	probeStart := time.Now()
-	fleet, err := probeFleet(ctx, workers, opts)
+	fleet, err := probeFleet(ctx, workers)
 	tracing.Record(ctx, "dsweep.probe", probeStart, time.Now(),
 		tracing.Int("fleet", len(fleet)))
 	if err != nil {
@@ -238,7 +206,7 @@ func Run(ctx context.Context, plan Plan, workers []string, opts Options) ([]Line
 	partStart := time.Now()
 	size := cutSize
 	if size == 0 {
-		size = shardSize(len(plan.Points), fleet, opts)
+		size = shardSize(len(plan.Points), fleet)
 		if job != nil {
 			if err := job.Append(cutRecord{T: "cut", Size: size}); err != nil {
 				return nil, stats, err

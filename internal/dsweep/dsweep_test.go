@@ -15,22 +15,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bfdn"
 	"bfdn/internal/dsweep"
-	"bfdn/internal/obs"
+	"bfdn/internal/obs/tracing"
 	"bfdn/internal/server"
 )
-
-// fastRetry keeps fault-injection tests quick without changing semantics.
-func fastRetry(o dsweep.Options) dsweep.Options {
-	o.RetryBase = time.Millisecond
-	o.RetryMax = 5 * time.Millisecond
-	return o
-}
 
 // startWorker spins up one bfdnd worker, optionally behind a fault-injecting
 // wrapper that receives the request, the real handler, and the 1-based count
@@ -151,21 +145,17 @@ func requireIdentical(t *testing.T, plan dsweep.Plan, got []dsweep.Line) {
 
 func TestDistributedMatchesLocal(t *testing.T) {
 	// Three healthy workers with different capacities; the one advertising
-	// maxJobs 1 exercises the capacity-weighted concurrency clamp.
+	// maxJobs 1 gets one shard at a time (TestInflightFollowsMaxJobs).
 	workers := []string{
-		startWorker(t, server.Config{MaxJobs: 4, SweepWorkers: 2}, nil),
-		startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 1}, nil),
-		startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 3}, nil),
+		startWorker(t, server.Config{MaxJobs: 4, SweepWorkers: 2, MaxPoints: 4}, nil),
+		startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 1, MaxPoints: 4}, nil),
+		startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 3, MaxPoints: 4}, nil),
 	}
 	plan := testPlan(37)
 
 	var streamed []int
-	reg := obs.NewRegistry()
 	lines, stats, err := dsweep.Run(context.Background(), plan, workers, dsweep.Options{
-		MaxShardPoints: 4,
-		Oversub:        2,
-		Metrics:        dsweep.NewMetrics(reg),
-		OnLine:         func(l dsweep.Line) { streamed = append(streamed, l.Point) },
+		OnLine: func(l dsweep.Line) { streamed = append(streamed, l.Point) },
 	})
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
@@ -176,7 +166,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		t.Errorf("stats = %+v, want 37 points over 3 workers", stats)
 	}
 	if stats.Shards < 10 {
-		t.Errorf("%d shards for 37 points with MaxShardPoints 4, want ≥ 10", stats.Shards)
+		t.Errorf("%d shards for 37 points with maxPoints 4, want ≥ 10", stats.Shards)
 	}
 	total := 0
 	for _, n := range stats.ShardsByWorker {
@@ -193,13 +183,54 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	if len(streamed) != 37 {
 		t.Errorf("OnLine saw %d lines, want 37", len(streamed))
 	}
+}
 
-	var expo bytes.Buffer
-	reg.WritePrometheus(&expo)
-	for _, metric := range []string{"dsweep_shards_total", "dsweep_points_merged_total", "dsweep_shard_duration_seconds"} {
-		if !strings.Contains(expo.String(), metric) {
-			t.Errorf("metrics exposition lacks %s", metric)
-		}
+// inflight counts the sweep requests one worker is serving at once.
+type inflight struct {
+	mu        sync.Mutex
+	cur, peak int
+}
+
+// wrap is a startWorker fault injector that injects no fault: it holds
+// each sweep for a few milliseconds, so that concurrent dispatches
+// overlap, and records the peak count.
+func (f *inflight) wrap(w http.ResponseWriter, r *http.Request, inner http.Handler, sweepN int64) {
+	if sweepN > 0 {
+		f.mu.Lock()
+		f.cur++
+		f.peak = max(f.peak, f.cur)
+		f.mu.Unlock()
+		defer func() {
+			f.mu.Lock()
+			f.cur--
+			f.mu.Unlock()
+		}()
+		time.Sleep(5 * time.Millisecond)
+	}
+	inner.ServeHTTP(w, r)
+}
+
+func TestInflightFollowsMaxJobs(t *testing.T) {
+	// The coordinator keeps at most min(2, maxJobs) shards in flight on a
+	// worker: one on the worker that advertises maxJobs 1, and two on the
+	// one that advertises 4.
+	var one, four inflight
+	workers := []string{
+		startWorker(t, server.Config{MaxJobs: 1, MaxPoints: 2}, one.wrap),
+		startWorker(t, server.Config{MaxJobs: 4, MaxPoints: 2}, four.wrap),
+	}
+	plan := testPlan(24)
+
+	lines, stats, err := dsweep.Run(context.Background(), plan, workers, dsweep.Options{})
+	if err != nil {
+		t.Fatalf("Run: %v (stats: %s)", err, stats)
+	}
+	requireIdentical(t, plan, lines)
+	if one.peak > 1 {
+		t.Errorf("%d shards in flight on the maxJobs 1 worker, want at most 1", one.peak)
+	}
+	if four.peak > 2 {
+		t.Errorf("%d shards in flight on the maxJobs 4 worker, want at most 2", four.peak)
 	}
 }
 
@@ -219,8 +250,8 @@ func TestWorkerDiesMidStreamFailsOver(t *testing.T) {
 	// Worker B truncates the JSONL stream of its first sweep mid-line, then
 	// answers every later request with 500: two consecutive failures, so the
 	// coordinator must declare it dead and fail its shards over to A.
-	healthy := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2}, nil)
-	flaky := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2},
+	healthy := startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 2, MaxPoints: 2}, nil)
+	flaky := startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 2, MaxPoints: 2},
 		func(w http.ResponseWriter, r *http.Request, inner http.Handler, sweepN int64) {
 			switch {
 			case sweepN == 1:
@@ -240,11 +271,7 @@ func TestWorkerDiesMidStreamFailsOver(t *testing.T) {
 	plan := testPlan(40)
 
 	lines, stats, err := dsweep.Run(context.Background(), plan, []string{healthy, flaky},
-		fastRetry(dsweep.Options{
-			MaxShardPoints:    2,
-			InflightPerWorker: 1,
-			WorkerFailLimit:   2,
-		}))
+		dsweep.FastFaults(dsweep.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
 	}
@@ -269,7 +296,7 @@ func TestBusyWorkerRecovers(t *testing.T) {
 	// then recovers. Busy responses must be retried with backoff — never
 	// blamed on the worker — and the result must still be exact.
 	var rejected atomic.Int64
-	url := startWorker(t, server.Config{MaxJobs: 2},
+	url := startWorker(t, server.Config{MaxJobs: 1, MaxPoints: 4},
 		func(w http.ResponseWriter, r *http.Request, inner http.Handler, sweepN int64) {
 			if sweepN >= 1 && sweepN <= 2 {
 				rejected.Add(1)
@@ -283,7 +310,7 @@ func TestBusyWorkerRecovers(t *testing.T) {
 	plan := testPlan(12)
 
 	lines, stats, err := dsweep.Run(context.Background(), plan, []string{url},
-		fastRetry(dsweep.Options{MaxShardPoints: 4, InflightPerWorker: 1}))
+		dsweep.FastFaults(dsweep.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
 	}
@@ -306,11 +333,11 @@ func TestUnreachableWorkerFailsOver(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	live := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2}, nil)
+	live := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2, MaxPoints: 4}, nil)
 	plan := testPlan(16)
 
 	lines, stats, err := dsweep.Run(context.Background(), plan, []string{deadURL, live},
-		fastRetry(dsweep.Options{MaxShardPoints: 4, WorkerFailLimit: 2}))
+		dsweep.FastFaults(dsweep.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
 	}
@@ -329,7 +356,7 @@ func TestUnreachableWorkerFailsOver(t *testing.T) {
 func TestMalformedStreamRetries(t *testing.T) {
 	// A 200 response whose body is not JSONL at all must be treated as a
 	// failed attempt (never merged), and the retry must repair the run.
-	url := startWorker(t, server.Config{MaxJobs: 2},
+	url := startWorker(t, server.Config{MaxJobs: 1},
 		func(w http.ResponseWriter, r *http.Request, inner http.Handler, sweepN int64) {
 			if sweepN == 1 {
 				w.Header().Set("Content-Type", "application/x-ndjson")
@@ -342,7 +369,7 @@ func TestMalformedStreamRetries(t *testing.T) {
 	plan := testPlan(6)
 
 	lines, stats, err := dsweep.Run(context.Background(), plan, []string{url},
-		fastRetry(dsweep.Options{InflightPerWorker: 1}))
+		dsweep.FastFaults(dsweep.Options{}))
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
 	}
@@ -356,9 +383,9 @@ func TestHedgeCompletesStraggler(t *testing.T) {
 	// Worker B swallows its first shard forever (the handler blocks until
 	// the request is canceled). With hedging on, the idle worker A duplicates
 	// the straggler once the queue drains; the winning copy cancels B's.
-	healthy := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2}, nil)
+	healthy := startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 2, MaxPoints: 2}, nil)
 	release := make(chan struct{})
-	stuck := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2},
+	stuck := startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 2, MaxPoints: 2},
 		func(w http.ResponseWriter, r *http.Request, inner http.Handler, sweepN int64) {
 			if sweepN == 1 {
 				// Drain the body first: the server only watches for a client
@@ -377,11 +404,7 @@ func TestHedgeCompletesStraggler(t *testing.T) {
 	plan := testPlan(8)
 
 	lines, stats, err := dsweep.Run(context.Background(), plan, []string{healthy, stuck},
-		fastRetry(dsweep.Options{
-			MaxShardPoints:    2,
-			InflightPerWorker: 1,
-			Hedge:             true,
-		}))
+		dsweep.FastFaults(dsweep.Options{Hedge: true}))
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
 	}
@@ -398,14 +421,13 @@ func TestCancellationAbortsRun(t *testing.T) {
 	// Cancel after the fifth merged line. The run must stop promptly with
 	// ctx's error, and the partial output must be an exact prefix of the
 	// local ground truth — never a hole, never a reordered tail.
-	url := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2}, nil)
+	url := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2, MaxPoints: 2}, nil)
 	plan := testPlan(120)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
 	lines, _, err := dsweep.Run(ctx, plan, []string{url}, dsweep.Options{
-		MaxShardPoints: 2,
 		OnLine: func(dsweep.Line) {
 			if seen++; seen == 5 {
 				cancel()
@@ -428,12 +450,23 @@ func TestCancellationAbortsRun(t *testing.T) {
 // TestCancellationAbortsRun can hit: every shard completes before shard 0
 // is merged, so the cancel lands while the merger emits the whole plan in
 // one delivery. Every shard is one point, and the worker holds shard 0
-// back until the coordinator has buffered every other shard. The run must still stop emitting at the
-// cancel and return the context's error with a strict prefix.
+// back until the coordinator has buffered every other shard: the
+// coordinator records a dsweep.merge span for each shard right after the
+// merger takes it. The run must still stop emitting at the cancel and
+// return the context's error with a strict prefix.
 func TestCancelAfterLastShardAbortsRun(t *testing.T) {
 	const points = 6
-	m := dsweep.NewMetrics(obs.NewRegistry())
-	url := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 1},
+	tracer := tracing.New(tracing.Config{Seed: 7})
+	merged := func() int {
+		n := 0
+		for _, sp := range tracer.Spans(tracing.TraceID{}) {
+			if sp.Name == "dsweep.merge" {
+				n++
+			}
+		}
+		return n
+	}
+	url := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 1, MaxPoints: 1},
 		func(w http.ResponseWriter, r *http.Request, inner http.Handler, _ int64) {
 			body, err := io.ReadAll(r.Body)
 			if err != nil {
@@ -442,7 +475,7 @@ func TestCancelAfterLastShardAbortsRun(t *testing.T) {
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			if bytes.Contains(body, []byte(`"indexBase":0,`)) {
-				for m.ReorderPending.Value() < points-1 {
+				for merged() < points-1 {
 					if r.Context().Err() != nil {
 						return
 					}
@@ -457,9 +490,7 @@ func TestCancelAfterLastShardAbortsRun(t *testing.T) {
 	defer cancel()
 	seen := 0
 	lines, _, err := dsweep.Run(ctx, plan, []string{url}, dsweep.Options{
-		MaxShardPoints:    1,
-		InflightPerWorker: 2,
-		Metrics:           m,
+		Tracer: tracer,
 		OnLine: func(dsweep.Line) {
 			if seen++; seen == 1 {
 				cancel()
@@ -500,7 +531,7 @@ func TestAllWorkersUnreachableFails(t *testing.T) {
 	a.Close()
 	plan := testPlan(4)
 	_, _, err := dsweep.Run(context.Background(), plan, []string{aURL},
-		fastRetry(dsweep.Options{WorkerFailLimit: 2}))
+		dsweep.FastFaults(dsweep.Options{}))
 	if err == nil {
 		t.Fatal("Run succeeded with no reachable worker")
 	}

@@ -16,17 +16,16 @@ import (
 // copy wins). Once the run's context is done nothing more is emitted: a
 // caller that canceled from OnLine sees no line after its cancel.
 type merger struct {
-	ctx     context.Context
-	mu      sync.Mutex
-	buf     map[int][]Line // shard lo → its lines, awaiting turn
-	next    int            // next global point index to emit
-	out     []Line
-	onLine  func(Line)
-	metrics *Metrics
+	ctx    context.Context
+	mu     sync.Mutex
+	buf    map[int][]Line // shard lo → its lines, awaiting turn
+	next   int            // next global point index to emit
+	out    []Line
+	onLine func(Line)
 }
 
-func newMerger(ctx context.Context, onLine func(Line), m *Metrics) *merger {
-	return &merger{ctx: ctx, buf: map[int][]Line{}, onLine: onLine, metrics: m}
+func newMerger(ctx context.Context, onLine func(Line)) *merger {
+	return &merger{ctx: ctx, buf: map[int][]Line{}, onLine: onLine}
 }
 
 // deliver accepts one completed shard's lines (already carrying global
@@ -48,20 +47,16 @@ func (m *merger) deliver(lo int, lines []Line) {
 		}
 		delete(m.buf, m.next)
 		m.next += len(ls)
-		emitted := 0
 		for _, l := range ls {
 			if m.ctx.Err() != nil {
 				break
 			}
 			m.out = append(m.out, l)
-			emitted++
 			if m.onLine != nil {
 				m.onLine(l)
 			}
 		}
-		m.metrics.merged(emitted)
 	}
-	m.metrics.pending(len(m.buf))
 }
 
 // lines returns everything emitted so far, in point order.

@@ -19,7 +19,7 @@ func shardLines(lo, hi int) []Line {
 
 func TestMergerOrdersOutOfOrderShards(t *testing.T) {
 	var streamed []int
-	m := newMerger(context.Background(), func(l Line) { streamed = append(streamed, l.Point) }, nil)
+	m := newMerger(context.Background(), func(l Line) { streamed = append(streamed, l.Point) })
 
 	// Shards [4,7), [0,2), [7,8), [2,4) arrive out of order.
 	m.deliver(4, shardLines(4, 7))
@@ -45,7 +45,7 @@ func TestMergerOrdersOutOfOrderShards(t *testing.T) {
 }
 
 func TestMergerDropsDuplicateDeliveries(t *testing.T) {
-	m := newMerger(context.Background(), nil, nil)
+	m := newMerger(context.Background(), nil)
 	m.deliver(0, shardLines(0, 2))
 	m.deliver(0, shardLines(0, 2)) // duplicate of an emitted shard
 	m.deliver(4, shardLines(4, 6))

@@ -153,10 +153,7 @@ func (r *Registry) ServeWorkers(w http.ResponseWriter, req *http.Request) {
 // target, gossiping reg's current view, and merges the returned fleet back
 // into reg as provisional peers. reg may be nil (a worker announcing to an
 // external registry without hosting one).
-func AnnounceOnce(ctx context.Context, client *http.Client, target, self string, reg *Registry) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
+func AnnounceOnce(ctx context.Context, target, self string, reg *Registry) error {
 	var peers []string
 	if reg != nil {
 		peers = reg.Workers()
@@ -171,7 +168,7 @@ func AnnounceOnce(ctx context.Context, client *http.Client, target, self string,
 		return fmt.Errorf("dsweep: register with %s: %w", target, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("dsweep: register with %s: %w", target, err)
 	}
@@ -195,7 +192,7 @@ func AnnounceOnce(ctx context.Context, client *http.Client, target, self string,
 // runs when started with -announce. Failures are transient by design: the
 // next tick retries, and a worker that misses a full TTL of heartbeats
 // simply drops off the fleet until it reconnects.
-func Announce(ctx context.Context, client *http.Client, target, self string, reg *Registry, interval time.Duration) {
+func Announce(ctx context.Context, target, self string, reg *Registry, interval time.Duration) {
 	if interval <= 0 {
 		if reg != nil {
 			interval = reg.TTL() / 3
@@ -209,7 +206,7 @@ func Announce(ctx context.Context, client *http.Client, target, self string, reg
 	for {
 		// An AnnounceOnce failure is deliberately dropped: the next tick
 		// retries, and a lapsed lease only parks the worker off the fleet.
-		_ = AnnounceOnce(ctx, client, target, self, reg)
+		_ = AnnounceOnce(ctx, target, self, reg)
 		select {
 		case <-ctx.Done():
 			return
@@ -220,16 +217,13 @@ func Announce(ctx context.Context, client *http.Client, target, self string, reg
 
 // FetchWorkers asks the registry hosted at target for the live fleet — the
 // coordinator-side replacement for a static worker list.
-func FetchWorkers(ctx context.Context, client *http.Client, target string) ([]string, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
+func FetchWorkers(ctx context.Context, target string) ([]string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimRight(target, "/")+"/v1/workers", nil)
 	if err != nil {
 		return nil, fmt.Errorf("dsweep: fetch workers from %s: %w", target, err)
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("dsweep: fetch workers from %s: %w", target, err)
 	}

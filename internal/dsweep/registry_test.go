@@ -79,13 +79,13 @@ func TestAnnounceConvergence(t *testing.T) {
 	ctx := context.Background()
 	// A announces to B, then B announces to A: after one exchange each way,
 	// both registries know both workers.
-	if err := AnnounceOnce(ctx, nil, srvB.URL, srvA.URL, regA); err != nil {
+	if err := AnnounceOnce(ctx, srvB.URL, srvA.URL, regA); err != nil {
 		t.Fatal(err)
 	}
-	if err := AnnounceOnce(ctx, nil, srvA.URL, srvB.URL, regB); err != nil {
+	if err := AnnounceOnce(ctx, srvA.URL, srvB.URL, regB); err != nil {
 		t.Fatal(err)
 	}
-	if err := AnnounceOnce(ctx, nil, srvB.URL, srvA.URL, regA); err != nil {
+	if err := AnnounceOnce(ctx, srvB.URL, srvA.URL, regA); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{srvA.URL, srvB.URL}
@@ -100,7 +100,7 @@ func TestAnnounceConvergence(t *testing.T) {
 	}
 
 	// A coordinator fetches the fleet from either member.
-	fleet, err := FetchWorkers(ctx, nil, srvA.URL)
+	fleet, err := FetchWorkers(ctx, srvA.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRegisterRejectsBadBody(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body: status %d, want 400", resp.StatusCode)
 	}
-	if err := AnnounceOnce(context.Background(), nil, srv.URL, "", nil); err == nil {
+	if err := AnnounceOnce(context.Background(), srv.URL, "", nil); err == nil {
 		t.Error("AnnounceOnce with empty self URL did not error")
 	}
 }

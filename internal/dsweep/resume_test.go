@@ -32,8 +32,8 @@ func openStore(t *testing.T, dir string) *jobstore.Store {
 
 func TestCoordinatorKillRestartResumes(t *testing.T) {
 	workers := []string{
-		startWorker(t, server.Config{MaxJobs: 4, SweepWorkers: 2}, nil),
-		startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2}, nil),
+		startWorker(t, server.Config{MaxJobs: 4, SweepWorkers: 2, MaxPoints: 2}, nil),
+		startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2, MaxPoints: 2}, nil),
 	}
 	plan := testPlan(40)
 	dir := t.TempDir()
@@ -43,8 +43,7 @@ func TestCoordinatorKillRestartResumes(t *testing.T) {
 	defer cancel()
 	seen := 0
 	partial, stats1, err := dsweep.Run(ctx, plan, workers, dsweep.Options{
-		MaxShardPoints: 2,
-		Store:          openStore(t, dir),
+		Store: openStore(t, dir),
 		OnLine: func(dsweep.Line) {
 			if seen++; seen == 6 {
 				cancel()
@@ -71,14 +70,18 @@ func TestCoordinatorKillRestartResumes(t *testing.T) {
 		t.Fatalf("after kill want journaled shards, got %d WAL records", jobs[0].Records)
 	}
 
-	// Run 2: a restarted coordinator resumes. Different MaxShardPoints on
-	// purpose — the journaled cut must win over the fresh fleet's, or shard
-	// boundaries would no longer match the WAL ranges.
+	// Run 2: a restarted coordinator resumes against a new fleet that
+	// advertises a different maxPoints on purpose — the journaled cut must
+	// win over the fresh fleet's, or shard boundaries would no longer match
+	// the WAL ranges.
+	workers = []string{
+		startWorker(t, server.Config{MaxJobs: 4, SweepWorkers: 2, MaxPoints: 7}, nil),
+		startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2, MaxPoints: 7}, nil),
+	}
 	var order []int
 	lines, stats2, err := dsweep.Run(context.Background(), plan, workers, dsweep.Options{
-		MaxShardPoints: 7,
-		Store:          openStore(t, dir),
-		OnLine:         func(l dsweep.Line) { order = append(order, l.Point) },
+		Store:  openStore(t, dir),
+		OnLine: func(l dsweep.Line) { order = append(order, l.Point) },
 	})
 	if err != nil {
 		t.Fatalf("resumed run: %v (stats: %s)", err, stats2)
@@ -115,12 +118,12 @@ func TestCoordinatorKillRestartResumes(t *testing.T) {
 }
 
 func TestResumeRejectsCorruptJournal(t *testing.T) {
-	workers := []string{startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2}, nil)}
+	workers := []string{startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2, MaxPoints: 2}, nil)}
 	plan := testPlan(8)
 	dir := t.TempDir()
 
 	if _, _, err := dsweep.Run(context.Background(), plan, workers, dsweep.Options{
-		MaxShardPoints: 2, Store: openStore(t, dir),
+		Store: openStore(t, dir),
 	}); err != nil {
 		t.Fatalf("seed run: %v", err)
 	}

@@ -68,7 +68,7 @@ func TestFleetTraceReassembly(t *testing.T) {
 	// bfdnd processes would.
 	tracedWorker := func() server.Config {
 		return server.Config{
-			MaxJobs: 2, SweepWorkers: 2,
+			MaxJobs: 2, SweepWorkers: 2, MaxPoints: 3,
 			Tracer: tracing.New(tracing.Config{SampleEvery: 1}),
 		}
 	}
@@ -80,7 +80,7 @@ func TestFleetTraceReassembly(t *testing.T) {
 	tracer := tracing.New(tracing.Config{Seed: 3})
 
 	lines, stats, err := dsweep.Run(context.Background(), plan, urls,
-		dsweep.Options{MaxShardPoints: 3, Tracer: tracer})
+		dsweep.Options{Tracer: tracer})
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
 	}
@@ -173,9 +173,9 @@ func TestFleetTraceReassembly(t *testing.T) {
 // dsweep.dispatch spans under the one dsweep.run root, the duplicate marked
 // hedge=true.
 func TestFleetTraceHedgeSiblings(t *testing.T) {
-	healthy := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2}, nil)
+	healthy := startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 2, MaxPoints: 2}, nil)
 	release := make(chan struct{})
-	stuck := startWorker(t, server.Config{MaxJobs: 2, SweepWorkers: 2},
+	stuck := startWorker(t, server.Config{MaxJobs: 1, SweepWorkers: 2, MaxPoints: 2},
 		func(w http.ResponseWriter, r *http.Request, inner http.Handler, sweepN int64) {
 			if sweepN == 1 {
 				io.Copy(io.Discard, r.Body)
@@ -192,12 +192,7 @@ func TestFleetTraceHedgeSiblings(t *testing.T) {
 	tracer := tracing.New(tracing.Config{Seed: 5})
 
 	lines, stats, err := dsweep.Run(context.Background(), plan, []string{healthy, stuck},
-		fastRetry(dsweep.Options{
-			MaxShardPoints:    2,
-			InflightPerWorker: 1,
-			Hedge:             true,
-			Tracer:            tracer,
-		}))
+		dsweep.FastFaults(dsweep.Options{Hedge: true, Tracer: tracer}))
 	if err != nil {
 		t.Fatalf("Run: %v (stats: %s)", err, stats)
 	}

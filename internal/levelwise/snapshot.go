@@ -50,9 +50,10 @@ func (l *Levelwise) SnapshotState(e *snap.Encoder, _ *sim.View, _ []sim.ExploreE
 // RestoreState implements sim.Snapshotter; l must have been constructed for
 // the snapshot's robot count. It files the open list in its buckets as it
 // decodes it. A checkpoint is untrusted input: a node v has not explored,
-// an open node listed twice, a negative count and a length past the bytes
-// left are errors.
-func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEvent) error {
+// an open node listed twice, a negative count, a length past the bytes
+// left and an open list that the world does not imply (checkOpen) are
+// errors.
+func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, pending []sim.ExploreEvent) error {
 	k := d.Int()
 	if err := d.Err(); err != nil {
 		return err
@@ -77,6 +78,9 @@ func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEv
 		}
 		l.addOpen(v, node, int(count))
 	}
+	if err := l.checkOpen(v, pending); err != nil {
+		return err
+	}
 	for i := range l.plans {
 		p := &l.plans[i]
 		m := d.Int()
@@ -97,4 +101,45 @@ func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEv
 		}
 	}
 	return d.Err()
+}
+
+// checkOpen refuses an open list that the world does not imply. Levelwise
+// seeds the list in its first round, and at a checkpoint it has folded in
+// every explore but the pending ones. So before round 1 the list is empty;
+// after it, an explored node's count is its dangling edges plus the pending
+// explores at it, except that a pending explore's child is not listed yet.
+// An earlier encoding also wrote closed nodes with count 0, which addOpen
+// skips, so they pass.
+func (l *Levelwise) checkOpen(v *sim.View, pending []sim.ExploreEvent) error {
+	if l.seeded != (v.Round() > 0) {
+		return fmt.Errorf("levelwise: open list seeded=%v at round %d: %w", l.seeded, v.Round(), snap.ErrCorrupt)
+	}
+	var want []int32
+	if l.seeded {
+		for u, seen := tree.NodeID(0), 0; seen < v.ExploredCount(); u++ {
+			c := int32(0)
+			if v.Explored(u) {
+				seen++
+				c = int32(v.DanglingAt(u))
+			}
+			want = append(want, c)
+		}
+		for _, e := range pending {
+			want[e.Child] = 0
+			want[e.Parent]++
+		}
+	}
+	for u := range max(len(want), len(l.count)) {
+		var got, exp int32
+		if u < len(l.count) {
+			got = l.count[u]
+		}
+		if u < len(want) {
+			exp = want[u]
+		}
+		if got != exp {
+			return fmt.Errorf("levelwise: open list gives node %d count %d, the world implies %d: %w", u, got, exp, snap.ErrCorrupt)
+		}
+	}
+	return nil
 }

@@ -3,9 +3,8 @@
 // and rendered in the Prometheus text exposition format (WritePrometheus,
 // Handler). It implements no part of the paper itself — it is the
 // reproduction-infrastructure observability layer (DESIGN.md S25) behind
-// the bfdnd_* families of the service daemon (internal/server), the sweep
-// engine's recorder (internal/sweep), and the distributed coordinator's
-// dsweep_* family (internal/dsweep).
+// the bfdnd_* families of the service daemon (internal/server) and the sweep
+// engine's recorder (internal/sweep).
 //
 // The design goals, in order:
 //
@@ -401,14 +400,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, kindCounter, labels, nil)}
 }
 
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: %s: GaugeVec needs at least one label", name))
-	}
-	return &GaugeVec{f: r.register(name, help, kindGauge, labels, nil)}
-}
-
 // HistogramVec registers a labeled histogram family; every child shares the
 // bucket bounds.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
@@ -426,15 +417,6 @@ type CounterVec struct{ f *family }
 // registration order), creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return new(Counter) }).(*Counter)
-}
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values, creating it on first
-// use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() any { return new(Gauge) }).(*Gauge)
 }
 
 // HistogramVec is a labeled histogram family.

@@ -169,10 +169,6 @@ func TestWritePrometheus(t *testing.T) {
 	hv.With(`we"ird`, "500\n").Observe(2)
 	cv := r.CounterVec("reqs_total", "Per endpoint.", "endpoint")
 	cv.With("sweep").Inc()
-	gv := r.GaugeVec("worker_inflight", "In-flight shards per worker.", "worker")
-	gv.With("http://a:8080").Set(3)
-	gv.With("http://b:8080").Inc()
-	gv.With("http://b:8080").Dec()
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -192,8 +188,6 @@ func TestWritePrometheus(t *testing.T) {
 		`req_seconds_count{endpoint="explore",status="200"} 2`,
 		`req_seconds_count{endpoint="we\"ird",status="500\n"} 1`,
 		`reqs_total{endpoint="sweep"} 1`,
-		"# TYPE worker_inflight gauge\n" + `worker_inflight{worker="http://a:8080"} 3`,
-		`worker_inflight{worker="http://b:8080"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)

@@ -18,26 +18,23 @@ import (
 	"regexp"
 	"sort"
 
-	"bfdn/internal/dsweep"
-	"bfdn/internal/obs"
 	"bfdn/internal/server"
 )
 
 // RegisteredMetricNames returns every metric name the system registers: the
 // bfdnd daemon's full registry (admission, request, sim and both sweep
-// recorder families) plus the distributed coordinator's dsweep_* family.
+// recorder families).
 func RegisteredMetricNames() []string {
 	names := server.MetricNames()
-	reg := obs.NewRegistry()
-	dsweep.NewMetrics(reg)
-	names = append(names, reg.Names()...)
 	sort.Strings(names)
 	return names
 }
 
-// metricToken matches a metric-shaped word: a bfdnd_/dsweep_ name that does
-// not trail off in an underscore (section headers write bare prefixes like
-// "bfdnd_async_sweep_", which name a family, not a metric).
+// metricToken matches a metric-shaped word: a bfdnd_ name that does not
+// trail off in an underscore (section headers write bare prefixes like
+// "bfdnd_async_sweep_", which name a family, not a metric). dsweep_ names
+// match too: the coordinator registers none, so a document that still
+// cites one has drifted.
 var metricToken = regexp.MustCompile(`\b(?:bfdnd|dsweep)_[a-z0-9_]*[a-z0-9]`)
 
 // DocMetricNames extracts the set of metric-shaped tokens from the file at

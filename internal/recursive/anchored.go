@@ -40,9 +40,6 @@ type Anchored interface {
 	// the anchor slid down to the instance's current depth boundary along the
 	// robot's position path (the §5 re-anchoring modification).
 	ActiveAnchors(v *sim.View, out []RobotAnchor) []RobotAnchor
-	// Finished reports that the instance has no work left within its depth
-	// budget and controls no active robots.
-	Finished(v *sim.View) bool
 }
 
 // bfdn1 adapts a depth-limited core.BFDN instance (BFDN₁(k, k, d)) to the
@@ -115,10 +112,6 @@ func (a *bfdn1) ActiveAnchors(v *sim.View, out []RobotAnchor) []RobotAnchor {
 		out = append(out, RobotAnchor{Robot: r, Anchor: ancestorAtDepth(v, x, limitAbs)})
 	}
 	return out
-}
-
-func (a *bfdn1) Finished(v *sim.View) bool {
-	return a.b.ShallowDone() && a.b.ActiveCount(v) == 0
 }
 
 // ancestorAtDepth returns the ancestor of x at absolute depth d (x itself if

@@ -330,25 +330,6 @@ func (d *divideDepth) ActiveAnchors(v *sim.View, out []RobotAnchor) []RobotAncho
 	return out
 }
 
-// Finished implements Anchored.
-func (d *divideDepth) Finished(v *sim.View) bool {
-	if !d.seeded {
-		return false
-	}
-	if d.phase == phaseDone {
-		return true
-	}
-	if d.phase != phaseDeep {
-		return false
-	}
-	for _, c := range d.children {
-		if !c.Finished(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // FinishedIterations reports that the instance is past its last iteration
 // (used by BFDN_ℓ's phase schedule, which does not run deep).
 func (d *divideDepth) FinishedIterations() bool {

@@ -83,9 +83,6 @@ func (b *Board) Delta() int { return b.delta }
 // Load reports the number of balls in urn i.
 func (b *Board) Load(i int) int { return b.loads[i] }
 
-// Loads returns a copy of all urn loads.
-func (b *Board) Loads() []int { return append([]int(nil), b.loads...) }
-
 // Fresh reports whether urn i has never been chosen by the adversary.
 func (b *Board) Fresh(i int) bool { return b.fresh[i] }
 

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"bfdn/internal/levelwise"
 	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
@@ -254,10 +256,48 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 		}
 		if edit := algProbes[alg]; edit != nil {
 			w, a := build()
-			if _, err := sim.RestoreCheckpoint(rewriteAlgorithm(t, ckpt, pt, edit), w, a); err == nil {
+			if _, err := sim.RestoreCheckpoint(rewriteAlgorithm(t, ckpt, pt.t, 4, edit), w, a); err == nil {
 				t.Errorf("%s: RestoreCheckpoint accepted an algorithm state its world contradicts", alg)
 			}
 		}
+	}
+
+	// Levelwise's round-75 checkpoint from internal/levelwise's
+	// TestGoldenCheckpoint, with node 4's six open edges listed as none.
+	// RestoreCheckpoint used to accept it; the resumed run then ended at
+	// round 614 with every robot at the root and the tree not fully
+	// explored.
+	lt := tree.Random(400, 12, rand.New(rand.NewSource(7)))
+	build := func() (*sim.World, sim.Algorithm) {
+		w, err := sim.NewWorld(lt, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, levelwise.New(8)
+	}
+	closeNode4 := func(d *snap.Decoder, e *snap.Encoder) {
+		e.Int(d.Int())   // k
+		e.Bool(d.Bool()) // seeded
+		e.Int(d.Int())   // phases
+		n := d.Int()
+		e.Int(n)
+		for i := 0; i < n; i++ {
+			node, count := d.Int32(), d.Int()
+			if node == 4 {
+				if count != 6 {
+					t.Fatalf("node 4 has %d open edges at round 75, want 6", count)
+				}
+				count = 0
+			}
+			e.Int32(node)
+			e.Int(count)
+		}
+	}
+	w8, a8 := build()
+	ckpt8 := checkpointAt(t, w8, a8, 75)
+	w8, a8 = build()
+	if _, err := sim.RestoreCheckpoint(rewriteAlgorithm(t, ckpt8, lt, 8, closeNode4), w8, a8); !errors.Is(err, snap.ErrCorrupt) {
+		t.Errorf("levelwise: node 4 closed: RestoreCheckpoint = %v, want snap.ErrCorrupt", err)
 	}
 }
 
@@ -318,12 +358,12 @@ func offByOne(d *snap.Decoder, e *snap.Encoder) {
 }
 
 // rewriteAlgorithm lets edit read the algorithm half of a checkpoint of a
-// 4-robot run on tr up to the field it changes, writing what it keeps and
+// k-robot run on tr up to the field it changes, writing what it keeps and
 // the change, and splices that between the checkpoint's world and pending
 // events and the rest of the algorithm half.
-func rewriteAlgorithm(t *testing.T, ckpt []byte, tr *Tree, edit func(d *snap.Decoder, e *snap.Encoder)) []byte {
+func rewriteAlgorithm(t *testing.T, ckpt []byte, tr *tree.Tree, k int, edit func(d *snap.Decoder, e *snap.Encoder)) []byte {
 	t.Helper()
-	w, err := sim.NewWorld(tr.t, 4)
+	w, err := sim.NewWorld(tr, k)
 	if err != nil {
 		t.Fatal(err)
 	}
