@@ -1,9 +1,14 @@
 package bfdn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
+
+	"bfdn/internal/tree"
 )
 
 func TestExploreTraced(t *testing.T) {
@@ -128,5 +133,61 @@ func TestExploreTracedHonorsProgressAndCheckpoint(t *testing.T) {
 	}
 	if jobs, err := js.Jobs(); err != nil || len(jobs) != 0 {
 		t.Errorf("store holds %d jobs after a refused traced run (err %v), want 0", len(jobs), err)
+	}
+}
+
+// TestGoldenTraceFrames pins every frame ExploreTraced records: a SHA-256
+// per algorithm over each frame's round, explored count, robot positions
+// and the explored marker of every node at that round, on three tree
+// families at k ∈ {1, 4, 16}, recording every round and every 7th.
+func TestGoldenTraceFrames(t *testing.T) {
+	want := map[Algorithm]string{
+		BFDN:          "0d5c1a083efaa6bc683a4b915c26108d52c5710493abe6bb65c8e87ac77cb4d8",
+		BFDNRecursive: "ab67b2cbc2cfa3a9b8e5f4b3ecde72d1cf9d87be8f01190a323642452255b6a5",
+		CTE:           "d5481db5d76dfcec85348212418c6c9c9dc47f067d87121263459386c177653d",
+		DFS:           "38ab3db9c4c5142cebbd28dcada83751af5feddb18ac99abbe99a44dc82da169",
+		Levelwise:     "57a66669734516311cc5d43420b84d8a02a58cffd57ed707ebdc0f7d6f09b51c",
+		TreeMining:    "28af4a3d763713c6ce2616ad53a205a4c84c8e210662b8add1f6ad7386e70d82",
+		Potential:     "38e611b589c96d6a254d5ffa19d6da79097d20022bb62733af44b52d73d37a8d",
+	}
+	var trees []*Tree
+	for i, f := range []Family{FamilyRandom, FamilyComb, FamilyBinary} {
+		tr, err := GenerateTree(f, 300, 12, int64(31+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	for _, alg := range Algorithms() {
+		h := sha256.New()
+		var buf []byte
+		for _, tr := range trees {
+			for _, k := range []int{1, 4, 16} {
+				for _, every := range []int{1, 7} {
+					_, trc, err := ExploreTraced(tr, k, every, WithAlgorithm(alg))
+					if err != nil {
+						t.Fatalf("%v %s k=%d every=%d: %v", alg, tr, k, every, err)
+					}
+					for _, f := range trc.rec.Frames {
+						buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(f.Round))
+						buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Explored))
+						for _, p := range f.Positions {
+							buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
+						}
+						for v := 0; v < tr.N(); v++ {
+							if trc.rec.ExploredBy(tree.NodeID(v), f.Round) {
+								buf = append(buf, 1)
+							} else {
+								buf = append(buf, 0)
+							}
+						}
+						h.Write(buf)
+					}
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[alg] {
+			t.Errorf("%v: frame digest = %s, want %s", alg, got, want[alg])
+		}
 	}
 }
