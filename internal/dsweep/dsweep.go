@@ -78,7 +78,8 @@ const (
 	// worker as the request's timeoutMs so the worker's deadline matches
 	// the coordinator's.
 	shardTimeout = 2 * time.Minute
-	// capacityTimeout bounds the startup GET /capacity probe per worker.
+	// capacityTimeout bounds the startup GET /capacity probe per worker,
+	// and each registry call (AnnounceOnce, FetchWorkers).
 	capacityTimeout = 5 * time.Second
 	// maxAttempts bounds how many times one shard may be dispatched after
 	// failures (transport errors, 5xx, malformed streams) before the whole

@@ -152,8 +152,11 @@ func (r *Registry) ServeWorkers(w http.ResponseWriter, req *http.Request) {
 // AnnounceOnce sends one heartbeat for self to the registry hosted at
 // target, gossiping reg's current view, and merges the returned fleet back
 // into reg as provisional peers. reg may be nil (a worker announcing to an
-// external registry without hosting one).
+// external registry without hosting one). The call fails after
+// capacityTimeout if the registry does not answer.
 func AnnounceOnce(ctx context.Context, target, self string, reg *Registry) error {
+	ctx, cancel := context.WithTimeout(ctx, capacityTimeout)
+	defer cancel()
 	var peers []string
 	if reg != nil {
 		peers = reg.Workers()
@@ -216,8 +219,11 @@ func Announce(ctx context.Context, target, self string, reg *Registry, interval 
 }
 
 // FetchWorkers asks the registry hosted at target for the live fleet — the
-// coordinator-side replacement for a static worker list.
+// coordinator-side replacement for a static worker list. It fails after
+// capacityTimeout if the registry does not answer.
 func FetchWorkers(ctx context.Context, target string) ([]string, error) {
+	ctx, cancel := context.WithTimeout(ctx, capacityTimeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimRight(target, "/")+"/v1/workers", nil)
 	if err != nil {

@@ -2,6 +2,7 @@ package dsweep
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -124,5 +125,37 @@ func TestRegisterRejectsBadBody(t *testing.T) {
 	}
 	if err := AnnounceOnce(context.Background(), srv.URL, "", nil); err == nil {
 		t.Error("AnnounceOnce with empty self URL did not error")
+	}
+}
+
+// TestRegistryCallsHaveDeadline: a registry that accepts the connection but
+// never answers fails AnnounceOnce and FetchWorkers with a deadline error,
+// even when the caller's context has none.
+func TestRegistryCallsHaveDeadline(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+	errs := make(chan error, 2)
+	go func() { errs <- AnnounceOnce(context.Background(), srv.URL, "http://self:1", nil) }()
+	go func() {
+		_, err := FetchWorkers(context.Background(), srv.URL)
+		errs <- err
+	}()
+	guard := time.After(capacityTimeout + 10*time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("registry call returned %v, want a deadline error", err)
+			}
+		case <-guard:
+			t.Fatalf("registry calls still blocked after %v", capacityTimeout+10*time.Second)
+		}
 	}
 }
