@@ -12,7 +12,7 @@ import (
 // SnapshotState implements sim.Snapshotter (DESIGN.md S30) for the
 // whole-tree Algorithm adapter. Configuration (policy, anchor-depth limit,
 // flags) is not serialized: a checkpoint must be restored into an instance
-// constructed with the same options, mirroring the Reset/Recycle contract.
+// constructed with the same options, mirroring the Reset contract.
 // The RandomOpen policy cannot be checkpointed (its rand.Rand stream is not
 // serializable); RestoreState rejects it.
 func (a *Algorithm) SnapshotState(e *snap.Encoder, _ *sim.View, _ []sim.ExploreEvent) {
@@ -27,7 +27,7 @@ func (a *Algorithm) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEv
 		return err
 	}
 	if a.b.root != tree.Root {
-		return fmt.Errorf("core: snapshot root %d is not the tree's root", a.b.root)
+		return fmt.Errorf("core: snapshot root %d is not the tree's root: %w", a.b.root, snap.ErrCorrupt)
 	}
 	return nil
 }
@@ -93,7 +93,7 @@ func (b *BFDN) RestoreState(d *snap.Decoder, v *sim.View) error {
 	}
 	for _, r := range robots {
 		if r < 0 || r >= v.K() {
-			return fmt.Errorf("core: snapshot robot %d is out of range for %d robots", r, v.K())
+			return fmt.Errorf("core: snapshot robot %d is out of range for %d robots: %w", r, v.K(), snap.ErrCorrupt)
 		}
 	}
 	b.robots = append(b.robots[:0], robots...)
@@ -103,13 +103,13 @@ func (b *BFDN) RestoreState(d *snap.Decoder, v *sim.View) error {
 		distinct += bits.OnesCount64(w)
 	}
 	if distinct != len(b.robots) {
-		return fmt.Errorf("core: snapshot robot set lists a robot twice")
+		return fmt.Errorf("core: snapshot robot set lists a robot twice: %w", snap.ErrCorrupt)
 	}
 	b.root = tree.NodeID(d.Int32())
 	b.rootDepth = d.Int()
 	b.seeded = d.Bool()
 	if d.Err() != nil || !v.Explored(b.root) || b.seeded && v.DepthOf(b.root) != b.rootDepth {
-		return fmt.Errorf("core: snapshot root %d at depth %d is not an explored node there", b.root, b.rootDepth)
+		return fmt.Errorf("core: snapshot root %d at depth %d is not an explored node there: %w", b.root, b.rootDepth, snap.ErrCorrupt)
 	}
 	for j := range b.rs {
 		st := &b.rs[j]
@@ -117,16 +117,16 @@ func (b *BFDN) RestoreState(d *snap.Decoder, v *sim.View) error {
 		st.anchorDepth = d.Int()
 		n := d.Int()
 		if d.Err() != nil || n < 0 || n > d.Rest() {
-			return fmt.Errorf("core: corrupt BF stack for robot slot %d", j)
+			return fmt.Errorf("core: corrupt BF stack for robot slot %d: %w", j, snap.ErrCorrupt)
 		}
 		if !v.Explored(st.anchor) || b.seeded && (st.anchorDepth < 0 || v.DepthOf(st.anchor) != b.rootDepth+st.anchorDepth) {
-			return fmt.Errorf("core: snapshot anchor %d of robot %d is not an explored node at relative depth %d", st.anchor, b.robots[j], st.anchorDepth)
+			return fmt.Errorf("core: snapshot anchor %d of robot %d is not an explored node at relative depth %d: %w", st.anchor, b.robots[j], st.anchorDepth, snap.ErrCorrupt)
 		}
 		st.stack = st.stack[:0]
 		for i := 0; i < n; i++ {
 			u := tree.NodeID(d.Int32())
 			if !v.Explored(u) {
-				return fmt.Errorf("core: snapshot BF stack of robot %d names unexplored node %d", b.robots[j], u)
+				return fmt.Errorf("core: snapshot BF stack of robot %d names unexplored node %d: %w", b.robots[j], u, snap.ErrCorrupt)
 			}
 			st.stack = append(st.stack, u)
 		}
@@ -137,7 +137,7 @@ func (b *BFDN) RestoreState(d *snap.Decoder, v *sim.View) error {
 	b.stats.ReanchorsPerDepth = append(b.stats.ReanchorsPerDepth[:0], d.Ints()...)
 	nx := d.Int()
 	if d.Err() != nil || nx < 0 || nx > d.Rest() {
-		return fmt.Errorf("core: corrupt excursion log length %d", nx)
+		return fmt.Errorf("core: corrupt excursion log length %d: %w", nx, snap.ErrCorrupt)
 	}
 	b.stats.Excursions = b.stats.Excursions[:0]
 	for i := 0; i < nx; i++ {
@@ -156,7 +156,7 @@ func (b *BFDN) RestoreState(d *snap.Decoder, v *sim.View) error {
 	for dd := 0; dd < b.idx.Depths(); dd++ {
 		for _, u := range b.idx.Members(dd) {
 			if !v.Explored(u) || v.DepthOf(u) != rd+dd || !b.within(v, u) {
-				return fmt.Errorf("core: snapshot open node %d is not an explored node at relative depth %d under %d", u, dd, b.root)
+				return fmt.Errorf("core: snapshot open node %d is not an explored node at relative depth %d under %d: %w", u, dd, b.root, snap.ErrCorrupt)
 			}
 		}
 	}

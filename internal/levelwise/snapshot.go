@@ -66,15 +66,15 @@ func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, pending []sim.Exp
 	l.Phases = d.Int()
 	n := d.Int()
 	if d.Err() != nil || n < 0 || n > d.Rest() {
-		return fmt.Errorf("levelwise: corrupt open-list length %d", n)
+		return fmt.Errorf("levelwise: corrupt open-list length %d: %w", n, snap.ErrCorrupt)
 	}
 	for i := 0; i < n; i++ {
 		node, count := tree.NodeID(d.Int32()), d.Int32()
 		if d.Err() != nil || !v.Explored(node) || count < 0 {
-			return fmt.Errorf("levelwise: open-list entry (%d, %d) names an unexplored node or a negative count", node, count)
+			return fmt.Errorf("levelwise: open-list entry (%d, %d) names an unexplored node or a negative count: %w", node, count, snap.ErrCorrupt)
 		}
 		if int(node) < len(l.count) && l.count[node] > 0 {
-			return fmt.Errorf("levelwise: open node %d is listed twice", node)
+			return fmt.Errorf("levelwise: open node %d is listed twice: %w", node, snap.ErrCorrupt)
 		}
 		l.addOpen(v, node, int(count))
 	}
@@ -85,19 +85,19 @@ func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, pending []sim.Exp
 		p := &l.plans[i]
 		m := d.Int()
 		if d.Err() != nil || m < 0 || m > d.Rest() {
-			return fmt.Errorf("levelwise: corrupt plan for robot %d", i)
+			return fmt.Errorf("levelwise: corrupt plan for robot %d: %w", i, snap.ErrCorrupt)
 		}
 		for j := 0; j < m; j++ {
 			u := tree.NodeID(d.Int32())
 			if !v.Explored(u) {
-				return fmt.Errorf("levelwise: path of robot %d names unexplored node %d", i, u)
+				return fmt.Errorf("levelwise: path of robot %d names unexplored node %d: %w", i, u, snap.ErrCorrupt)
 			}
 			p.down = append(p.down, u)
 		}
 		p.explore = tree.NodeID(d.Int32())
 		p.up = d.Int()
 		if p.explore != tree.Nil && !v.Explored(p.explore) {
-			return fmt.Errorf("levelwise: target of robot %d is unexplored node %d", i, p.explore)
+			return fmt.Errorf("levelwise: target of robot %d is unexplored node %d: %w", i, p.explore, snap.ErrCorrupt)
 		}
 	}
 	return d.Err()

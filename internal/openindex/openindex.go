@@ -288,7 +288,7 @@ func (x *Index) Restore(d *snap.Decoder) error {
 	}
 	nb := d.Int()
 	if d.Err() != nil || nb < 0 || nb > d.Rest() || x.minDepth < 0 || x.minDepth > nb {
-		return fmt.Errorf("openindex: corrupt snapshot: %d buckets, depth cursor %d", nb, x.minDepth)
+		return fmt.Errorf("openindex: corrupt snapshot: %d buckets, depth cursor %d: %w", nb, x.minDepth, snap.ErrCorrupt)
 	}
 	x.buckets = x.buckets[:0]
 	open := 0
@@ -296,29 +296,29 @@ func (x *Index) Restore(d *snap.Decoder) error {
 		b := x.bucket(i)
 		nm := d.Int()
 		if d.Err() != nil || nm < 0 || nm > d.Rest() {
-			return fmt.Errorf("openindex: corrupt bucket %d", i)
+			return fmt.Errorf("openindex: corrupt bucket %d: %w", i, snap.ErrCorrupt)
 		}
 		for j := 0; j < nm; j++ {
 			v := tree.NodeID(d.Int32())
 			if v < 0 || int(v) >= len(x.nodes) || x.nodes[v].pos != int32(j) {
-				return fmt.Errorf("openindex: bucket %d member %d disagrees with its position", i, v)
+				return fmt.Errorf("openindex: bucket %d member %d disagrees with its position: %w", i, v, snap.ErrCorrupt)
 			}
 			b.members = append(b.members, v)
 		}
 		open += nm
 		nh := d.Int()
 		if d.Err() != nil || nh < 0 || nh > d.Rest() {
-			return fmt.Errorf("openindex: corrupt heap at depth %d", i)
+			return fmt.Errorf("openindex: corrupt heap at depth %d: %w", i, snap.ErrCorrupt)
 		}
 		for j := 0; j < nh; j++ {
 			v := tree.NodeID(d.Int32())
 			if v < 0 {
-				return fmt.Errorf("openindex: negative heap node at depth %d", i)
+				return fmt.Errorf("openindex: negative heap node at depth %d: %w", i, snap.ErrCorrupt)
 			}
 			b.heap = append(b.heap, loadEntry{node: v, load: d.Int32()})
 		}
 		if b.cursor = d.Int(); b.cursor < 0 {
-			return fmt.Errorf("openindex: negative round-robin cursor at depth %d", i)
+			return fmt.Errorf("openindex: negative round-robin cursor at depth %d: %w", i, snap.ErrCorrupt)
 		}
 	}
 	for _, m := range x.nodes {
@@ -327,7 +327,7 @@ func (x *Index) Restore(d *snap.Decoder) error {
 		}
 	}
 	if open != 0 {
-		return fmt.Errorf("openindex: positions name nodes missing from their buckets")
+		return fmt.Errorf("openindex: positions name nodes missing from their buckets: %w", snap.ErrCorrupt)
 	}
 	return d.Err()
 }

@@ -49,7 +49,7 @@ func (b *BFDNL) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEvent)
 	b.ranOnce = d.Bool()
 	b.homing = d.Bool()
 	if d.Err() != nil || b.phaseJ < 1 || b.phaseJ > 62 {
-		return fmt.Errorf("recursive: corrupt phase %d", b.phaseJ)
+		return fmt.Errorf("recursive: corrupt phase %d: %w", b.phaseJ, snap.ErrCorrupt)
 	}
 	top, err := b.decodeAnchored(d, v, b.ell)
 	if err != nil {
@@ -128,7 +128,7 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, v *sim.View, level int) (Anchore
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
 		if d.Err() != nil || depth != b.s() || !v.Explored(root) || !b.robotSet(robots) {
-			return nil, fmt.Errorf("recursive: corrupt BFDN₁ node header (root %d)", root)
+			return nil, fmt.Errorf("recursive: corrupt BFDN₁ node header (root %d): %w", root, snap.ErrCorrupt)
 		}
 		a := newBFDN1(robots, root, depth)
 		if err := a.b.RestoreState(d, v); err != nil {
@@ -136,7 +136,7 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, v *sim.View, level int) (Anchore
 		}
 		if a.b.Seeded() && !b.homing {
 			if err := a.b.CheckRobots(v); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w: %w", err, snap.ErrCorrupt)
 			}
 		}
 		return a, nil
@@ -147,7 +147,7 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, v *sim.View, level int) (Anchore
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
 		if d.Err() != nil || lv != level || kstar != b.kstar || s != b.s() || !v.Explored(root) || !b.robotSet(robots) {
-			return nil, fmt.Errorf("recursive: corrupt divide-depth node header (root %d)", root)
+			return nil, fmt.Errorf("recursive: corrupt divide-depth node header (root %d): %w", root, snap.ErrCorrupt)
 		}
 		dd := newDivideDepth(level, robots, root, s, kstar)
 		dd.iter = d.Int()
@@ -155,11 +155,11 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, v *sim.View, level int) (Anchore
 		dd.ranOnce = d.Bool()
 		dd.seeded = d.Bool()
 		if d.Err() != nil || dd.phase < 0 || dd.phase > phaseDone {
-			return nil, fmt.Errorf("recursive: corrupt divide-depth phase")
+			return nil, fmt.Errorf("recursive: corrupt divide-depth phase: %w", snap.ErrCorrupt)
 		}
 		nc := d.Int()
 		if d.Err() != nil || nc < 0 || nc > len(robots) {
-			return nil, fmt.Errorf("recursive: corrupt child count %d", nc)
+			return nil, fmt.Errorf("recursive: corrupt child count %d: %w", nc, snap.ErrCorrupt)
 		}
 		for i := 0; i < nc; i++ {
 			c, err := b.decodeAnchored(d, v, level-1)
@@ -170,20 +170,20 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, v *sim.View, level int) (Anchore
 		}
 		np := d.Int()
 		if d.Err() != nil || np < 0 || np > len(robots) {
-			return nil, fmt.Errorf("recursive: corrupt travel plan count %d", np)
+			return nil, fmt.Errorf("recursive: corrupt travel plan count %d: %w", np, snap.ErrCorrupt)
 		}
 		planned := make([]int, 0, np)
 		for i := 0; i < np; i++ {
 			robot := d.Int()
 			m := d.Int()
 			if d.Err() != nil || m < 0 || m > d.Rest() {
-				return nil, fmt.Errorf("recursive: corrupt travel plan")
+				return nil, fmt.Errorf("recursive: corrupt travel plan: %w", snap.ErrCorrupt)
 			}
 			path := make([]tree.NodeID, 0, m)
 			for j := 0; j < m; j++ {
 				u := tree.NodeID(d.Int32())
 				if !v.Explored(u) {
-					return nil, fmt.Errorf("recursive: travel plan of robot %d names unexplored node %d", robot, u)
+					return nil, fmt.Errorf("recursive: travel plan of robot %d names unexplored node %d: %w", robot, u, snap.ErrCorrupt)
 				}
 				path = append(path, u)
 			}
@@ -191,11 +191,11 @@ func (b *BFDNL) decodeAnchored(d *snap.Decoder, v *sim.View, level int) (Anchore
 			planned = append(planned, robot)
 		}
 		if !b.robotSet(planned) {
-			return nil, fmt.Errorf("recursive: corrupt travel plan robots")
+			return nil, fmt.Errorf("recursive: corrupt travel plan robots: %w", snap.ErrCorrupt)
 		}
 		return dd, nil
 	default:
-		return nil, fmt.Errorf("recursive: Anchored type tag %d is not an instance of level %d", tag, level)
+		return nil, fmt.Errorf("recursive: Anchored type tag %d is not an instance of level %d: %w", tag, level, snap.ErrCorrupt)
 	}
 }
 

@@ -256,8 +256,8 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 		}
 		if edit := algProbes[alg]; edit != nil {
 			w, a := build()
-			if _, err := sim.RestoreCheckpoint(rewriteAlgorithm(t, ckpt, pt.t, 4, edit), w, a); err == nil {
-				t.Errorf("%s: RestoreCheckpoint accepted an algorithm state its world contradicts", alg)
+			if _, err := sim.RestoreCheckpoint(rewriteAlgorithm(t, ckpt, pt.t, 4, edit), w, a); !errors.Is(err, snap.ErrCorrupt) {
+				t.Errorf("%s: RestoreCheckpoint of an algorithm state its world contradicts = %v, want snap.ErrCorrupt", alg, err)
 			}
 		}
 	}
