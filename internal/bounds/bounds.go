@@ -63,41 +63,13 @@ func logTerm(k, maxDeg int) float64 {
 	return lt
 }
 
-// The guarantee forms used by Figure 1 / Appendix A drop additive and
-// multiplicative constants; they are the quantities whose pointwise minimum
-// defines the regions.
-
-// GuaranteeBFDN is 2n/k + D²·log k (Appendix A form).
-func GuaranteeBFDN(n, d float64, k int) float64 {
-	return 2*n/float64(k) + d*d*math.Log(float64(k))
-}
-
-// GuaranteeCTE is n/log k + D.
+// GuaranteeCTE is CTE's runtime in the Appendix A form n/log k + D, with
+// constants dropped: the bound a CTE run reports (the facade's
+// Report.Bound).
 func GuaranteeCTE(n, d float64, k int) float64 {
 	lk := math.Log(float64(k))
 	if k <= 1 {
 		lk = 1
 	}
 	return n/lk + d
-}
-
-// GuaranteeBFDNL is n/k^{1/ℓ} + 2^{ℓ+1}·(log k/ℓ)·D^{1+1/ℓ}, minimized over
-// 2 ≤ ℓ ≤ log k / log log k (the validity range from Figure 1's caption).
-// It returns the best value and the minimizing ℓ (0 if no valid ℓ exists).
-func GuaranteeBFDNL(n, d float64, k int) (float64, int) {
-	lk := math.Log(float64(k))
-	llk := math.Log(lk)
-	maxEll := 0
-	if llk > 0 {
-		maxEll = int(lk / llk)
-	}
-	best, bestEll := math.Inf(1), 0
-	for ell := 2; ell <= maxEll; ell++ {
-		kRoot := math.Pow(float64(k), 1/float64(ell))
-		v := n/kRoot + math.Pow(2, float64(ell+1))*(lk/float64(ell))*math.Pow(d, 1+1/float64(ell))
-		if v < best {
-			best, bestEll = v, ell
-		}
-	}
-	return best, bestEll
 }

@@ -37,31 +37,6 @@ func TestOfflineLB(t *testing.T) {
 	}
 }
 
-func TestAppendixAComparisonBFDNvsCTE(t *testing.T) {
-	// Appendix A: BFDN faster than CTE iff D²·log²k ≲ n.
-	k := 64
-	lk := math.Log(float64(k))
-	d := 100.0
-	crossN := d * d * lk * lk
-	if GuaranteeBFDN(crossN*8, d, k) >= GuaranteeCTE(crossN*8, d, k) {
-		t.Error("BFDN should win well above the D²log²k crossover")
-	}
-	if GuaranteeBFDN(crossN/8, d, k) <= GuaranteeCTE(crossN/8, d, k) {
-		t.Error("CTE should win well below the D²log²k crossover")
-	}
-}
-
-func TestGuaranteeBFDNLValidityRange(t *testing.T) {
-	// ℓ must satisfy ℓ ≤ log k/log log k; for k=2, log log k < 0 so no valid
-	// ℓ ≥ 2 exists at all.
-	if _, ell := GuaranteeBFDNL(1e6, 1e3, 2); ell != 0 {
-		t.Errorf("k=2: got valid ℓ=%d, want none", ell)
-	}
-	if _, ell := GuaranteeBFDNL(1e6, 1e3, 1<<16); ell < 2 {
-		t.Errorf("k=2^16: no valid ℓ found")
-	}
-}
-
 func TestWinnerAtInvalidRegion(t *testing.T) {
 	if w := WinnerAt(10, 20, 8); w != WinnerNone {
 		t.Errorf("n<D returned %v", w)

@@ -80,14 +80,6 @@ func (e *Encoder) Int64s(v []int64) {
 	}
 }
 
-// Uint64s appends a length-prefixed []uint64.
-func (e *Encoder) Uint64s(v []uint64) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.Uint64(x)
-	}
-}
-
 // Bools appends a length-prefixed []bool.
 func (e *Encoder) Bools(v []bool) {
 	e.Int(len(v))
@@ -227,19 +219,6 @@ func (d *Decoder) Int64s() []int64 {
 	v := make([]int64, n)
 	for i := range v {
 		v[i] = d.Int64()
-	}
-	return v
-}
-
-// Uint64s reads a length-prefixed []uint64 (nil for length 0).
-func (d *Decoder) Uint64s() []uint64 {
-	n := d.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = d.Uint64()
 	}
 	return v
 }

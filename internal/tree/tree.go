@@ -251,16 +251,6 @@ func (t *Tree) NeighborAtPort(v NodeID, p int) NodeID {
 	return t.childArr[int(t.childOff[v])+p]
 }
 
-// PathFromRoot returns the node sequence root..v inclusive.
-func (t *Tree) PathFromRoot(v NodeID) []NodeID {
-	path := make([]NodeID, t.depth[v]+1)
-	for i := int(t.depth[v]); i >= 0; i-- {
-		path[i] = v
-		v = t.parent[v]
-	}
-	return path
-}
-
 // LCA returns the lowest common ancestor of u and v.
 func (t *Tree) LCA(u, v NodeID) NodeID {
 	for t.depth[u] > t.depth[v] {

@@ -163,20 +163,6 @@ func TestPortRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestPathFromRoot(t *testing.T) {
-	tr := Path(5)
-	got := tr.PathFromRoot(4)
-	want := []NodeID{0, 1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("path len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("path[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestLCAAndDist(t *testing.T) {
 	// Balanced binary tree of depth 3.
 	tr := KAry(2, 3)
