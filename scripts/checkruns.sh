@@ -11,6 +11,10 @@
 # each alternative names a test, benchmark, fuzz target or example in the
 # command's packages. The bench steps' `-run xxx` and `-run '^$'`, which
 # select nothing on purpose, are skipped.
+#
+# It also fails when a fuzz target that `go test -list '^Fuzz' ./...`
+# reports has no `go test ... -fuzz '^Name$' ... <package dir>` command in
+# ci.yml, so a new target cannot go unfuzzed unseen.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,7 +54,28 @@ while IFS= read -r line; do
     done
 done < <(grep -E '(^|[[:space:]])go test .*-run ' .github/workflows/ci.yml)
 
+mod=$(go list -m)
+names=()
+while IFS= read -r line; do
+    case $line in
+    Fuzz*) names+=("$line") ;;
+    ok*)
+        # go test -list prints a package's names before its "ok" line.
+        pkg=$(awk '{print $2}' <<<"$line")
+        dir=.${pkg#"$mod"}
+        for name in "${names[@]}"; do
+            if ! grep -F -- "-fuzz '^$name\$'" .github/workflows/ci.yml |
+                grep -qE "(^|[[:space:]])${dir//./\\.}/?([[:space:]]|\$)"; then
+                echo "ci.yml: fuzz target $name in $dir has no -fuzz '^$name\$' command" >&2
+                fail=1
+            fi
+        done
+        names=()
+        ;;
+    esac
+done < <(go test -list '^Fuzz' ./...)
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "every -run alternative in ci.yml selects at least one test"
+echo "every -run alternative in ci.yml selects at least one test, and every fuzz target runs in the fuzz smoke step"
