@@ -139,7 +139,7 @@ func TestAlgorithmInvariants(t *testing.T) {
 
 // TestAlgorithmSweepWorkerInvariance requires byte-identical sweep results
 // at any worker count for every algorithm — the determinism contract that
-// dsweep's distributed merge relies on, including the Reset/Recycle reuse
+// dsweep's distributed merge relies on, including the reset-by-name reuse
 // path exercised by consecutive same-algorithm points on one worker.
 func TestAlgorithmSweepWorkerInvariance(t *testing.T) {
 	trees := invariantTrees(t)

@@ -19,20 +19,19 @@ import (
 // allocCase pins the allocation behaviour of one algorithm on the two paths
 // a production deployment exercises: a cold Explore (world + algorithm
 // construction + the run) and a steady-state sweep point (world Reset +
-// recycle hook + sim.RunRecycledContext with an arena-carved report buffer).
-// The pins are ceilings with headroom over measured values — they exist to
+// algorithm Reset(k) + sim.RunRecycledContext with an arena-carved report
+// buffer). The pins are ceilings with headroom over measured values — they exist to
 // catch the class of regression where a per-round or per-node allocation
 // sneaks back into a hot loop (turning O(1) into O(rounds) allocations),
 // not to freeze exact counts.
 type allocCase struct {
-	name    string
-	alg     Algorithm
-	k       int
-	fresh   func(k int, rng *rand.Rand) sim.Algorithm
-	recycle func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm
+	name  string
+	alg   Algorithm
+	k     int
+	fresh func(k int, rng *rand.Rand) sim.Algorithm
 	// explorePin bounds a full Explore call; sweepPin bounds one recycled
-	// steady-state point. Algorithms without a recycle hook construct fresh
-	// every point, so their sweepPin covers construction too.
+	// steady-state point. Algorithms without a Reset(k) method construct
+	// fresh every point, so their sweepPin covers construction too.
 	explorePin float64
 	sweepPin   float64
 	// streamPin bounds the marginal allocations of one more point through
@@ -46,7 +45,6 @@ func allocCases() []allocCase {
 			fresh: func(k int, _ *rand.Rand) sim.Algorithm {
 				return core.NewAlgorithm(k, core.WithPolicy(core.LeastLoaded))
 			},
-			recycle:    core.RecycleAlgorithm(core.WithPolicy(core.LeastLoaded)),
 			explorePin: 400, sweepPin: 10, streamPin: 12},
 		{name: "bfdnl", alg: BFDNRecursive, k: 8,
 			fresh: func(k int, _ *rand.Rand) sim.Algorithm {
@@ -59,22 +57,18 @@ func allocCases() []allocCase {
 			explorePin: 500, sweepPin: 450, streamPin: 192.75},
 		{name: "cte", alg: CTE, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return cte.New(k) },
-			recycle:    cte.Recycle,
 			explorePin: 120, sweepPin: 10, streamPin: 4},
 		{name: "dfs", alg: DFS, k: 1,
 			fresh:      func(int, *rand.Rand) sim.Algorithm { return &offline.DFS{} },
 			explorePin: 40, sweepPin: 10, streamPin: 4},
 		{name: "levelwise", alg: Levelwise, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return levelwise.New(k) },
-			recycle:    levelwise.Recycle,
 			explorePin: 250, sweepPin: 10, streamPin: 4},
 		{name: "treemining", alg: TreeMining, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return treemining.New(k) },
-			recycle:    treemining.Recycle,
 			explorePin: 200, sweepPin: 10, streamPin: 4},
 		{name: "potential", alg: Potential, k: 8,
 			fresh:      func(k int, _ *rand.Rand) sim.Algorithm { return potential.New(k) },
-			recycle:    potential.Recycle,
 			explorePin: 60, sweepPin: 10, streamPin: 3},
 	}
 }
@@ -116,7 +110,7 @@ func TestExploreAllocPins(t *testing.T) {
 
 // TestSweepReuseAllocPins bounds the allocations of one steady-state sweep
 // point per algorithm: the worker's world is Reset in place, the algorithm
-// goes through its recycle hook (fresh construction where none exists), and
+// through its Reset(k) method (fresh construction where it has none), and
 // the report's MovesPerRobot lands in a caller-owned buffer — exactly the
 // internal/sweep runPoint path. Recyclable algorithms must stay in single
 // digits (the engine's GC-free steady-state contract); the rest pin their
@@ -136,15 +130,12 @@ func TestSweepReuseAllocPins(t *testing.T) {
 				if err := w.Reset(treeOf(tr), c.k); err != nil {
 					return err
 				}
-				var a sim.Algorithm
-				if c.recycle != nil {
-					a = c.recycle(alg, c.k, rng)
+				if r, ok := alg.(interface{ Reset(k int) }); ok {
+					r.Reset(c.k)
+				} else {
+					alg = c.fresh(c.k, rng)
 				}
-				if a == nil {
-					a = c.fresh(c.k, rng)
-				}
-				alg = a
-				_, err := sim.RunRecycledContext(context.Background(), w, a, 0, buf)
+				_, err := sim.RunRecycledContext(context.Background(), w, alg, 0, buf)
 				return err
 			}
 			// Two warm-up points grow every lazily-sized buffer to its

@@ -211,16 +211,15 @@ func e14SweepGrid(b *testing.B) []sweep.Point {
 		tree.UnevenPaths(64, 40),
 	}
 	var pts []sweep.Point
-	bfdnHook := core.RecycleAlgorithm()
 	for _, tr := range trees {
 		for _, k := range []int{2, 8, 32, 128} {
 			pts = append(pts,
 				sweep.Point{Tree: tr, K: k, NewAlgorithm: func(k int, _ *rand.Rand) sim.Algorithm {
 					return core.NewAlgorithm(k)
-				}, ResetAlgorithm: bfdnHook},
+				}, Name: "bfdn"},
 				sweep.Point{Tree: tr, K: k, NewAlgorithm: func(k int, _ *rand.Rand) sim.Algorithm {
 					return cte.New(k)
-				}, ResetAlgorithm: cte.Recycle})
+				}, Name: "cte"})
 		}
 	}
 	return pts
@@ -249,15 +248,15 @@ func BenchmarkSweepE14(b *testing.B) {
 	}
 }
 
-// benchSweepExplore executes b.N identical runs as one sweep batch, so the
-// worker's world is recycled via Reset across iterations — the engine port
-// of the fresh-world micro-benchmarks below.
-func benchSweepExplore(b *testing.B, t *tree.Tree, k int, factory func(int, *rand.Rand) sim.Algorithm,
-	reset func(sim.Algorithm, int, *rand.Rand) sim.Algorithm) {
+// benchSweepExplore executes b.N identical runs as one sweep batch of
+// points named name, so the worker's world and algorithm are recycled via
+// Reset across iterations — the engine port of the fresh-world
+// micro-benchmarks below.
+func benchSweepExplore(b *testing.B, t *tree.Tree, k int, name string, factory func(int, *rand.Rand) sim.Algorithm) {
 	b.Helper()
 	pts := make([]sweep.Point, b.N)
 	for i := range pts {
-		pts[i] = sweep.Point{Tree: t, K: k, NewAlgorithm: factory, ResetAlgorithm: reset}
+		pts[i] = sweep.Point{Tree: t, K: k, NewAlgorithm: factory, Name: name}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -274,35 +273,31 @@ func benchSweepExplore(b *testing.B, t *tree.Tree, k int, factory func(int, *ran
 // variant is the world-recycling saving.
 func BenchmarkBFDNExploreSweep(b *testing.B) {
 	t := benchTree(b, 50_000, 40)
-	benchSweepExplore(b, t, 64,
-		func(k int, _ *rand.Rand) sim.Algorithm { return core.NewAlgorithm(k) },
-		core.RecycleAlgorithm())
+	benchSweepExplore(b, t, 64, "bfdn",
+		func(k int, _ *rand.Rand) sim.Algorithm { return core.NewAlgorithm(k) })
 }
 
 // BenchmarkCTEExploreSweep is the CTE workload on the engine's reuse path.
 func BenchmarkCTEExploreSweep(b *testing.B) {
 	t := benchTree(b, 50_000, 40)
-	benchSweepExplore(b, t, 64,
-		func(k int, _ *rand.Rand) sim.Algorithm { return cte.New(k) },
-		cte.Recycle)
+	benchSweepExplore(b, t, 64, "cte",
+		func(k int, _ *rand.Rand) sim.Algorithm { return cte.New(k) })
 }
 
 // BenchmarkTreeMiningExploreSweep is the Tree-Mining workload on the
 // engine's reuse path.
 func BenchmarkTreeMiningExploreSweep(b *testing.B) {
 	t := benchTree(b, 50_000, 40)
-	benchSweepExplore(b, t, 64,
-		func(k int, _ *rand.Rand) sim.Algorithm { return treemining.New(k) },
-		treemining.Recycle)
+	benchSweepExplore(b, t, 64, "treemining",
+		func(k int, _ *rand.Rand) sim.Algorithm { return treemining.New(k) })
 }
 
 // BenchmarkPotentialExploreSweep is the Potential-Function workload on the
 // engine's reuse path.
 func BenchmarkPotentialExploreSweep(b *testing.B) {
 	t := benchTree(b, 50_000, 40)
-	benchSweepExplore(b, t, 64,
-		func(k int, _ *rand.Rand) sim.Algorithm { return potential.New(k) },
-		potential.Recycle)
+	benchSweepExplore(b, t, 64, "potential",
+		func(k int, _ *rand.Rand) sim.Algorithm { return potential.New(k) })
 }
 
 // --- engine micro-benchmarks ---------------------------------------------

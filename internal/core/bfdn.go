@@ -143,14 +143,14 @@ func NewInstance(robots []int, root tree.NodeID, opts ...Option) *BFDN {
 }
 
 // Reset re-initializes b to the state of a fresh New/NewInstance with the
-// given robots and root, keeping its configuration (policy, anchor-depth
-// limit, shortcut and recording flags) and reusing every internal buffer —
-// the anchor index's buckets and heaps, per-robot BF stacks, and re-anchor
-// scratch. rng replaces the randomness source (it may be nil for
-// deterministic policies). A run on a Reset instance is byte-identical to a
-// run on a freshly constructed one; the sweep engine's algorithm-reuse path
+// given robots and root, keeping its configuration (policy, randomness
+// source, anchor-depth limit, shortcut and recording flags) and reusing
+// every internal buffer — the anchor index's buckets and heaps, per-robot BF
+// stacks, and re-anchor scratch. A run on a Reset instance is
+// byte-identical to a run on a freshly constructed one whose randomness
+// source is in the same state; the sweep engine's algorithm-reuse path
 // relies on this.
-func (b *BFDN) Reset(robots []int, root tree.NodeID, rng *rand.Rand) {
+func (b *BFDN) Reset(robots []int, root tree.NodeID) {
 	if cap(b.robots) >= len(robots) {
 		b.robots = b.robots[:len(robots)]
 		copy(b.robots, robots)
@@ -160,7 +160,6 @@ func (b *BFDN) Reset(robots []int, root tree.NodeID, rng *rand.Rand) {
 	b.isMine.setBits(b.robots)
 	b.root = root
 	b.rootDepth = 0
-	b.rng = rng
 	b.idx.Reset()
 	if cap(b.rs) >= len(robots) {
 		b.rs = b.rs[:len(robots)]
@@ -484,9 +483,9 @@ func NewAlgorithm(k int, opts ...Option) *Algorithm {
 func (a *Algorithm) Inner() *BFDN { return a.b }
 
 // Reset re-initializes a for a fresh whole-tree run with k robots, keeping
-// the instance's configuration and reusing all internal buffers. rng replaces
-// the randomness source (needed by the RandomOpen policy; nil otherwise).
-func (a *Algorithm) Reset(k int, rng *rand.Rand) {
+// the instance's configuration, its randomness source included, and reusing
+// all internal buffers (sweep.Point.Name).
+func (a *Algorithm) Reset(k int) {
 	if cap(a.b.robots) >= k {
 		a.b.robots = a.b.robots[:k]
 	} else {
@@ -495,7 +494,7 @@ func (a *Algorithm) Reset(k int, rng *rand.Rand) {
 	for i := range a.b.robots {
 		a.b.robots[i] = i
 	}
-	a.b.Reset(a.b.robots, tree.Root, rng)
+	a.b.Reset(a.b.robots, tree.Root)
 	if cap(a.moves) >= k {
 		a.moves = a.moves[:k]
 	} else {
@@ -503,31 +502,6 @@ func (a *Algorithm) Reset(k int, rng *rand.Rand) {
 	}
 	for i := range a.moves {
 		a.moves[i] = sim.Move{}
-	}
-}
-
-// RecycleAlgorithm returns a factory-reset hook for the sweep engine's
-// algorithm-reuse path (sweep.Point.ResetAlgorithm): offered the worker's
-// previous algorithm instance, it resets and returns it when that instance is
-// a whole-tree BFDN Algorithm with exactly the configuration the given
-// options describe; otherwise it returns nil and the engine falls back to
-// fresh construction. One hook value can be shared by any number of points.
-func RecycleAlgorithm(opts ...Option) func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm {
-	probe := BFDN{maxAnchorDepth: -1, policy: LeastLoaded}
-	for _, o := range opts {
-		o(&probe)
-	}
-	return func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm {
-		a, ok := prev.(*Algorithm)
-		if !ok || a.b.root != tree.Root ||
-			a.b.policy != probe.policy ||
-			a.b.maxAnchorDepth != probe.maxAnchorDepth ||
-			a.b.recordExc != probe.recordExc ||
-			a.b.shortcut != probe.shortcut {
-			return nil
-		}
-		a.Reset(k, rng)
-		return a
 	}
 }
 

@@ -46,17 +46,20 @@ func TestAlgorithmResetMatchesFresh(t *testing.T) {
 	for _, policy := range []Policy{LeastLoaded, MostLoaded, RoundRobin, RandomOpen} {
 		var w *sim.World
 		var a *Algorithm
+		// One rng reseeded in place for every run, as a sweep worker does:
+		// the reset instance keeps drawing from it.
+		rng := rand.New(rand.NewSource(100))
 		for i, s := range seq {
-			seedRng := rand.New(rand.NewSource(int64(100 + i)))
+			rng.Seed(int64(100 + i))
 			if a == nil {
-				a = NewAlgorithm(s.k, WithPolicy(policy), WithRand(seedRng))
+				a = NewAlgorithm(s.k, WithPolicy(policy), WithRand(rng))
 				var err error
 				w, err = sim.NewWorld(s.tr, s.k)
 				if err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				a.Reset(s.k, seedRng)
+				a.Reset(s.k)
 				if err := w.Reset(s.tr, s.k); err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +98,7 @@ func TestAlgorithmResetShortcutVariant(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			a.Reset(k, nil)
+			a.Reset(k)
 			if err := w.Reset(tr, k); err != nil {
 				t.Fatal(err)
 			}
@@ -108,31 +111,5 @@ func TestAlgorithmResetShortcutVariant(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("step %d: shortcut reset run %+v differs from fresh %+v", i, got, want)
 		}
-	}
-}
-
-// TestRecycleAlgorithmConfigGate checks that the sweep hook only recycles
-// instances whose configuration matches the requested options.
-func TestRecycleAlgorithmConfigGate(t *testing.T) {
-	plain := NewAlgorithm(4)
-	shortcut := NewAlgorithm(4, WithShortcutReanchor())
-	roundRobin := NewAlgorithm(4, WithPolicy(RoundRobin))
-
-	hook := RecycleAlgorithm()
-	if got := hook(plain, 8, nil); got != plain {
-		t.Errorf("matching config not recycled: got %v", got)
-	}
-	if got := hook(shortcut, 8, nil); got != nil {
-		t.Error("shortcut instance recycled by plain hook")
-	}
-	if got := hook(roundRobin, 8, nil); got != nil {
-		t.Error("round-robin instance recycled by plain hook")
-	}
-	if got := RecycleAlgorithm(WithPolicy(RoundRobin))(roundRobin, 2, nil); got != roundRobin {
-		t.Error("round-robin hook rejected matching instance")
-	}
-	// Non-Algorithm instances are refused, not crashed on.
-	if got := hook(nil, 8, nil); got != nil {
-		t.Error("nil instance recycled")
 	}
 }

@@ -15,7 +15,6 @@ package cte
 
 import (
 	"fmt"
-	"math/rand"
 
 	"bfdn/internal/sim"
 	"bfdn/internal/teams"
@@ -125,18 +124,6 @@ func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []int32) error {
 		case sim.Explore:
 			c.moves[r] = sim.Move{Kind: sim.Explore, Ticket: t.ticket}
 		}
-	}
-	return nil
-}
-
-// Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
-// path (sweep.Point.ResetAlgorithm): it resets and returns the worker's
-// previous instance when it is a CTE, and returns nil (fresh construction)
-// otherwise. CTE takes no configuration, so any instance is recyclable.
-func Recycle(prev sim.Algorithm, k int, _ *rand.Rand) sim.Algorithm {
-	if c, ok := prev.(*CTE); ok {
-		c.Reset(k)
-		return c
 	}
 	return nil
 }

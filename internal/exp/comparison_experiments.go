@@ -35,8 +35,8 @@ func E10CTEComparison(cfg Config) (*table.Table, Outcome, error) {
 	var pts []sweep.Point
 	for _, tr := range append(append([]*tree.Tree{}, suite...), region...) {
 		pts = append(pts,
-			sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, ResetAlgorithm: resetBFDN},
-			sweep.Point{Tree: tr, K: k, NewAlgorithm: newCTE, ResetAlgorithm: resetCTE})
+			sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, Name: "bfdn"},
+			sweep.Point{Tree: tr, K: k, NewAlgorithm: newCTE, Name: "cte"})
 	}
 	results, err := runSweep(cfg, "E10", pts)
 	if err != nil {

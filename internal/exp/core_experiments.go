@@ -28,7 +28,7 @@ func E1Theorem1(cfg Config) (*table.Table, Outcome, error) {
 	var pts []sweep.Point
 	for _, tr := range trees {
 		for _, k := range ks {
-			pts = append(pts, sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, ResetAlgorithm: resetBFDN})
+			pts = append(pts, sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, Name: "bfdn"})
 		}
 	}
 	results, err := runSweep(cfg, "E1", pts)
@@ -51,19 +51,14 @@ func E1Theorem1(cfg Config) (*table.Table, Outcome, error) {
 	return tb, out, nil
 }
 
-// newBFDN is the sweep-point factory for the paper's default BFDN.
+// newBFDN is the sweep-point factory for the paper's default BFDN. Its
+// points are named "bfdn", and CTE's "cte", so a worker resets its previous
+// instance in place (sweep.Point.Name) and steady-state grid points
+// construct nothing.
 func newBFDN(k int, _ *rand.Rand) sim.Algorithm { return core.NewAlgorithm(k) }
 
 // newCTE is the sweep-point factory for the CTE baseline.
 func newCTE(k int, _ *rand.Rand) sim.Algorithm { return cte.New(k) }
-
-// resetBFDN and resetCTE are the matching sweep factory-reset hooks: each
-// worker recycles its previous algorithm instance in place (byte-identical
-// to fresh construction), so steady-state grid points construct nothing.
-var (
-	resetBFDN = core.RecycleAlgorithm()
-	resetCTE  = cte.Recycle
-)
 
 // E2Figure1 reproduces Figure 1: the analytic region map of guarantee
 // winners over (n, D) for k = 32, plus an empirical winner map comparing the

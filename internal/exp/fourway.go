@@ -13,14 +13,9 @@ import (
 )
 
 // newTreeMining and newPotential are the sweep-point factories for the two
-// successor algorithms, with their matching factory-reset hooks.
+// successor algorithms, whose points are named "treemining" and "potential".
 func newTreeMining(k int, _ *rand.Rand) sim.Algorithm { return treemining.New(k) }
 func newPotential(k int, _ *rand.Rand) sim.Algorithm  { return potential.New(k) }
-
-var (
-	resetTreeMining = treemining.Recycle
-	resetPotential  = potential.Recycle
-)
 
 // E15FourWay races BFDN against the two successor results of the same
 // research line — Tree-Mining (arXiv:2309.07011) and the Potential Function
@@ -49,10 +44,10 @@ func E15FourWay(cfg Config) (*table.Table, Outcome, error) {
 	var pts []sweep.Point
 	for _, tr := range suite {
 		pts = append(pts,
-			sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, ResetAlgorithm: resetBFDN},
-			sweep.Point{Tree: tr, K: k, NewAlgorithm: newCTE, ResetAlgorithm: resetCTE},
-			sweep.Point{Tree: tr, K: k, NewAlgorithm: newTreeMining, ResetAlgorithm: resetTreeMining},
-			sweep.Point{Tree: tr, K: k, NewAlgorithm: newPotential, ResetAlgorithm: resetPotential})
+			sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, Name: "bfdn"},
+			sweep.Point{Tree: tr, K: k, NewAlgorithm: newCTE, Name: "cte"},
+			sweep.Point{Tree: tr, K: k, NewAlgorithm: newTreeMining, Name: "treemining"},
+			sweep.Point{Tree: tr, K: k, NewAlgorithm: newPotential, Name: "potential"})
 	}
 	results, err := runSweep(cfg, "E15", pts)
 	if err != nil {

@@ -30,13 +30,13 @@ func E14CompetitiveRatio(cfg Config) (*table.Table, Outcome, error) {
 	for _, tr := range suite {
 		for _, k := range ks {
 			pts = append(pts,
-				sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, ResetAlgorithm: resetBFDN},
-				sweep.Point{Tree: tr, K: k, NewAlgorithm: newCTE, ResetAlgorithm: resetCTE})
+				sweep.Point{Tree: tr, K: k, NewAlgorithm: newBFDN, Name: "bfdn"},
+				sweep.Point{Tree: tr, K: k, NewAlgorithm: newCTE, Name: "cte"})
 		}
 	}
 	// The near-optimality probe: the bushy tree with only two robots.
 	bushy := suite[0]
-	pts = append(pts, sweep.Point{Tree: bushy, K: 2, NewAlgorithm: newBFDN, ResetAlgorithm: resetBFDN})
+	pts = append(pts, sweep.Point{Tree: bushy, K: 2, NewAlgorithm: newBFDN, Name: "bfdn"})
 	results, err := runSweep(cfg, "E14", pts)
 	if err != nil {
 		return nil, out, err

@@ -23,7 +23,6 @@ package levelwise
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"bfdn/internal/sim"
@@ -97,18 +96,6 @@ func (l *Levelwise) Reset(k int) {
 	}
 	l.lo = 0
 	l.seeded, l.Phases = false, 0
-}
-
-// Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
-// path (sweep.Point.ResetAlgorithm): it resets and returns the worker's
-// previous instance when it is a Levelwise, and returns nil (fresh
-// construction) otherwise.
-func Recycle(prev sim.Algorithm, k int, _ *rand.Rand) sim.Algorithm {
-	if l, ok := prev.(*Levelwise); ok {
-		l.Reset(k)
-		return l
-	}
-	return nil
 }
 
 // Bound evaluates the runtime guarantee 2(D+1)·(D + ⌈(n−1)/k⌉).

@@ -162,12 +162,7 @@ func TestRecycleEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	deep, small := tree.Random(900, 40, rng), tree.Random(300, 10, rng)
 	_, used := runLW(t, deep, 16)
-	if got := Recycle(used, 6, nil); got != sim.Algorithm(used) {
-		t.Fatal("Recycle did not reuse the Levelwise instance")
-	}
-	if Recycle(nil, 6, nil) != nil {
-		t.Fatal("Recycle(nil) returned an instance")
-	}
+	used.Reset(6)
 	if !bytes.Equal(state(used), state(New(6))) {
 		t.Fatal("a recycled instance snapshots differently from a fresh one")
 	}

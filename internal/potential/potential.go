@@ -27,7 +27,6 @@ package potential
 
 import (
 	"fmt"
-	"math/rand"
 
 	"bfdn/internal/sim"
 	"bfdn/internal/tree"
@@ -134,17 +133,4 @@ func (p *Potential) SelectMoves(v *sim.View, _ []sim.ExploreEvent) ([]sim.Move, 
 		}
 	}
 	return p.moves, nil
-}
-
-// Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
-// path (sweep.Point.ResetAlgorithm): it resets and returns the worker's
-// previous instance when it is a Potential, and returns nil (fresh
-// construction) otherwise. The method takes no configuration, so any
-// instance is recyclable.
-func Recycle(prev sim.Algorithm, k int, _ *rand.Rand) sim.Algorithm {
-	if p, ok := prev.(*Potential); ok {
-		p.Reset(k)
-		return p
-	}
-	return nil
 }

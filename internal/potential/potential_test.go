@@ -133,16 +133,3 @@ func TestPotentialResetMatchesFresh(t *testing.T) {
 		t.Errorf("reset run %+v differs from fresh run %+v", reused, fresh)
 	}
 }
-
-func TestRecycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	prev := New(4)
-	if got := Recycle(prev, 9, rng); got != sim.Algorithm(prev) {
-		t.Errorf("Recycle did not reuse the Potential instance")
-	} else if prev.k != 9 {
-		t.Errorf("Recycle reset to k=%d, want 9", prev.k)
-	}
-	if got := Recycle(nil, 4, rng); got != nil {
-		t.Errorf("Recycle(nil) = %v, want nil", got)
-	}
-}

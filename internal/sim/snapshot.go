@@ -3,7 +3,7 @@ package sim
 // This file is the checkpoint/restore layer of the model (DESIGN.md S30):
 // a World and its algorithm serialize their mutable state between rounds,
 // so a long exploration can be journaled by internal/jobstore and resumed
-// after a crash. The contract mirrors Reset/Recycle (S22): a restored
+// after a crash. The contract mirrors Reset (S22): a restored
 // (world, algorithm) pair must be indistinguishable — byte for byte in the
 // rounds it goes on to produce — from the uninterrupted run, which is what
 // keeps the paper's determinism guarantees (the Claim 2 reservation

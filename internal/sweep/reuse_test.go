@@ -12,43 +12,38 @@ import (
 )
 
 // reuseGrid builds a mixed grid that forces the worker's algorithm slot
-// through every transition: BFDN→BFDN (recycled), BFDN→CTE and CTE→BFDN
-// (type mismatch, fresh construction), differing k, differing trees, and a
-// randomized policy that must draw identical rng streams on both paths.
-func reuseGrid(withHooks bool) []Point {
+// through every transition: BFDN→BFDN (reset in place), BFDN→CTE and
+// CTE→BFDN (another name, fresh construction), growing and shrinking k,
+// differing trees, and a randomized policy that must draw identical rng
+// streams on both paths. Points of one algorithm run back to back, so a
+// single worker resets most of them.
+func reuseGrid(named bool) []Point {
 	rng := rand.New(rand.NewSource(5))
 	trees := []*tree.Tree{
 		tree.Random(800, 20, rng),
 		tree.UnevenPaths(16, 25),
 		tree.Comb(30, 6),
 	}
-	bfdnHook := core.RecycleAlgorithm()
-	randomHook := core.RecycleAlgorithm(core.WithPolicy(core.RandomOpen))
+	kinds := []struct {
+		name  string
+		build func(k int, rng *rand.Rand) sim.Algorithm
+	}{
+		{"bfdn", func(k int, _ *rand.Rand) sim.Algorithm { return core.NewAlgorithm(k) }},
+		{"cte", func(k int, _ *rand.Rand) sim.Algorithm { return cte.New(k) }},
+		{"bfdn-random", func(k int, rng *rand.Rand) sim.Algorithm {
+			return core.NewAlgorithm(k, core.WithPolicy(core.RandomOpen), core.WithRand(rng))
+		}},
+	}
 	var pts []Point
-	for _, tr := range trees {
-		for _, k := range []int{2, 7, 32} {
-			bfdn := Point{Tree: tr, K: k, NewAlgorithm: func(k int, _ *rand.Rand) sim.Algorithm {
-				return core.NewAlgorithm(k)
-			}}
-			ct := Point{Tree: tr, K: k, NewAlgorithm: func(k int, _ *rand.Rand) sim.Algorithm {
-				return cte.New(k)
-			}}
-			random := Point{Tree: tr, K: k, NewAlgorithm: func(k int, rng *rand.Rand) sim.Algorithm {
-				return core.NewAlgorithm(k, core.WithPolicy(core.RandomOpen), core.WithRand(rng))
-			}}
-			if withHooks {
-				bfdn.ResetAlgorithm = bfdnHook
-				ct.ResetAlgorithm = cte.Recycle
-				random.ResetAlgorithm = func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm {
-					if a := randomHook(prev, k, rng); a != nil {
-						// RecycleAlgorithm installs rng via Reset, matching the
-						// fresh factory's WithRand(rng).
-						return a
-					}
-					return nil
+	for _, kind := range kinds {
+		for _, tr := range trees {
+			for _, k := range []int{2, 7, 32} {
+				p := Point{Tree: tr, K: k, NewAlgorithm: kind.build}
+				if named {
+					p.Name = kind.name
 				}
+				pts = append(pts, p)
 			}
-			pts = append(pts, bfdn, ct, random)
 		}
 	}
 	return pts
@@ -80,21 +75,33 @@ func TestAlgorithmReuseByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReuseHookFallback checks that a hook returning nil falls back to the
-// factory instead of failing the point.
+// TestReuseHookFallback checks that a worker resets its previous instance
+// only for a point with the same non-empty name: a point with another name,
+// or none, is built fresh, and every run matches.
 func TestReuseHookFallback(t *testing.T) {
 	tr := tree.Path(50)
-	rejectAll := func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm { return nil }
+	built := 0
+	newBFDN := func(k int, _ *rand.Rand) sim.Algorithm {
+		built++
+		return core.NewAlgorithm(k)
+	}
 	pts := []Point{
-		{Tree: tr, K: 2, NewAlgorithm: func(k int, _ *rand.Rand) sim.Algorithm { return core.NewAlgorithm(k) }},
-		{Tree: tr, K: 2, ResetAlgorithm: rejectAll,
-			NewAlgorithm: func(k int, _ *rand.Rand) sim.Algorithm { return core.NewAlgorithm(k) }},
+		{Tree: tr, K: 2, NewAlgorithm: newBFDN, Name: "bfdn"},
+		{Tree: tr, K: 2, NewAlgorithm: newBFDN, Name: "bfdn"},
+		{Tree: tr, K: 2, NewAlgorithm: newBFDN, Name: "other"},
+		{Tree: tr, K: 2, NewAlgorithm: newBFDN},
+		{Tree: tr, K: 2, NewAlgorithm: newBFDN},
 	}
 	results, _ := Run(pts, Options{Workers: 1, BaseSeed: 9})
 	if err := JoinErrors(results); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(results[0].Result, results[1].Result) {
-		t.Errorf("fallback point differs: %+v vs %+v", results[0].Result, results[1].Result)
+	if built != 4 {
+		t.Errorf("built %d instances, want 4: only the second point may reuse the first's", built)
+	}
+	for i := 1; i < len(results); i++ {
+		if !reflect.DeepEqual(results[0].Result, results[i].Result) {
+			t.Errorf("point %d differs: %+v vs %+v", i, results[0].Result, results[i].Result)
+		}
 	}
 }

@@ -45,15 +45,15 @@ type Point struct {
 	// deterministic regardless of worker count or execution order. The
 	// factory must not share mutable state across points.
 	NewAlgorithm func(k int, rng *rand.Rand) sim.Algorithm
-	// ResetAlgorithm, when non-nil, lets the point recycle the worker's
-	// previous algorithm instance the way worlds are already recycled via
-	// sim.World.Reset: the hook is offered the instance the worker last ran
-	// (never nil) and either resets it in place for k robots and returns it,
-	// or returns nil to fall back to NewAlgorithm. Implementations must
-	// reset to a state byte-identical to fresh construction — the engine's
-	// determinism contract extends to reused algorithms (see
-	// core.RecycleAlgorithm and cte.Recycle for the canonical hooks).
-	ResetAlgorithm func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm
+	// Name names the point's algorithm configuration. When it is not
+	// empty and equals the Name of the worker's previous point, the worker
+	// resets that point's instance in place through its Reset(k int)
+	// method, the way worlds are recycled via sim.World.Reset, instead of
+	// calling NewAlgorithm. Points sharing a Name must build identically
+	// configured instances, and Reset must leave an instance byte-identical
+	// to fresh construction: the engine's determinism contract extends to
+	// reused algorithms.
+	Name string
 	// MaxRounds caps the run; ≤ 0 selects the paper's termination cap
 	// (see sim.Run).
 	MaxRounds int64
@@ -171,18 +171,20 @@ func Run(points []Point, opt Options) ([]Result, Stats) {
 }
 
 // workerState is everything one synchronous worker recycles across the
-// points it executes: the world (sim.World.Reset), the algorithm instance
-// (Point.ResetAlgorithm), the rng (reseeded in place, sparing the ~5KB
+// points it executes: the world (sim.World.Reset), the last point's
+// algorithm instance and Name (Point.Name), the rng (reseeded in place —
+// an instance reset by name keeps drawing from it — sparing the ~5KB
 // rngSource re-allocation every point), and an int64 arena that per-point
 // MovesPerRobot report slices are carved from. Results must stay
 // independent after the sweep returns, so carved slices are never reused —
 // the arena only batches their allocation, turning k-robot grids from one
 // make per point into one make per arenaChunk/k points.
 type workerState struct {
-	world *sim.World
-	alg   sim.Algorithm
-	rng   *rand.Rand
-	arena []int64
+	world   *sim.World
+	alg     sim.Algorithm
+	algName string
+	rng     *rand.Rand
+	arena   []int64
 }
 
 // arenaChunk is the minimum arena block, in int64s. 4096 words (32KB) keeps
@@ -349,8 +351,8 @@ func failPoint(i int, seed uint64, err error) Result {
 
 // runPoint executes one point on the worker's recycled state: the world is
 // always reused (via Reset), the rng is reseeded in place, the algorithm is
-// reused when the point's ResetAlgorithm hook accepts the previous instance,
-// and the result's MovesPerRobot is carved from the worker's arena
+// reset in place when the point has the previous point's Name, and the
+// result's MovesPerRobot is carved from the worker's arena
 // (sim.RunRecycledContext), so a steady-state point allocates nothing in the
 // engine itself.
 func runPoint(ctx context.Context, ws *workerState, p Point, index int, seed uint64) Result {
@@ -378,17 +380,13 @@ func runPoint(ctx context.Context, ws *workerState, p Point, index int, seed uin
 		// constructs, so recycled and fresh workers draw identical streams.
 		ws.rng.Seed(int64(seed))
 	}
-	var alg sim.Algorithm
-	if p.ResetAlgorithm != nil && ws.alg != nil {
-		alg = p.ResetAlgorithm(ws.alg, p.K, ws.rng)
-	}
-	if alg == nil {
-		alg = p.NewAlgorithm(p.K, ws.rng)
-	}
-	if alg == nil {
+	alg := ws.alg
+	if r, ok := alg.(interface{ Reset(k int) }); ok && p.Name != "" && p.Name == ws.algName {
+		r.Reset(p.K)
+	} else if alg = p.NewAlgorithm(p.K, ws.rng); alg == nil {
 		return failPoint(index, seed, errors.New("algorithm factory returned nil"))
 	}
-	ws.alg = alg
+	ws.alg, ws.algName = alg, p.Name
 	r, err := sim.RunRecycledContext(ctx, w, alg, p.MaxRounds, ws.movesBuf(w.K()))
 	if err != nil {
 		return failPoint(index, seed, err)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,9 +17,8 @@ func record(t *testing.T, tr *tree.Tree, k, every int) (*Recorder, *sim.World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(core.NewAlgorithm(k))
-	rec.Every = every
-	if _, err := sim.Run(w, rec, 0); err != nil {
+	rec := NewRecorder(w, every)
+	if _, err := sim.RunContext(context.Background(), w, core.NewAlgorithm(k), 0, nil, rec.Hook(nil)); err != nil {
 		t.Fatal(err)
 	}
 	return rec, w
@@ -99,17 +99,5 @@ func TestSparkline(t *testing.T) {
 	}
 	if Sparkline([]int{3}, 0) != "" {
 		t.Error("zero width should render empty")
-	}
-}
-
-func TestDepthHistogram(t *testing.T) {
-	tr := tree.Path(5)
-	f := Frame{Positions: []tree.NodeID{0, 2, 2, 4}}
-	h := DepthHistogram(tr, f)
-	want := []int{1, 0, 2, 0, 1}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("hist[%d] = %d, want %d", i, h[i], want[i])
-		}
 	}
 }

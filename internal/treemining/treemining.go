@@ -26,7 +26,6 @@ package treemining
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"bfdn/internal/sim"
 	"bfdn/internal/teams"
@@ -207,19 +206,6 @@ func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []int32) e
 		case sim.Explore:
 			t.moves[r] = sim.Move{Kind: sim.Explore, Ticket: t.targets[ti].ticket}
 		}
-	}
-	return nil
-}
-
-// Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
-// path (sweep.Point.ResetAlgorithm): it resets and returns the worker's
-// previous instance when it is a TreeMining, and returns nil (fresh
-// construction) otherwise. Tree-Mining takes no configuration, so any
-// instance is recyclable.
-func Recycle(prev sim.Algorithm, k int, _ *rand.Rand) sim.Algorithm {
-	if t, ok := prev.(*TreeMining); ok {
-		t.Reset(k)
-		return t
 	}
 	return nil
 }

@@ -137,16 +137,3 @@ func TestTreeMiningResetMatchesFresh(t *testing.T) {
 	}
 	_ = first
 }
-
-func TestRecycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	prev := New(4)
-	if got := Recycle(prev, 9, rng); got != sim.Algorithm(prev) {
-		t.Errorf("Recycle did not reuse the TreeMining instance")
-	} else if prev.k != 9 {
-		t.Errorf("Recycle reset to k=%d, want 9", prev.k)
-	}
-	if got := Recycle(nil, 4, rng); got != nil {
-		t.Errorf("Recycle(nil) = %v, want nil", got)
-	}
-}

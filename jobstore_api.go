@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"bfdn/internal/jobstore"
-	"bfdn/internal/sim"
 	"bfdn/internal/sweep"
 )
 
@@ -250,58 +249,18 @@ func journalPoint[Rep any](job *jobstore.Job, i int, rep Rep) error {
 	return job.Append(pointRecord[Rep]{T: "point", I: i, Report: &rep})
 }
 
-// exploreCheckpointed is the WithCheckpoint path of ExploreContext: restore
-// the latest snapshot if one exists, run with periodic checkpointing, and
-// journal the final report so a completed job replays without simulating.
-func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Report, error) {
-	job, _, err := cfg.store.s.OpenOrCreate("explore", explorePlanBytes(t, k, cfg))
+// journaledReport replays the report a finished checkpointed exploration
+// journaled, so a done job answers without simulating.
+func journaledReport(job *jobstore.Job) (*Report, error) {
+	raws, err := job.Replay()
 	if err != nil {
-		return nil, err
-	}
-	if job.IsDone() {
-		raws, err := job.Replay()
-		if err != nil {
-			return nil, fmt.Errorf("bfdn: job %s: %w", job.ID(), err)
-		}
-		for i := len(raws) - 1; i >= 0; i-- {
-			var rec reportRecord
-			if err := json.Unmarshal(raws[i], &rec); err == nil && rec.T == "report" && rec.Report != nil {
-				return rec.Report, nil
-			}
-		}
-		return nil, fmt.Errorf("bfdn: job %s: done but no report in journal", job.ID())
-	}
-	alg, bound, err := newSimAlgorithm(t, k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sim.NewWorld(t.t, k)
-	if err != nil {
-		return nil, err
-	}
-	var events []sim.ExploreEvent
-	if state, ok, err := job.LoadSnapshot(); err != nil {
 		return nil, fmt.Errorf("bfdn: job %s: %w", job.ID(), err)
-	} else if ok {
-		events, err = sim.RestoreCheckpoint(state, w, alg)
-		if err != nil {
-			return nil, fmt.Errorf("bfdn: job %s: %w", job.ID(), err)
+	}
+	for i := len(raws) - 1; i >= 0; i-- {
+		var rec reportRecord
+		if err := json.Unmarshal(raws[i], &rec); err == nil && rec.T == "report" && rec.Report != nil {
+			return rec.Report, nil
 		}
 	}
-	every := cfg.ckptEvery
-	if every <= 0 {
-		every = 1024
-	}
-	res, err := sim.RunContext(ctx, w, alg, 0, events, roundHook(w, cfg, sim.SaveEvery(w, alg, every, job.SaveSnapshot)))
-	if err != nil {
-		return nil, err
-	}
-	rep := newReport(t, k, bound, res)
-	if err := job.Append(reportRecord{T: "report", Report: &rep}); err != nil {
-		return nil, fmt.Errorf("bfdn: job %s: journal append: %w", job.ID(), err)
-	}
-	if err := job.MarkDone(); err != nil {
-		return nil, err
-	}
-	return &rep, nil
+	return nil, fmt.Errorf("bfdn: job %s: done but no report in journal", job.ID())
 }

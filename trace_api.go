@@ -2,9 +2,7 @@ package bfdn
 
 import (
 	"context"
-	"fmt"
 
-	"bfdn/internal/sim"
 	"bfdn/internal/trace"
 	"bfdn/internal/tree"
 )
@@ -20,34 +18,11 @@ type Trace struct {
 // many rounds (≤ 1 records all). Break-down schedules and checkpointing
 // are not supported.
 func ExploreTraced(t *Tree, k int, every int, opts ...Option) (*Report, *Trace, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.schedule != nil {
-		return nil, nil, fmt.Errorf("bfdn: tracing with break-downs is not supported")
-	}
-	if cfg.store != nil {
-		return nil, nil, fmt.Errorf("bfdn: tracing with WithCheckpoint is not supported")
-	}
-	inner, bound, err := newSimAlgorithm(t, k, cfg)
+	rep, rec, err := explore(context.Background(), t, k, max(every, 1), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := trace.NewRecorder(inner)
-	if every > 1 {
-		rec.Every = every
-	}
-	w, err := sim.NewWorld(t.t, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sim.RunContext(context.Background(), w, rec, 0, nil, roundHook(w, cfg, nil))
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := newReport(t, k, bound, res)
-	return &rep, &Trace{rec: rec, t: t.t}, nil
+	return rep, &Trace{rec: rec, t: t.t}, nil
 }
 
 // Frames reports the number of recorded frames.
