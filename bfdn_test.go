@@ -171,6 +171,14 @@ func TestExploreAllAlgorithms(t *testing.T) {
 	if _, err := Explore(tr, 4, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
+	// k < 1 is an error for every algorithm, never a panic.
+	for _, alg := range Algorithms() {
+		for _, k := range []int{0, -1} {
+			if _, err := Explore(tr, k, WithAlgorithm(alg)); err == nil {
+				t.Errorf("%v: k=%d accepted", alg, k)
+			}
+		}
+	}
 }
 
 func TestExploreRecursiveEll(t *testing.T) {
