@@ -17,9 +17,12 @@ import (
 	"bfdn/internal/sim"
 )
 
-// Schedule decides which robots may move each round. Implementations must be
-// deterministic functions of (round, robot) — the engine may query a pair
-// multiple times within a round.
+// Schedule decides which robots may move each round. An implementation must
+// answer repeated queries of one (round, robot) pair the same way — the
+// engine may query a pair multiple times within a round. An oblivious
+// schedule is a function of (round, robot) alone; a state-adaptive one
+// (Remark 8) may read the world's view, which shows the round's start state
+// when the round's first query arrives.
 type Schedule interface {
 	Allowed(round, robot int) bool
 }
@@ -83,17 +86,13 @@ func (s *RoundRobinBlock) Allowed(round, robot int) bool {
 	return robot != round%s.K
 }
 
-// Algorithm runs BFDN under a break-down adversary — an oblivious
-// Schedule (New) or a state-adaptive Adaptive (NewAdaptive) — and tracks
+// Algorithm runs BFDN under a break-down adversary's Schedule and tracks
 // the allowed-move budget A(M). It implements sim.Algorithm.
 type Algorithm struct {
 	b        *core.BFDN
 	schedule Schedule
-	adv      Adaptive
-	// blocked is the adaptive adversary's choice for the current round.
-	blocked map[int]bool
-	moves   []sim.Move
-	round   int
+	moves    []sim.Move
+	round    int
 	// allowedTotal is Σ_{t,i} M_ti over elapsed rounds.
 	allowedTotal int64
 	k            int
@@ -111,29 +110,13 @@ func New(k int, s Schedule, opts ...core.Option) *Algorithm {
 	}
 }
 
-// NewAdaptive returns break-down-tolerant BFDN under the adaptive adversary.
-func NewAdaptive(k int, adv Adaptive, opts ...core.Option) *Algorithm {
-	return &Algorithm{
-		b:     core.New(k, opts...),
-		adv:   adv,
-		moves: make([]sim.Move, k),
-		k:     k,
-	}
-}
-
 // allowed reports M_ti for the current round.
 func (a *Algorithm) allowed(robot int) bool {
-	if a.adv != nil {
-		return !a.blocked[robot]
-	}
 	return a.schedule.Allowed(a.round, robot)
 }
 
 // SelectMoves implements sim.Algorithm.
 func (a *Algorithm) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if a.adv != nil {
-		a.blocked = a.adv.Block(v, a.round)
-	}
 	for i := 0; i < a.k; i++ {
 		if a.allowed(i) {
 			a.allowedTotal++

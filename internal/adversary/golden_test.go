@@ -26,15 +26,17 @@ func goldenTrees() []*tree.Tree {
 	}
 }
 
-// runFingerprint drives a until every edge is visited, under the stopping
-// rule of RunUntilExplored, and returns a SHA-256 over every round's moves
-// followed by the run's rounds, moves and per-robot moves.
-func runFingerprint(t *testing.T, tr *tree.Tree, k int, a sim.Algorithm) []byte {
+// runFingerprint drives the algorithm newAlg builds over a fresh world
+// until every edge is visited, under the stopping rule of
+// RunUntilExplored, and returns a SHA-256 over every round's moves followed
+// by the run's rounds, moves and per-robot moves.
+func runFingerprint(t *testing.T, tr *tree.Tree, k int, newAlg func(*sim.World) sim.Algorithm) []byte {
 	t.Helper()
 	w, err := sim.NewWorld(tr, k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := newAlg(w)
 	h := sha256.New()
 	var buf []byte
 	explored := UntilExplored(w, 1_000_000)
@@ -63,7 +65,7 @@ func runFingerprint(t *testing.T, tr *tree.Tree, k int, a sim.Algorithm) []byte 
 }
 
 // TestGoldenBreakdownFingerprints pins break-down BFDN's exact decisions
-// under a Bernoulli schedule and under each adaptive adversary blocking
+// under a Bernoulli schedule and under each state-adaptive blocker stalling
 // half the robots: per adversary, a SHA-256 over every golden tree at k ∈
 // {1, 2, 3, 8, 16, 64}.
 func TestGoldenBreakdownFingerprints(t *testing.T) {
@@ -78,18 +80,17 @@ func TestGoldenBreakdownFingerprints(t *testing.T) {
 		all := sha256.New()
 		for _, tr := range trees {
 			for _, k := range []int{1, 2, 3, 8, 16, 64} {
-				var a sim.Algorithm
-				switch name {
-				case "bernoulli":
-					a = New(k, &Bernoulli{P: 0.6, K: k, Seed: 42})
-				case "blockdeepest":
-					a = NewAdaptive(k, &BlockDeepest{Max: k / 2})
-				case "blockexplorers":
-					a = NewAdaptive(k, &BlockExplorers{Max: k / 2})
-				case "blockreturners":
-					a = NewAdaptive(k, &BlockReturners{Max: k / 2})
-				}
-				sum := runFingerprint(t, tr, k, a)
+				sum := runFingerprint(t, tr, k, func(w *sim.World) sim.Algorithm {
+					switch name {
+					case "blockdeepest":
+						return New(k, newAdaptive(w, blockDeepest, k/2))
+					case "blockexplorers":
+						return New(k, newAdaptive(w, blockExplorers, k/2))
+					case "blockreturners":
+						return New(k, newAdaptive(w, blockReturners, k/2))
+					}
+					return New(k, &Bernoulli{P: 0.6, K: k, Seed: 42})
+				})
 				t.Logf("%s %s k=%d: %x", name, tr, k, sum)
 				all.Write(sum)
 			}

@@ -69,9 +69,6 @@ type View struct {
 // K is the fleet size.
 func (v View) K() int { return len(v.e.speeds) }
 
-// Now is the current simulation time.
-func (v View) Now() float64 { return v.e.now }
-
 // Pos is robot i's current node (the far endpoint while mid-traversal).
 func (v View) Pos(i int) tree.NodeID { return v.e.pos[i] }
 
@@ -80,9 +77,6 @@ func (v View) Parent(u tree.NodeID) tree.NodeID { return v.e.t.Parent(u) }
 
 // DepthOf is u's depth (root = 0).
 func (v View) DepthOf(u tree.NodeID) int { return v.e.t.DepthOf(u) }
-
-// Explored reports whether u has been visited.
-func (v View) Explored(u tree.NodeID) bool { return v.e.explored[u] }
 
 // Unclaimed counts u's dangling edges not yet claimed by any robot. Claims
 // are handed out in port order, so this shrinks by one per Claim at u and

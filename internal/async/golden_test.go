@@ -42,7 +42,7 @@ func (r *decideRecorder) Decide(v View, i int) (Move, error) {
 	b := r.buf[:0]
 	b = binary.LittleEndian.AppendUint32(b, uint32(i))
 	b = binary.LittleEndian.AppendUint32(b, uint32(v.Pos(i)))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Now()))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.e.now))
 	b = append(b, byte(mv.Kind))
 	b = binary.LittleEndian.AppendUint32(b, uint32(mv.To))
 	r.h.Write(b)

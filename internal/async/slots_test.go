@@ -33,7 +33,7 @@ func (c *slotChecker) unclaimedSlots(v View) []tree.NodeID {
 	var visit func(u tree.NodeID)
 	visit = func(u tree.NodeID) {
 		for _, ch := range c.tr.Children(u) {
-			if v.Explored(ch) {
+			if v.e.explored[ch] {
 				visit(ch)
 			}
 		}
@@ -52,7 +52,7 @@ func (c *slotChecker) Decide(v View, i int) (Move, error) {
 	pos := v.Pos(i)
 	var kids []tree.NodeID
 	for _, ch := range c.tr.Children(pos) {
-		if v.Explored(ch) {
+		if v.e.explored[ch] {
 			kids = append(kids, ch)
 		}
 	}
@@ -80,16 +80,16 @@ func (c *slotChecker) check(v View) {
 	c.checks++
 	want := c.unclaimedSlots(v)
 	if got := v.OpenSlots(); got != len(want) {
-		t.Fatalf("t=%v: OpenSlots = %d, want %d", v.Now(), got, len(want))
+		t.Fatalf("t=%v: OpenSlots = %d, want %d", v.e.now, got, len(want))
 	}
 	for s, u := range want {
 		if got, err := v.OpenSlot(s); err != nil || got != u {
-			t.Fatalf("t=%v: OpenSlot(%d) = %d, %v; want %d", v.Now(), s, got, err, u)
+			t.Fatalf("t=%v: OpenSlot(%d) = %d, %v; want %d", v.e.now, s, got, err, u)
 		}
 	}
 	var explored []tree.NodeID
 	for u := 0; u < c.tr.N(); u++ {
-		if v.Explored(tree.NodeID(u)) {
+		if v.e.explored[tree.NodeID(u)] {
 			explored = append(explored, tree.NodeID(u))
 		}
 	}
@@ -99,7 +99,7 @@ func (c *slotChecker) check(v View) {
 			continue
 		}
 		if got, want := v.Toward(from, to), towardWalk(v, from, to); got != want {
-			t.Fatalf("t=%v: Toward(%d, %d) = %d, want %d", v.Now(), from, to, got, want)
+			t.Fatalf("t=%v: Toward(%d, %d) = %d, want %d", v.e.now, from, to, got, want)
 		}
 	}
 }

@@ -35,18 +35,13 @@ type shard struct {
 	cancels []context.CancelFunc
 }
 
-// partition cuts n points into contiguous shards. The target is oversub
-// shards per fleet dispatch slot — enough queue depth for work stealing to
-// absorb speed differences and failover to re-spread a dead worker's load —
-// capped by maxShardPoints and by the smallest maxPoints any worker
-// advertises.
-func partition(n int, fleet []*workerState) []*shard {
-	return cutShards(n, shardSize(n, fleet))
-}
-
-// shardSize picks the shard size for n points against the probed fleet (see
-// partition). Resumable runs journal this size and reuse it on resume, so
-// the cut stays a pure function of the plan even if the fleet changes.
+// shardSize picks the shard size for cutting n points into contiguous
+// shards against the probed fleet. The target is oversub shards per fleet
+// dispatch slot — enough queue depth for work stealing to absorb speed
+// differences and failover to re-spread a dead worker's load — capped by
+// maxShardPoints and by the smallest maxPoints any worker advertises.
+// Resumable runs journal this size and reuse it on resume, so the cut
+// stays a pure function of the plan even if the fleet changes.
 func shardSize(n int, fleet []*workerState) int {
 	slots, minMax := 0, 0
 	for _, w := range fleet {

@@ -31,6 +31,11 @@ func checkCover(t *testing.T, shards []*shard, n int) {
 	}
 }
 
+// partition cuts n points into shards the way a run against fleet does.
+func partition(n int, fleet []*workerState) []*shard {
+	return cutShards(n, shardSize(n, fleet))
+}
+
 func TestPartition(t *testing.T) {
 	// 100 points, 2 workers × 2 slots, oversub 4 → 16 target shards of
 	// ceil(100/16) = 7 points.

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 
 	"bfdn/internal/bounds"
@@ -226,12 +224,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// guaranteeRatio is a display helper: measured/bound, capped for readability.
-func guaranteeRatio(measured int, bound float64) string {
-	if bound <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f", math.Min(float64(measured)/bound, 99))
 }

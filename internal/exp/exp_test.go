@@ -10,9 +10,9 @@ import (
 )
 
 func TestRunAllNoViolations(t *testing.T) {
-	reports, err := RunAll(DefaultConfig())
+	reports, err := RunAllParallel(DefaultConfig(), 1)
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("RunAllParallel: %v", err)
 	}
 	if len(reports) != 18 {
 		t.Fatalf("got %d reports, want 18", len(reports))
@@ -47,7 +47,7 @@ func TestE2Figure1MapsRendered(t *testing.T) {
 }
 
 func TestRunAllParallelMatchesSequential(t *testing.T) {
-	seq, err := RunAll(DefaultConfig())
+	seq, err := RunAllParallel(DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +228,5 @@ func TestOutcomeCheck(t *testing.T) {
 	}
 	if len(o.Notes) != 1 || o.Notes[0] != "bad 7" {
 		t.Errorf("notes = %v", o.Notes)
-	}
-}
-
-func TestGuaranteeRatio(t *testing.T) {
-	if guaranteeRatio(50, 100) != "0.50" {
-		t.Errorf("ratio = %s", guaranteeRatio(50, 100))
-	}
-	if guaranteeRatio(1, 0) != "-" {
-		t.Error("zero bound not handled")
 	}
 }

@@ -65,11 +65,6 @@ func definitions() []definition {
 	return defs
 }
 
-// RunAll executes the full experiment suite sequentially, in index order.
-func RunAll(cfg Config) ([]Report, error) {
-	return RunAllParallel(cfg, 1)
-}
-
 // RunAllParallel executes the suite on up to workers goroutines (the
 // experiments are independent and deterministic, so the output is identical
 // to a sequential run). It returns every report that completed, in suite

@@ -1,12 +1,54 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"bfdn/internal/bounds"
 )
+
+// RandomConnected builds a random connected graph with n nodes and
+// approximately m edges: a uniform random spanning tree plus extra random
+// edges (duplicates and self-loops skipped). Origin is node 0. It exercises
+// the §4.3 variant beyond grid graphs — Proposition 9 holds for any graph
+// once robots know their distance to the origin.
+func RandomConnected(n, m int, rng *rand.Rand) (*Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("graph: need n ≥ 1 nodes, got %d", n)
+	}
+	type edge struct{ u, v int32 }
+	seen := make(map[edge]bool, m)
+	adj := make([][]int32, n)
+	addEdge := func(u, v int32) bool {
+		if u == v {
+			return false
+		}
+		a, b := u, v
+		if a > b {
+			a, b = b, a
+		}
+		if seen[edge{a, b}] {
+			return false
+		}
+		seen[edge{a, b}] = true
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+		return true
+	}
+	// Random spanning tree: attach each node to a random earlier one.
+	for v := 1; v < n; v++ {
+		addEdge(int32(rng.Intn(v)), int32(v))
+	}
+	edges := n - 1
+	for tries := 0; edges < m && tries < 20*m+100; tries++ {
+		if addEdge(int32(rng.Intn(n)), int32(rng.Intn(n))) {
+			edges++
+		}
+	}
+	return FromAdjacency(adj, 0)
+}
 
 func TestRandomConnectedShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))

@@ -34,7 +34,7 @@ func (h *Histogram) EnableExemplars() *Histogram {
 }
 
 // Exemplar links v's bucket to traceID, replacing the bucket's previous
-// exemplar. It does not count v — pair it with Observe/ObserveDuration
+// exemplar. It does not count v — pair it with ObserveDuration
 // (instrumentation calls it only for the sampled slice of observations
 // that carry a span, so the store is off the steady-state hot path).
 func (h *Histogram) Exemplar(v float64, traceID string) {

@@ -7,11 +7,11 @@ import (
 
 func TestExemplarAttachAndSnapshot(t *testing.T) {
 	h := NewHistogram([]float64{0.1, 1}).EnableExemplars()
-	h.Observe(0.05)
+	h.ObserveDuration(seconds(0.05))
 	h.Exemplar(0.05, "aaaa")
-	h.Observe(0.5)
+	h.ObserveDuration(seconds(0.5))
 	h.Exemplar(0.5, "bbbb")
-	h.Observe(50)
+	h.ObserveDuration(seconds(50))
 	h.Exemplar(50, "cccc")
 
 	ex := h.Exemplars()
@@ -54,7 +54,7 @@ func TestMergeCarriesExemplars(t *testing.T) {
 	dst.Exemplar(2, "keep")
 
 	src := NewHistogram([]float64{1}).EnableExemplars()
-	src.Observe(0.25)
+	src.ObserveDuration(seconds(0.25))
 	src.Exemplar(0.25, "new")
 
 	if err := dst.Merge(src); err != nil {

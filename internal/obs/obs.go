@@ -13,8 +13,8 @@
 //     share a counter (the failure mode of the expvar vars this package
 //     replaced).
 //
-//   - Atomic-add hot paths. Counter.Add, FloatCounter.Add and
-//     Histogram.Observe are a handful of atomic adds with no locks, so
+//   - Atomic-add hot paths. Counter.Add, FloatCounter.AddDuration and
+//     Histogram.ObserveDuration are a handful of atomic adds with no locks, so
 //     instruments can sit on simulation hot paths (the sweep engine observes
 //     one histogram sample per point).
 //
@@ -55,22 +55,15 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 func (c *Counter) Merge(src *Counter) { c.v.Add(src.v.Load()) }
 
 // FloatCounter is a monotonically increasing float accumulated in 1-nanounit
-// (1e-9) fixed point, so Add is a single atomic add rather than a CAS loop.
-// It holds sums up to ~9.2e9 (≈292 years of seconds), ample for duration
-// totals. The zero value is valid.
+// (1e-9) fixed point, so AddDuration is a single atomic add rather than a
+// CAS loop. It holds sums up to ~9.2e9 (≈292 years of seconds), ample for
+// duration totals. The zero value is valid.
 type FloatCounter struct {
 	nanos atomic.Int64
 }
 
-// Add adds v (negative v is ignored: counters only go up).
-func (c *FloatCounter) Add(v float64) {
-	if v <= 0 {
-		return
-	}
-	c.nanos.Add(int64(v * 1e9))
-}
-
-// AddDuration adds d as seconds, exactly (no float rounding).
+// AddDuration adds d as seconds, exactly (no float rounding); a negative d
+// is ignored: counters only go up.
 func (c *FloatCounter) AddDuration(d time.Duration) {
 	if d <= 0 {
 		return
@@ -89,9 +82,6 @@ func (c *FloatCounter) Merge(src *FloatCounter) { c.nanos.Add(src.nanos.Load()) 
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta (negative to decrease) with a CAS loop; gauges are for
 // low-frequency state (inflight jobs), not hot-path accumulation.
@@ -112,8 +102,9 @@ func (g *Gauge) Dec() { g.Add(-1) }
 // Value reports the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed buckets. Observe is wait-free:
-// one atomic add on the bucket counter and one on the fixed-point sum.
+// Histogram counts observations into fixed buckets. ObserveDuration is
+// wait-free: one atomic add on the bucket counter and one on the
+// fixed-point sum.
 // Bounds are inclusive upper bounds in increasing order; a final +Inf bucket
 // is implicit. All observations are expected to be ≥ 0 (durations, sizes);
 // the sum is kept in 1e-9 fixed point like FloatCounter.
@@ -151,26 +142,11 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	// Linear scan: bucket layouts are small (≤ ~20) and the loop is
-	// branch-predictable, beating binary search at this size.
-	i := len(h.bounds)
-	for j, b := range h.bounds {
-		if v <= b {
-			i = j
-			break
-		}
-	}
-	h.counts[i].Add(1)
-	if v > 0 {
-		h.sum.Add(int64(v * 1e9))
-	}
-}
-
 // ObserveDuration records d as seconds with an exact fixed-point sum.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	v := d.Seconds()
+	// Linear scan: bucket layouts are small (≤ ~20) and the loop is
+	// branch-predictable, beating binary search at this size.
 	i := len(h.bounds)
 	for j, b := range h.bounds {
 		if v <= b {

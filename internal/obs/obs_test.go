@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// seconds converts v seconds to a duration.
+func seconds(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
+
 func TestCounterAndFloatCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -18,9 +21,9 @@ func TestCounterAndFloatCounter(t *testing.T) {
 	}
 
 	var fc FloatCounter
-	fc.Add(1.5)
+	fc.AddDuration(seconds(1.5))
 	fc.AddDuration(500 * time.Millisecond)
-	fc.Add(-3) // ignored: counters only go up
+	fc.AddDuration(seconds(-3)) // ignored: counters only go up
 	if got := fc.Value(); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("FloatCounter.Value = %g, want 2.0", got)
 	}
@@ -31,7 +34,7 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("zero Gauge reads %g", g.Value())
 	}
-	g.Set(3.5)
+	g.Add(3.5)
 	g.Add(-1.25)
 	g.Inc()
 	g.Dec()
@@ -43,7 +46,7 @@ func TestGauge(t *testing.T) {
 func TestHistogramBucketsAndSum(t *testing.T) {
 	h := NewHistogram([]float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.1, 0.5, 5, 100} {
-		h.Observe(v)
+		h.ObserveDuration(seconds(v))
 	}
 	if got := h.Count(); got != 5 {
 		t.Fatalf("Count = %d, want 5", got)
@@ -73,9 +76,9 @@ func TestHistogramObserveDurationExactSum(t *testing.T) {
 func TestHistogramMerge(t *testing.T) {
 	a := NewHistogram([]float64{1, 2})
 	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(99)
+	a.ObserveDuration(seconds(0.5))
+	b.ObserveDuration(seconds(1.5))
+	b.ObserveDuration(seconds(99))
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +163,13 @@ func TestWritePrometheus(t *testing.T) {
 	c := r.Counter("jobs_total", "Total jobs.")
 	c.Add(7)
 	g := r.Gauge("inflight", "In-flight jobs.")
-	g.Set(2)
+	g.Add(2)
 	fc := r.FloatCounter("busy_seconds_total", "Busy time.")
-	fc.Add(1.5)
+	fc.AddDuration(seconds(1.5))
 	hv := r.HistogramVec("req_seconds", "Latency.", []float64{0.1, 1}, "endpoint", "status")
-	hv.With("explore", "200").Observe(0.05)
-	hv.With("explore", "200").Observe(0.5)
-	hv.With(`we"ird`, "500\n").Observe(2)
+	hv.With("explore", "200").ObserveDuration(seconds(0.05))
+	hv.With("explore", "200").ObserveDuration(seconds(0.5))
+	hv.With(`we"ird`, "500\n").ObserveDuration(seconds(2))
 	cv := r.CounterVec("reqs_total", "Per endpoint.", "endpoint")
 	cv.With("sweep").Inc()
 
@@ -231,10 +234,10 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				fc.Add(0.001)
+				fc.AddDuration(seconds(0.001))
 				g.Add(1)
-				h.Observe(0.01)
-				hv.With([]string{"a", "b"}[w%2]).Observe(2)
+				h.ObserveDuration(seconds(0.01))
+				hv.With([]string{"a", "b"}[w%2]).ObserveDuration(seconds(2))
 			}
 		}(w)
 	}

@@ -112,9 +112,6 @@ type Span struct {
 	Attrs  []Attr
 }
 
-// Duration is the span's measured length.
-func (s *Span) Duration() time.Duration { return time.Duration(s.End - s.Start) }
-
 // Config tunes a Tracer. The zero value selects the defaults.
 type Config struct {
 	// Capacity bounds the ring buffer of completed spans; once full, new
@@ -210,16 +207,6 @@ func (t *Tracer) record(sp *Span) {
 	}
 	t.total++
 	t.mu.Unlock()
-}
-
-// Len reports how many completed spans the ring currently holds.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
 }
 
 // Spans returns the retained completed spans, oldest first. A non-zero

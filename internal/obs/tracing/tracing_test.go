@@ -91,7 +91,7 @@ func TestNilTracerAndUntracedContextAreNoOps(t *testing.T) {
 		t.Fatal("StartBulk on an untraced context must return nil")
 	}
 	Record(ctx, "z", time.Now(), time.Now()) // must not panic
-	if tr.Len() != 0 || tr.Spans(TraceID{}) != nil {
+	if len(tr.Spans(TraceID{})) != 0 || tr.Spans(TraceID{}) != nil {
 		t.Fatal("nil tracer must report no spans")
 	}
 }
@@ -147,7 +147,7 @@ func TestStartBulkSampling(t *testing.T) {
 		sp.End()
 	}
 	root.End()
-	if n := every.Len(); n != 11 {
+	if n := len(every.Spans(TraceID{})); n != 11 {
 		t.Fatalf("SampleEvery=1 recorded %d spans, want 11", n)
 	}
 }
@@ -160,8 +160,8 @@ func TestRingEvictsOldestFirst(t *testing.T) {
 		_, sp := Start(ctx, "s", Int("i", i))
 		sp.End()
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("ring holds %d spans, want 4", tr.Len())
+	if len(tr.Spans(TraceID{})) != 4 {
+		t.Fatalf("ring holds %d spans, want 4", len(tr.Spans(TraceID{})))
 	}
 	spans := tr.Spans(TraceID{})
 	for j, sp := range spans {
@@ -177,7 +177,7 @@ func TestEndIsIdempotent(t *testing.T) {
 	_, sp := tr.Trace(context.Background(), "once", SpanRef{})
 	sp.End()
 	sp.End()
-	if n := tr.Len(); n != 1 {
+	if n := len(tr.Spans(TraceID{})); n != 1 {
 		t.Fatalf("double End recorded %d spans, want 1", n)
 	}
 }
@@ -192,7 +192,7 @@ func TestRecordAggregateSpan(t *testing.T) {
 	if len(spans) != 2 || spans[0].Name != "phase" {
 		t.Fatalf("spans = %+v, want recorded phase first", spans)
 	}
-	if d := spans[0].Duration(); d != 5*time.Millisecond {
+	if d := time.Duration(spans[0].End - spans[0].Start); d != 5*time.Millisecond {
 		t.Fatalf("phase duration = %v, want 5ms", d)
 	}
 	if spans[0].Parent != root.Ref().Span {
@@ -230,8 +230,8 @@ func TestConcurrentSpansRaceClean(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	if tr.Len() != 128 {
-		t.Fatalf("ring holds %d spans, want full 128", tr.Len())
+	if len(tr.Spans(TraceID{})) != 128 {
+		t.Fatalf("ring holds %d spans, want full 128", len(tr.Spans(TraceID{})))
 	}
 }
 

@@ -299,8 +299,8 @@ func TestDiscoveredEdgeAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := w.Metrics()
-	if m.DiscoveredEdges != tr.Edges() {
-		t.Errorf("DiscoveredEdges = %d, want %d", m.DiscoveredEdges, tr.Edges())
+	if m.DiscoveredEdges != tr.N()-1 {
+		t.Errorf("DiscoveredEdges = %d, want %d", m.DiscoveredEdges, tr.N()-1)
 	}
 	if w.View().HasDanglingAnywhere() {
 		t.Error("dangling edges remain after full exploration")

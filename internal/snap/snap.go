@@ -4,7 +4,7 @@
 // SnapshotState/RestoreState implementations.
 //
 // The format is deliberately dumb — unsigned varints, zigzag for signed
-// values, IEEE bits for floats, length-prefixed slices, no field names, no
+// values, length-prefixed slices, no field names, no
 // versioning beyond the caller's own tags — because a snapshot is only ever
 // read back by the same binary that wrote it (the job store pairs every
 // snapshot with the content-addressed plan that produced it). What matters
@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Encoder accumulates an append-only snapshot buffer. The zero value is
@@ -49,11 +48,6 @@ func (e *Encoder) Bool(b bool) {
 	} else {
 		e.Uint64(0)
 	}
-}
-
-// Float64 appends the IEEE 754 bits of f as a fixed 8-byte value.
-func (e *Encoder) Float64(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
 }
 
 // Ints appends a length-prefixed []int.
@@ -154,20 +148,6 @@ func (d *Decoder) Int32() int32 { return int32(d.Int64()) }
 
 // Bool reads one varint as a boolean.
 func (d *Decoder) Bool() bool { return d.Uint64() != 0 }
-
-// Float64 reads a fixed 8-byte IEEE 754 value.
-func (d *Decoder) Float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
-}
 
 // sliceLen validates a decoded length prefix: non-negative and small enough
 // that the remaining buffer could plausibly hold it (every element costs at

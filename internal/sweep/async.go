@@ -47,23 +47,20 @@ type AsyncResult struct {
 // Settled reports the point's index and error.
 func (r AsyncResult) Settled() (int, error) { return r.Point, r.Err }
 
-// RunAsync executes all asynchronous points on a worker pool and returns
-// one AsyncResult per point, in point order. Failures are per-point;
-// RunAsync itself never fails. Each worker recycles one async.Engine and
-// one algorithm instance per algorithm name across the points it executes
-// (Engine.Reset / Algorithm.Reset), the asynchronous face of the engine's
-// world-reuse contract. Wire an async sweep's Recorder with
-// NewNamedRecorder to keep its metric families apart from the synchronous
-// ones.
-func RunAsync(points []AsyncPoint, opt Options) ([]AsyncResult, Stats) {
-	return RunAsyncContext(context.Background(), points, opt, nil)
-}
-
-// RunAsyncContext is RunAsync with cooperative cancellation: the context is
-// checked before each point starts and every 128 events inside a running
-// one (async.Engine.RunContext). Points finished before cancellation keep
-// their results; every other point carries the context's error in Err.
-// onResult follows the RunContext contract.
+// RunAsyncContext executes all asynchronous points on a worker pool and
+// returns one AsyncResult per point, in point order. Failures are
+// per-point; RunAsyncContext itself never fails. Each worker recycles one
+// async.Engine and one algorithm instance per algorithm name across the
+// points it executes (Engine.Reset / Algorithm.Reset), the asynchronous
+// face of the engine's world-reuse contract. Wire an async sweep's Recorder
+// with NewNamedRecorder to keep its metric families apart from the
+// synchronous ones.
+//
+// Cancellation is cooperative: the context is checked before each point
+// starts and every 128 events inside a running one
+// (async.Engine.RunContext). Points finished before cancellation keep their
+// results; every other point carries the context's error in Err. onResult
+// follows the RunContext contract.
 func RunAsyncContext(ctx context.Context, points []AsyncPoint, opt Options, onResult func(AsyncResult)) ([]AsyncResult, Stats) {
 	return run(ctx, points, opt, onResult, runAsyncPoint, failAsyncPoint)
 }

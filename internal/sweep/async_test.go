@@ -39,7 +39,7 @@ func asyncGrid(t *testing.T) []AsyncPoint {
 // the result slice is identical at any worker count, under any scheduling.
 func TestRunAsyncWorkerCountInvariance(t *testing.T) {
 	points := asyncGrid(t)
-	base, _ := RunAsync(points, Options{Workers: 1, BaseSeed: 42})
+	base, _ := RunAsyncContext(context.Background(), points, Options{Workers: 1, BaseSeed: 42}, nil)
 	if err := JoinErrors(base); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunAsyncWorkerCountInvariance(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
-		got, _ := RunAsync(points, Options{Workers: workers, BaseSeed: 42})
+		got, _ := RunAsyncContext(context.Background(), points, Options{Workers: workers, BaseSeed: 42}, nil)
 		if !reflect.DeepEqual(base, got) {
 			t.Errorf("results differ between 1 and %d workers", workers)
 		}
@@ -61,10 +61,10 @@ func TestRunAsyncWorkerCountInvariance(t *testing.T) {
 // run exactly — the property the distributed coordinator relies on.
 func TestRunAsyncIndexBaseSharding(t *testing.T) {
 	points := asyncGrid(t)
-	whole, _ := RunAsync(points, Options{Workers: 4, BaseSeed: 97})
+	whole, _ := RunAsyncContext(context.Background(), points, Options{Workers: 4, BaseSeed: 97}, nil)
 	cut := len(points) / 2
-	left, _ := RunAsync(points[:cut], Options{Workers: 3, BaseSeed: 97})
-	right, _ := RunAsync(points[cut:], Options{Workers: 2, BaseSeed: 97, IndexBase: uint64(cut)})
+	left, _ := RunAsyncContext(context.Background(), points[:cut], Options{Workers: 3, BaseSeed: 97}, nil)
+	right, _ := RunAsyncContext(context.Background(), points[cut:], Options{Workers: 2, BaseSeed: 97, IndexBase: uint64(cut)}, nil)
 	for i, r := range left {
 		if !reflect.DeepEqual(whole[i], r) {
 			t.Fatalf("left shard point %d differs from unsharded run", i)
@@ -85,8 +85,8 @@ func TestRunAsyncSeedMatters(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	tr := tree.Random(400, 10, rng)
 	points := []AsyncPoint{{Tree: tr, Speeds: []float64{1, 1, 1}, Algorithm: "bfdn", Latency: "jitter:1"}}
-	a, _ := RunAsync(points, Options{BaseSeed: 1})
-	b, _ := RunAsync(points, Options{BaseSeed: 2})
+	a, _ := RunAsyncContext(context.Background(), points, Options{BaseSeed: 1}, nil)
+	b, _ := RunAsyncContext(context.Background(), points, Options{BaseSeed: 2}, nil)
 	if a[0].Err != nil || b[0].Err != nil {
 		t.Fatal(a[0].Err, b[0].Err)
 	}
@@ -107,7 +107,7 @@ func TestRunAsyncBadPoints(t *testing.T) {
 		{Tree: tr, Speeds: nil, Algorithm: "potential"},
 		{Tree: tr, Speeds: []float64{2}, Algorithm: "potential"},
 	}
-	results, stats := RunAsync(points, Options{Workers: 2})
+	results, stats := RunAsyncContext(context.Background(), points, Options{Workers: 2}, nil)
 	for _, i := range []int{0, 5} {
 		if results[i].Err != nil {
 			t.Errorf("point %d failed: %v", i, results[i].Err)
@@ -161,7 +161,7 @@ func TestRunAsyncRecorder(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := NewNamedRecorder(reg, "bfdnd_async_sweep")
 	points := asyncGrid(t)[:6]
-	_, stats := RunAsync(points, Options{Workers: 2, Recorder: rec})
+	_, stats := RunAsyncContext(context.Background(), points, Options{Workers: 2, Recorder: rec}, nil)
 	if got := int(rec.PointsTotal.Value()); got != len(points) {
 		t.Errorf("PointsTotal = %d, want %d", got, len(points))
 	}

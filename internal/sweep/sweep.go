@@ -113,7 +113,8 @@ func (s Stats) String() string {
 		s.Points, s.Workers, s.PointsPerSec, s.AllocsPerPoint, 100*s.Utilization)
 }
 
-// Options configure a sweep of either engine (Run, RunAsync). The zero
+// Options configure a sweep of either engine (RunContext,
+// RunAsyncContext). The zero
 // value is valid.
 type Options struct {
 	// Workers is the worker-pool size; ≤ 0 selects GOMAXPROCS.

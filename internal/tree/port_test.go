@@ -90,7 +90,7 @@ func TestBuilderCapBuildsIdenticalTrees(t *testing.T) {
 	if Encode(plain) != Encode(capped) {
 		t.Fatalf("capped builder differs: %q vs %q", Encode(capped), Encode(plain))
 	}
-	if err := capped.Validate(); err != nil {
+	if err := validate(capped); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -62,10 +62,10 @@ func checkRanks(t *testing.T, tr *Tree, rng *rand.Rand, pairs int) {
 		if got := tr.AtRank(r); got != v {
 			t.Fatalf("%s: AtRank(%d) = %d, want %d", tr, r, got, v)
 		}
-		// T(v) is the SubtreeSize(v) ranks that end at v's own.
+		// T(v) is the subtreeSize(v) ranks that end at v's own.
 		s := tr.ranked()[v]
-		if int(s.last-s.first)+1 != tr.SubtreeSize(v) {
-			t.Fatalf("%s: interval of %d is [%d, %d], subtree has %d nodes", tr, v, s.first, s.last, tr.SubtreeSize(v))
+		if int(s.last-s.first)+1 != subtreeSize(tr, v) {
+			t.Fatalf("%s: interval of %d is [%d, %d], subtree has %d nodes", tr, v, s.first, s.last, subtreeSize(tr, v))
 		}
 	}
 	n := tr.N()

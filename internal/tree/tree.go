@@ -180,9 +180,6 @@ func FromParents(parents []int32) (*Tree, error) {
 // N reports the number of nodes.
 func (t *Tree) N() int { return len(t.parent) }
 
-// Edges reports the number of edges, n-1.
-func (t *Tree) Edges() int { return len(t.parent) - 1 }
-
 // Depth reports the tree depth D = max_v δ(v).
 func (t *Tree) Depth() int { return t.maxDepth }
 
@@ -265,12 +262,6 @@ func (t *Tree) LCA(u, v NodeID) NodeID {
 	return u
 }
 
-// Dist returns the number of edges on the path between u and v.
-func (t *Tree) Dist(u, v NodeID) int {
-	l := t.LCA(u, v)
-	return int(t.depth[u]+t.depth[v]) - 2*int(t.depth[l])
-}
-
 // IsAncestor reports whether a is an ancestor of v (or equals v): whether
 // v's post-order rank falls in T(a)'s interval. O(1).
 func (t *Tree) IsAncestor(a, v NodeID) bool {
@@ -349,70 +340,6 @@ func (t *Tree) rank() {
 	t.span = s
 }
 
-// SubtreeSize returns the number of nodes in T(v), including v, by walking
-// the subtree. O(|T(v)|).
-func (t *Tree) SubtreeSize(v NodeID) int {
-	count := 0
-	stack := []NodeID{v}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		stack = append(stack, t.Children(u)...)
-	}
-	return count
-}
-
-// Validate performs internal-consistency checks and returns an error
-// describing the first violation found, if any. It is O(n) and intended for
-// tests and for validating decoded trees.
-func (t *Tree) Validate() error {
-	n := len(t.parent)
-	if n == 0 {
-		return errors.New("tree: no nodes")
-	}
-	if t.parent[Root] != Nil {
-		return errors.New("tree: root has a parent")
-	}
-	if len(t.childOff) != n+1 || t.childOff[0] != 0 || int(t.childOff[n]) != n-1 || len(t.childArr) != n-1 {
-		return fmt.Errorf("tree: CSR offsets inconsistent (n=%d, len(childOff)=%d, len(childArr)=%d)",
-			n, len(t.childOff), len(t.childArr))
-	}
-	seen := make([]bool, n)
-	for v := 1; v < n; v++ {
-		p := t.parent[v]
-		if p < 0 || int(p) >= n {
-			return fmt.Errorf("tree: node %d has invalid parent %d", v, p)
-		}
-		if t.depth[v] != t.depth[p]+1 {
-			return fmt.Errorf("tree: node %d depth %d, parent depth %d", v, t.depth[v], t.depth[p])
-		}
-	}
-	for v := 0; v < n; v++ {
-		if t.childOff[v] > t.childOff[v+1] {
-			return fmt.Errorf("tree: CSR offsets decrease at node %d", v)
-		}
-		for i, c := range t.Children(NodeID(v)) {
-			if c < 0 || int(c) >= n || t.parent[c] != NodeID(v) {
-				return fmt.Errorf("tree: child list of %d contains %d whose parent is %d", v, c, t.parent[c])
-			}
-			if seen[c] {
-				return fmt.Errorf("tree: node %d appears in two child lists", c)
-			}
-			if int(t.childPos[c]) != i {
-				return fmt.Errorf("tree: node %d has child position %d, want %d", c, t.childPos[c], i)
-			}
-			seen[c] = true
-		}
-	}
-	for v := 1; v < n; v++ {
-		if !seen[v] {
-			return fmt.Errorf("tree: node %d missing from its parent's child list", v)
-		}
-	}
-	return nil
-}
-
 // Parents returns a copy of the parent array (parents[0] == -1), the inverse
 // of FromParents.
 func (t *Tree) Parents() []int32 {
@@ -421,29 +348,6 @@ func (t *Tree) Parents() []int32 {
 		out[i] = int32(p)
 	}
 	return out
-}
-
-// Stats summarizes the parameters the paper's bounds depend on.
-type Stats struct {
-	N        int // number of nodes
-	Depth    int // D
-	MaxDeg   int // Δ
-	Leaves   int
-	AvgDepth float64
-}
-
-// Stats computes summary statistics in O(n).
-func (t *Tree) Stats() Stats {
-	s := Stats{N: t.N(), Depth: t.Depth(), MaxDeg: t.MaxDegree()}
-	var sum int64
-	for v := 0; v < t.N(); v++ {
-		if t.childOff[v] == t.childOff[v+1] {
-			s.Leaves++
-		}
-		sum += int64(t.depth[v])
-	}
-	s.AvgDepth = float64(sum) / float64(t.N())
-	return s
 }
 
 // String returns a short human-readable summary.

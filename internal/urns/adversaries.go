@@ -67,37 +67,3 @@ func (FreshFirstAdversary) Choose(b *Board) int {
 	}
 	return -1
 }
-
-// DrainMinAdversary plays option (a) when available, like the strategic
-// adversary, but burns the fresh urn with the FEWEST balls when forced to
-// option (b) — the provably dominated branch, used to validate Lemma 4
-// empirically (it should never beat StrategicAdversary).
-type DrainMinAdversary struct{}
-
-var _ Adversary = DrainMinAdversary{}
-
-// Choose implements Adversary.
-func (DrainMinAdversary) Choose(b *Board) int {
-	for i := 0; i < b.K(); i++ {
-		if !b.Fresh(i) && b.Load(i) > 0 {
-			return i
-		}
-	}
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for i := 0; i < b.K(); i++ {
-		if b.Fresh(i) && b.Load(i) > 0 && b.Load(i) < bestLoad {
-			best, bestLoad = i, b.Load(i)
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	// All fresh urns empty: the game would already have stopped unless some
-	// non-fresh urn holds a ball, handled above; fall back defensively.
-	for i := 0; i < b.K(); i++ {
-		if b.Load(i) > 0 {
-			return i
-		}
-	}
-	return -1
-}

@@ -61,8 +61,5 @@ func (gv *GameValue) at(n, u int) int {
 	return gv.r[u][n]
 }
 
-// R returns R(N, u).
-func (gv *GameValue) R(n, u int) int { return gv.at(n, u) }
-
 // Start returns the game value from the standard initial board, R(k, k).
 func (gv *GameValue) Start() int { return gv.r[gv.K][gv.K] }

@@ -12,9 +12,9 @@ func TestGameValueLemma4Monotonicity(t *testing.T) {
 		gv := NewGameValue(20, delta)
 		for u := 0; u <= 20; u++ {
 			for n := 0; n < 20; n++ {
-				if gv.R(n, u) < gv.R(n+1, u) {
+				if gv.at(n, u) < gv.at(n+1, u) {
 					t.Errorf("Δ=%d: R(%d,%d)=%d < R(%d,%d)=%d violates monotonicity",
-						delta, n, u, gv.R(n, u), n+1, u, gv.R(n+1, u))
+						delta, n, u, gv.at(n, u), n+1, u, gv.at(n+1, u))
 				}
 			}
 		}
@@ -32,9 +32,9 @@ func TestGameValueLemma4OptionADominates(t *testing.T) {
 				if delta*u-n <= 0 {
 					continue
 				}
-				if gv.R(n, u) != 1+gv.R(n+1, u) {
+				if gv.at(n, u) != 1+gv.at(n+1, u) {
 					t.Errorf("Δ=%d: R(%d,%d)=%d != 1+R(%d,%d)=%d: option (a) not optimal",
-						delta, n, u, gv.R(n, u), n+1, u, 1+gv.R(n+1, u))
+						delta, n, u, gv.at(n, u), n+1, u, 1+gv.at(n+1, u))
 				}
 			}
 		}
@@ -82,14 +82,14 @@ func TestSimulatedStrategicMatchesGameValue(t *testing.T) {
 func TestGameValueStoppedStates(t *testing.T) {
 	gv := NewGameValue(10, 3)
 	// Δu ≤ N means stopped: R = 0.
-	if gv.R(9, 3) != 0 {
-		t.Errorf("R(9,3) = %d, want 0 (3·3 ≤ 9)", gv.R(9, 3))
+	if gv.at(9, 3) != 0 {
+		t.Errorf("R(9,3) = %d, want 0 (3·3 ≤ 9)", gv.at(9, 3))
 	}
-	if gv.R(10, 0) != 0 {
-		t.Errorf("R(10,0) = %d, want 0", gv.R(10, 0))
+	if gv.at(10, 0) != 0 {
+		t.Errorf("R(10,0) = %d, want 0", gv.at(10, 0))
 	}
 	// Just below the threshold the game can still run.
-	if gv.R(8, 3) == 0 {
+	if gv.at(8, 3) == 0 {
 		t.Error("R(8,3) = 0, want > 0 (3·3 > 8)")
 	}
 }

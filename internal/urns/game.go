@@ -24,7 +24,6 @@ type Board struct {
 	delta int
 
 	freshCount     int
-	ballsInFresh   int // N_t
 	deficientFresh int // fresh urns with load < Δ
 
 	// min-heap of (load, urn) entries over fresh urns, lazily invalidated;
@@ -65,7 +64,6 @@ func NewBoardFromLoads(loads []int, delta int) (*Board, error) {
 			return nil, fmt.Errorf("urns: urn %d has negative load %d", i, l)
 		}
 		b.fresh[i] = true
-		b.ballsInFresh += l
 		if l < delta {
 			b.deficientFresh++
 		}
@@ -77,39 +75,20 @@ func NewBoardFromLoads(loads []int, delta int) (*Board, error) {
 // K reports the number of urns.
 func (b *Board) K() int { return len(b.loads) }
 
-// Delta reports the stopping threshold Δ.
-func (b *Board) Delta() int { return b.delta }
-
 // Load reports the number of balls in urn i.
 func (b *Board) Load(i int) int { return b.loads[i] }
 
 // Fresh reports whether urn i has never been chosen by the adversary.
 func (b *Board) Fresh(i int) bool { return b.fresh[i] }
 
-// FreshCount reports u_t = |U_t|.
-func (b *Board) FreshCount() int { return b.freshCount }
-
-// BallsInFresh reports N_t, the number of balls in fresh urns.
-func (b *Board) BallsInFresh() int { return b.ballsInFresh }
-
 // Stopped reports whether the stopping condition holds: every fresh urn has
 // at least Δ balls.
 func (b *Board) Stopped() bool { return b.deficientFresh == 0 }
-
-// TotalBalls reports the (invariant) total number of balls.
-func (b *Board) TotalBalls() int {
-	s := 0
-	for _, l := range b.loads {
-		s += l
-	}
-	return s
-}
 
 func (b *Board) setLoad(i, nl int) {
 	old := b.loads[i]
 	b.loads[i] = nl
 	if b.fresh[i] {
-		b.ballsInFresh += nl - old
 		if old < b.delta && nl >= b.delta {
 			b.deficientFresh--
 		} else if old >= b.delta && nl < b.delta {
@@ -125,7 +104,6 @@ func (b *Board) unfresh(i int) {
 	}
 	b.fresh[i] = false
 	b.freshCount--
-	b.ballsInFresh -= b.loads[i]
 	if b.loads[i] < b.delta {
 		b.deficientFresh--
 	}

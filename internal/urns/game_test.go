@@ -21,6 +21,37 @@ func playStandard(t *testing.T, k, delta int, p Player, a Adversary) Result {
 	return res
 }
 
+// totalBalls is the (invariant) total number of balls on b.
+func totalBalls(b *Board) int {
+	s := 0
+	for i := 0; i < b.K(); i++ {
+		s += b.Load(i)
+	}
+	return s
+}
+
+// freshCount is u_t = |U_t|, recounted.
+func freshCount(b *Board) int {
+	u := 0
+	for i := 0; i < b.K(); i++ {
+		if b.Fresh(i) {
+			u++
+		}
+	}
+	return u
+}
+
+// ballsInFresh is N_t, the number of balls in fresh urns.
+func ballsInFresh(b *Board) int {
+	n := 0
+	for i := 0; i < b.K(); i++ {
+		if b.Fresh(i) {
+			n += b.Load(i)
+		}
+	}
+	return n
+}
+
 func TestBoardConstructionErrors(t *testing.T) {
 	if _, err := NewBoard(0, 2); err == nil {
 		t.Error("k=0 accepted")
@@ -41,8 +72,8 @@ func TestBoardInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.TotalBalls() != 5 || b.FreshCount() != 5 || b.BallsInFresh() != 5 {
-		t.Errorf("initial board: balls=%d fresh=%d N=%d", b.TotalBalls(), b.FreshCount(), b.BallsInFresh())
+	if balls, fresh, n := totalBalls(b), freshCount(b), ballsInFresh(b); balls != 5 || fresh != 5 || n != 5 || b.freshCount != 5 {
+		t.Errorf("initial board: balls=%d fresh=%d (counter %d) N=%d", balls, fresh, b.freshCount, n)
 	}
 	if b.Stopped() {
 		t.Error("fresh board with Δ=3 already stopped")
@@ -153,17 +184,18 @@ func TestBallConservationProperty(t *testing.T) {
 			dst := p.Choose(b, src)
 			b.setLoad(src, b.Load(src)-1)
 			b.setLoad(dst, b.Load(dst)+1)
-			if b.TotalBalls() != k {
+			if totalBalls(b) != k {
 				return false
 			}
-			// N_t must equal the recomputed sum over fresh urns.
-			sum := 0
+			// The incremental counters must equal their recount over the
+			// fresh urns.
+			deficient := 0
 			for i := 0; i < k; i++ {
-				if b.Fresh(i) {
-					sum += b.Load(i)
+				if b.Fresh(i) && b.Load(i) < k {
+					deficient++
 				}
 			}
-			if sum != b.BallsInFresh() {
+			if b.freshCount != freshCount(b) || b.Stopped() != (deficient == 0) {
 				return false
 			}
 		}
@@ -204,7 +236,7 @@ func TestLeastLoadedBalancedInvariant(t *testing.T) {
 				}
 			}
 		}
-		if b.FreshCount() > 0 && hi-lo > 1 {
+		if b.freshCount > 0 && hi-lo > 1 {
 			t.Fatalf("step %d: fresh loads spread %d..%d", t2, lo, hi)
 		}
 	}

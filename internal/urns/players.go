@@ -1,7 +1,5 @@
 package urns
 
-import "math/rand"
-
 // LeastLoadedPlayer is the paper's strategy: move the ball to the fresh urn
 // with the fewest balls (excluding the urn the adversary just chose). When no
 // fresh urn remains it returns the ball to the source urn — the game is then
@@ -16,66 +14,4 @@ func (LeastLoadedPlayer) Choose(b *Board, a int) int {
 		return u
 	}
 	return a
-}
-
-// RoundRobinPlayer cycles deterministically over fresh urns, ignoring loads.
-// An ablation strategy: it spreads balls but does not balance them.
-type RoundRobinPlayer struct {
-	next int
-}
-
-var _ Player = (*RoundRobinPlayer)(nil)
-
-// Choose implements Player.
-func (p *RoundRobinPlayer) Choose(b *Board, a int) int {
-	k := b.K()
-	for scanned := 0; scanned < k; scanned++ {
-		i := p.next % k
-		p.next++
-		if b.Fresh(i) && i != a {
-			return i
-		}
-	}
-	return a
-}
-
-// RandomPlayer moves the ball to a uniformly random fresh urn.
-type RandomPlayer struct {
-	Rng *rand.Rand
-}
-
-var _ Player = (*RandomPlayer)(nil)
-
-// Choose implements Player.
-func (p *RandomPlayer) Choose(b *Board, a int) int {
-	var candidates []int
-	for i := 0; i < b.K(); i++ {
-		if b.Fresh(i) && i != a {
-			candidates = append(candidates, i)
-		}
-	}
-	if len(candidates) == 0 {
-		return a
-	}
-	return candidates[p.Rng.Intn(len(candidates))]
-}
-
-// MostLoadedPlayer is the pessimal counterpart of LeastLoadedPlayer: it piles
-// balls onto the fullest fresh urn, starving the others.
-type MostLoadedPlayer struct{}
-
-var _ Player = MostLoadedPlayer{}
-
-// Choose implements Player.
-func (MostLoadedPlayer) Choose(b *Board, a int) int {
-	best, bestLoad := -1, -1
-	for i := 0; i < b.K(); i++ {
-		if b.Fresh(i) && i != a && b.Load(i) > bestLoad {
-			best, bestLoad = i, b.Load(i)
-		}
-	}
-	if best < 0 {
-		return a
-	}
-	return best
 }

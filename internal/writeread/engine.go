@@ -371,6 +371,3 @@ func (e *Engine) noteMemory(r *robot) {
 func (e *Engine) MemoryModelBits() int {
 	return e.t.MaxDegree() + e.t.Depth()*e.logDelta
 }
-
-// ExploredCount reports the number of explored nodes.
-func (e *Engine) ExploredCount() int { return e.exploredCount }

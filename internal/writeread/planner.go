@@ -140,15 +140,6 @@ func (p *planner) assign() (anchor tree.NodeID, ports []int, ok bool) {
 	}
 }
 
-// Done reports whether the planner has declared exploration complete.
-func (p *planner) Done() bool { return p.done }
-
-// Depth reports the current working depth d.
-func (p *planner) Depth() int { return p.d }
-
-// AnchorCount reports |A| (Algorithm 2 asserts ≤ k; tests check this).
-func (p *planner) AnchorCount() int { return len(p.anchors) }
-
 func sortNodeIDs(s []tree.NodeID) {
 	// Insertion sort: anchor lists are small (≤ k).
 	for i := 1; i < len(s); i++ {

@@ -26,8 +26,8 @@ func TestPlannerInitialAssignmentIsRoot(t *testing.T) {
 	if !ok || anchor != tree.Root || len(ports) != 0 {
 		t.Fatalf("got anchor=%d ports=%v ok=%v, want root", anchor, ports, ok)
 	}
-	if p.Depth() != 0 {
-		t.Errorf("depth = %d, want 0", p.Depth())
+	if p.d != 0 {
+		t.Errorf("depth = %d, want 0", p.d)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestPlannerDepthAdvanceOnReturn(t *testing.T) {
 	if !ok {
 		t.Fatal("no assignment after advance")
 	}
-	if p.Depth() != 1 {
-		t.Errorf("depth = %d, want 1", p.Depth())
+	if p.d != 1 {
+		t.Errorf("depth = %d, want 1", p.d)
 	}
 	if anchor != 1 {
 		t.Errorf("anchor = %d, want node 1 (the unfinished child)", anchor)
@@ -79,7 +79,7 @@ func TestPlannerDoneWhenAllFinished(t *testing.T) {
 	if _, _, ok := p.assign(); ok {
 		t.Fatal("assignment after everything finished")
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Error("planner not done")
 	}
 	// Done is sticky.
@@ -99,7 +99,7 @@ func TestPlannerIgnoresStaleReturns(t *testing.T) {
 	if p.returned[1] {
 		t.Error("stale return retired a current anchor")
 	}
-	if p.Done() {
+	if p.done {
 		t.Error("stale return finished the planner")
 	}
 	// A genuine return from anchor 1 with its child (port 1 → node 3)
@@ -112,8 +112,8 @@ func TestPlannerIgnoresStaleReturns(t *testing.T) {
 	if len(ports) != 2 || ports[0] != 0 || ports[1] != 1 {
 		t.Errorf("path = %v, want [0 1]", ports)
 	}
-	if p.Depth() != 2 {
-		t.Errorf("depth = %d, want 2", p.Depth())
+	if p.d != 2 {
+		t.Errorf("depth = %d, want 2", p.d)
 	}
 }
 

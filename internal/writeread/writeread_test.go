@@ -19,7 +19,7 @@ func runWR(t *testing.T, tr *tree.Tree, k int) (Result, *Engine) {
 		t.Fatalf("%s k=%d: %v", tr, k, err)
 	}
 	if !res.FullyExplored {
-		t.Fatalf("%s k=%d: explored %d/%d nodes", tr, k, e.ExploredCount(), tr.N())
+		t.Fatalf("%s k=%d: explored %d/%d nodes", tr, k, e.exploredCount, tr.N())
 	}
 	if !res.AllAtRoot {
 		t.Fatalf("%s k=%d: robots not home", tr, k)
@@ -117,15 +117,15 @@ func TestWriteReadPlannerAnchorCountStaysBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.planner.AnchorCount() > k && e.planner.Depth() > 0 {
+		if len(e.planner.anchors) > k && e.planner.d > 0 {
 			t.Fatalf("round %d: %d anchors at depth %d, want ≤ k=%d",
-				r, e.planner.AnchorCount(), e.planner.Depth(), k)
+				r, len(e.planner.anchors), e.planner.d, k)
 		}
 		if !moved {
 			break
 		}
 	}
-	if e.ExploredCount() != tr.N() {
+	if e.exploredCount != tr.N() {
 		t.Fatal("incomplete")
 	}
 }
@@ -142,7 +142,7 @@ func TestWriteReadWorkingDepthMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := e.planner.Depth(); d < prev {
+		if d := e.planner.d; d < prev {
 			t.Fatalf("working depth decreased %d → %d", prev, d)
 		} else {
 			prev = d
@@ -151,7 +151,7 @@ func TestWriteReadWorkingDepthMonotone(t *testing.T) {
 			break
 		}
 	}
-	if !e.planner.Done() {
+	if !e.planner.done {
 		t.Error("planner not done at termination")
 	}
 }
