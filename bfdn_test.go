@@ -197,6 +197,28 @@ func TestExploreRecursiveEll(t *testing.T) {
 	}
 }
 
+// TestEllAboveLimitIsAnError: an ℓ for which 2^ℓ overflows an int is refused
+// by Explore and by SweepStream's up-front validation, before any point runs.
+func TestEllAboveLimitIsAnError(t *testing.T) {
+	tr, err := GenerateTree(FamilyRandom, 300, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ell := range []int{63, 64, 1 << 30} {
+		if _, err := Explore(tr, 4, WithAlgorithm(BFDNRecursive), WithEll(ell)); err == nil {
+			t.Errorf("Explore: ℓ=%d accepted", ell)
+		}
+		ran := 0
+		_, err := SweepStream(context.Background(), []SweepPoint{
+			{Tree: tr, K: 2, Algorithm: BFDN},
+			{Tree: tr, K: 2, Algorithm: BFDNRecursive, Ell: ell},
+		}, 1, 1, func(int, SweepResult) { ran++ })
+		if err == nil || ran != 0 {
+			t.Errorf("SweepStream: ℓ=%d: err %v after %d points; want an error before any point", ell, err, ran)
+		}
+	}
+}
+
 func TestExploreShortcutOption(t *testing.T) {
 	tr, err := GenerateTree(FamilySpider, 600, 25, 2)
 	if err != nil {

@@ -138,6 +138,77 @@ func TestTornTail(t *testing.T) {
 	}
 }
 
+// TestAppendAfterTornTail restarts a store over a WAL whose final line a
+// crash tore, with or without its newline: the new handle's appends must
+// replay after the records that survived, and the store must still list
+// the job.
+func TestAppendAfterTornTail(t *testing.T) {
+	for name, torn := range map[string]string{
+		"unterminated": `{"t":"point","i":2`,
+		"newline":      "{\"t\":\"point\",\"i\":2\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, _, err := s.OpenOrCreate("sweep", []byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := j.Append(rec{T: "point", I: i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+			f, err := os.OpenFile(filepath.Join(dir, "jobs", j.ID(), "wal.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(torn); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			restarted, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, _, err = restarted.OpenOrCreate("sweep", []byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 2; i < 4; i++ {
+				if err := j.Append(rec{T: "point", I: i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recs, err := j.Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 4 {
+				t.Fatalf("replayed %d records, want 4: %s", len(recs), recs)
+			}
+			for i, raw := range recs {
+				var r rec
+				if err := json.Unmarshal(raw, &r); err != nil || r.I != i {
+					t.Fatalf("record %d = %s (%v), want i=%d", i, raw, err, i)
+				}
+			}
+			infos, err := restarted.Jobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(infos) != 1 || infos[0].Records != 4 {
+				t.Fatalf("Jobs = %+v, want one job with 4 records", infos)
+			}
+		})
+	}
+}
+
 // TestCorruptMiddle: a malformed record with records after it is real
 // corruption, not a torn tail, and must fail loudly.
 func TestCorruptMiddle(t *testing.T) {

@@ -42,6 +42,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "need k ≥ 1")
 		return
 	}
+	if err := s.checkSize(req.Depth, req.K); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	alg, err := bfdn.ParseAlgorithm(req.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -71,6 +71,17 @@ type asyncSweepPointSpec struct {
 	Latency string `json:"latency"`
 }
 
+// pointSpec is a sweep point's schema: size reports the tree depth and the
+// robot count it asks for, which the daemon bounds before it builds
+// anything.
+type pointSpec interface {
+	size() (depth, robots int)
+}
+
+func (p sweepPointSpec) size() (int, int) { return p.Depth, p.K }
+
+func (p asyncSweepPointSpec) size() (int, int) { return p.Depth, len(p.Speeds) }
+
 // sweepLine is one streamed JSONL record. Point lines carry exactly one of
 // Report/Error; the final line has Point = -1, Done = true, and the engine
 // stats.
@@ -88,7 +99,7 @@ type sweepLine[Rep any] struct {
 // sweepKind is one engine's sweep endpoint: S is its point schema, P and
 // Res the facade's point and result types, Rep its report. Everything else
 // — admission, plan identity, journaling, the ordered stream — is shared.
-type sweepKind[S, P, Res, Rep any] struct {
+type sweepKind[S pointSpec, P, Res, Rep any] struct {
 	// name is the endpoint (POST /v1/<name>) and the stored job kind.
 	name string
 	// recorder selects the engine's metric families.
@@ -211,6 +222,12 @@ func (k sweepKind[S, P, Res, Rep]) resumeJob(s *Server, w http.ResponseWriter, r
 // job is the body of a sweep job, shared by POST /v1/<name> and its arm of
 // POST /v1/resume. It runs with the execution slot held.
 func (k sweepKind[S, P, Res, Rep]) job(s *Server, ctx context.Context, w http.ResponseWriter, plan sweepPlan[S]) {
+	for i, spec := range plan.Points {
+		if err := s.checkSize(spec.size()); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("point %d: %v", i, err))
+			return
+		}
+	}
 	// Materialize the grid. Sweeps routinely reuse one tree spec across
 	// many points; trees are immutable, so identical specs share one.
 	trees := make(map[treeSpec]*bfdn.Tree)

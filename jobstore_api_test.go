@@ -2,6 +2,8 @@ package bfdn
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -187,5 +189,72 @@ func TestExploreCheckpointResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again, want) {
 		t.Fatalf("journaled report differs:\n got %+v\nwant %+v", again, want)
+	}
+}
+
+// TestAppendAfterTornTail interrupts a checkpointed exploration, tears a
+// report record onto its journal the way a crash mid-append would, with or
+// without the newline, and restarts the store: the resumed run must journal
+// its report where a later call replays it, and the store must still list
+// the job as done.
+func TestAppendAfterTornTail(t *testing.T) {
+	tr, err := GenerateTree(FamilyRandom, 400, 14, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Explore(tr, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, torn := range map[string]string{
+		"unterminated": `{"t":"report","report":{"rounds":`,
+		"newline":      "{\"t\":\"report\",\"report\":{\"rounds\":\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			js, err := OpenJobStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err = ExploreContext(ctx, tr, 4, WithCheckpoint(js, 5), WithProgress(func(p Progress) {
+				if p.Round >= 12 {
+					cancel()
+				}
+			}))
+			cancel()
+			if err == nil {
+				t.Fatal("interrupted exploration unexpectedly completed")
+			}
+			jobs, err := js.Jobs()
+			if err != nil || len(jobs) != 1 {
+				t.Fatalf("after kill: %+v, %v; want one job", jobs, err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, "jobs", jobs[0].ID, "wal.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(torn); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			for run := 0; run < 2; run++ {
+				restarted, err := OpenJobStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ExploreContext(context.Background(), tr, 4, WithCheckpoint(restarted, 5))
+				if err != nil {
+					t.Fatalf("run %d after the torn append: %v", run, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d: report differs:\n got %+v\nwant %+v", run, got, want)
+				}
+				if jobs, err := restarted.Jobs(); err != nil || len(jobs) != 1 || !jobs[0].Done {
+					t.Fatalf("run %d: Jobs = %+v, %v; want one done job", run, jobs, err)
+				}
+			}
+		})
 	}
 }
