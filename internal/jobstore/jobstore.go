@@ -116,11 +116,13 @@ type Job struct {
 }
 
 // Info is one row of Store.Jobs: the job's identity and journal state.
+// Error is set, and Records is 0, when the job's WAL does not replay.
 type Info struct {
 	ID      string `json:"job"`
 	Kind    string `json:"kind"`
 	Done    bool   `json:"done"`
 	Records int    `json:"records"`
+	Error   string `json:"error,omitempty"`
 }
 
 // OpenOrCreate returns the job for (kind, plan), creating it if this is the
@@ -193,7 +195,9 @@ func (s *Store) intern(j *Job) *Job {
 	return j
 }
 
-// Jobs lists every job on disk, sorted by ID.
+// Jobs lists every job on disk, sorted by ID. A job whose WAL does not
+// replay is listed too, with the replay error in its row, so one corrupt
+// journal hides no other job.
 func (s *Store) Jobs() ([]Info, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
 	if err != nil {
@@ -208,11 +212,13 @@ func (s *Store) Jobs() ([]Info, error) {
 		if err != nil {
 			continue // a half-created job directory from a crash mid-create
 		}
-		recs, err := j.Replay()
-		if err != nil {
-			return nil, err
+		info := Info{ID: j.id, Kind: j.kind, Done: j.IsDone()}
+		if recs, err := j.Replay(); err != nil {
+			info.Error = err.Error()
+		} else {
+			info.Records = len(recs)
 		}
-		infos = append(infos, Info{ID: j.id, Kind: j.kind, Done: j.IsDone(), Records: len(recs)})
+		infos = append(infos, info)
 	}
 	sort.Slice(infos, func(a, b int) bool { return infos[a].ID < infos[b].ID })
 	return infos, nil

@@ -226,6 +226,44 @@ func TestCorruptMiddle(t *testing.T) {
 	}
 }
 
+// TestJobsListsCorruptJob: a job whose WAL is corrupt before its tail is
+// listed with the replay error in its own row, beside the healthy job, so
+// one bad journal does not empty the listing.
+func TestJobsListsCorruptJob(t *testing.T) {
+	s := open(t)
+	good, _, err := s.OpenOrCreate("sweep", []byte(`{"a":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Append(rec{T: "point", I: 0}); err != nil {
+		t.Fatal(err)
+	}
+	bad, _, err := s.OpenOrCreate("asyncsweep", []byte(`{"a":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(s.Dir(), "jobs", bad.ID(), "wal.jsonl")
+	if err := os.WriteFile(wal, []byte("{\"t\":\"point\"}\ngarbage\n{\"t\":\"point\"}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := s.Jobs()
+	if err != nil {
+		t.Fatalf("Jobs: %v", err)
+	}
+	want := map[string]Info{
+		good.ID(): {ID: good.ID(), Kind: "sweep", Records: 1},
+		bad.ID():  {ID: bad.ID(), Kind: "asyncsweep", Error: "jobstore: corrupt WAL record 1 in job " + bad.ID()},
+	}
+	if len(infos) != len(want) {
+		t.Fatalf("Jobs = %+v, want %d rows", infos, len(want))
+	}
+	for _, in := range infos {
+		if in != want[in.ID] {
+			t.Errorf("row %+v, want %+v", in, want[in.ID])
+		}
+	}
+}
+
 // TestSnapshotAtomicReplace: snapshots replace atomically and survive a
 // fresh handle; a job without one reports ok=false.
 func TestSnapshotAtomicReplace(t *testing.T) {

@@ -34,7 +34,7 @@ var testOnlyAllowed = map[string]string{
 	"sim.RunChecked": "the model checker of the checked tests and FuzzCheckpoint, until an independent oracle replaces it",
 
 	"sim.Ticket.From":      "the golden fingerprints of other packages hash an explore's parent",
-	"tree.Tree.IsAncestor": "invariant tests in tree, core, cte and recursive check ancestry",
+	"tree.Tree.IsAncestor": "invariant tests in tree, core, teams and recursive check ancestry",
 	"tree.Tree.LCA":        "invariant tests in tree and recursive meet robots' paths",
 	"tree.Encode":          "the test-data format of tree's FuzzDecode corpus",
 	"tree.Decode":          "the test-data format of tree's FuzzDecode corpus",

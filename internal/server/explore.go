@@ -52,7 +52,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := []bfdn.Option{bfdn.WithAlgorithm(alg)}
-	if req.Ell > 0 {
+	if req.Ell != 0 {
 		opts = append(opts, bfdn.WithEll(req.Ell))
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)

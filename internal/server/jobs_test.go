@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -307,5 +309,66 @@ func TestResumeRefusesNonCanonicalPlan(t *testing.T) {
 	}
 	if len(jobs) != 1 || jobs[0].ID != job.ID() {
 		t.Errorf("store after refused resume = %+v, want only job %s", jobs, job.ID())
+	}
+}
+
+// TestJobsEndpointListsCorruptJob: GET /v1/jobs answers 200 with every job
+// when one job's WAL is corrupt before its tail; that job's row carries
+// the replay error, and a healthy row has no error field.
+func TestJobsEndpointListsCorruptJob(t *testing.T) {
+	ts, js := storedServer(t)
+	good, _, err := js.Store().OpenOrCreate("sweep", []byte(`{"a":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, _, err := js.Store().OpenOrCreate("sweep", []byte(`{"a":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Append(json.RawMessage(`{"t":"point"}`)); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(js.Store().Dir(), "jobs", bad.ID(), "wal.jsonl")
+	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("garbage\n{\"t\":\"point\"}\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: status %d, body %s, %v", resp.StatusCode, data, err)
+	}
+	var body struct {
+		Jobs []map[string]any `json:"jobs"`
+	}
+	if err := json.Unmarshal(data, &body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Jobs) != 2 {
+		t.Fatalf("listed %d jobs, want 2: %s", len(body.Jobs), data)
+	}
+	for _, row := range body.Jobs {
+		msg, has := row["error"]
+		switch row["job"] {
+		case good.ID():
+			if has {
+				t.Errorf("healthy job's row has an error field: %v", row)
+			}
+		case bad.ID():
+			if want := "jobstore: corrupt WAL record 1 in job " + bad.ID(); msg != want {
+				t.Errorf("corrupt job's error = %v, want %q", msg, want)
+			}
+		default:
+			t.Errorf("unexpected row %v", row)
+		}
 	}
 }

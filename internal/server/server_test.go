@@ -95,6 +95,7 @@ func TestExploreValidation(t *testing.T) {
 		{"n too large", `{"family":"random","n":100000,"depth":5,"k":2}`},
 		{"n too small", `{"family":"random","n":0,"depth":5,"k":2}`},
 		{"ell too large", `{"family":"path","n":10,"k":2,"algorithm":"bfdnl","ell":63}`},
+		{"ell negative", `{"family":"path","n":10,"k":2,"algorithm":"bfdnl","ell":-1}`},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/explore", tc.body)

@@ -102,9 +102,6 @@ type Stats struct {
 	Utilization float64
 	// Errors counts points that settled with a non-nil Err.
 	Errors int
-	// WorkerBusy is each worker's cumulative simulation time; per-worker
-	// utilization is WorkerBusy[i] / Elapsed.
-	WorkerBusy []time.Duration
 }
 
 // String renders the stats as the one-line form printed by cmd/experiments.
@@ -231,10 +228,9 @@ func RunContext(ctx context.Context, points []Point, opt Options, onResult func(
 // its derived seed; fail settles a point canceled before it started. The
 // run recorder every invocation derives its Stats from is private, so the
 // numbers handed to callers and the ones merged into opt.Recorder cannot
-// disagree. Busy time accumulates in a goroutine-local variable stored once
-// at exit (adjacent busy slots share cache lines), and onResult runs outside
-// the timed section so slow consumers stall the worker without inflating
-// PointDuration.
+// disagree. Busy time accumulates in a goroutine-local variable merged into
+// the recorder once at exit, and onResult runs outside the timed section
+// so slow consumers stall the worker without inflating PointDuration.
 //
 // Workers carry pprof goroutine labels (sweep_worker), so CPU profiles
 // segment by worker. When ctx carries a span (internal/obs/tracing) each
@@ -270,7 +266,6 @@ func run[P any, R Settled, W any](ctx context.Context, points []P, opt Options, 
 
 	rec := newRunRecorder()
 	traced := tracing.FromContext(ctx) != nil
-	busy := make([]time.Duration, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -285,7 +280,6 @@ func run[P any, R Settled, W any](ctx context.Context, points []P, opt Options, 
 			}
 			var busyLocal time.Duration
 			defer func() {
-				busy[wk] = busyLocal
 				rec.BusySeconds.AddDuration(busyLocal)
 				if wsp != nil {
 					wsp.SetAttr(tracing.Int("points", executed))
@@ -338,7 +332,6 @@ func run[P any, R Settled, W any](ctx context.Context, points []P, opt Options, 
 		stats.Utilization = rec.BusySeconds.Value() / d
 	}
 	stats.Errors = int(rec.ErrorsTotal.Value())
-	stats.WorkerBusy = busy
 	if opt.Recorder != nil {
 		opt.Recorder.merge(rec)
 	}

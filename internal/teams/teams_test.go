@@ -2,9 +2,11 @@ package teams
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"bfdn/internal/sim"
@@ -45,7 +47,7 @@ func TestEachMatchesSortedGrouping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var g Grouper
+		var g grouper
 		moves := make([]sim.Move, k)
 		for round := 0; round < 200; round++ {
 			v := w.View()
@@ -74,7 +76,7 @@ func TestEachMatchesSortedGrouping(t *testing.T) {
 				stopAt = rng.Intn(len(want))
 			}
 			var got [][]int32
-			err := g.Each(v, func(v *sim.View, node tree.NodeID, robots []int32) error {
+			err := g.each(v, func(v *sim.View, node tree.NodeID, robots []int32) error {
 				for _, r := range robots {
 					if v.Pos(int(r)) != node {
 						t.Fatalf("round %d: robot %d is not at node %d", round, r, node)
@@ -110,44 +112,44 @@ func TestEachMatchesSortedGrouping(t *testing.T) {
 	}
 }
 
-// TestCountsResetEqualsFresh checks that a Reset Counts snapshots like the
-// zero value and then counts a new run exactly as a fresh one does.
+// TestCountsResetEqualsFresh checks, under both rules, that Reset empties
+// a used walk's counts and that the walk then counts a new run round for
+// round as a fresh one does.
 func TestCountsResetEqualsFresh(t *testing.T) {
-	run := func(c *Counts, tr *tree.Tree) []byte {
-		w, events := walk(t, c, tr, 3, 50)
-		var e snap.Encoder
-		c.Snapshot(&e)
-		var restored Counts
-		if err := restored.Restore(snap.NewDecoder(e.Bytes()), w.View(), events); err != nil {
-			t.Fatal(err)
-		}
-		var again snap.Encoder
-		restored.Snapshot(&again)
-		if !bytes.Equal(again.Bytes(), e.Bytes()) {
-			t.Fatal("Restore(Snapshot) is not byte-identical")
-		}
-		return e.Bytes()
-	}
 	rng := rand.New(rand.NewSource(3))
 	big, small := tree.Random(400, 8, rng), tree.Random(60, 5, rng)
-	var used, fresh Counts
-	run(&used, big)
-	used.Reset()
-	var e0, e1 snap.Encoder
-	used.Snapshot(&e0)
-	fresh.Snapshot(&e1)
-	if !bytes.Equal(e0.Bytes(), e1.Bytes()) {
-		t.Fatal("a reset Counts snapshots differently from the zero value")
+	history := func(a *Team, tr *tree.Tree, k int) [][]int32 {
+		w, err := sim.NewWorld(tr, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h [][]int32
+		if _, err := sim.RunContext(context.Background(), w, a, 0, nil, func(_ []sim.Move, _ []sim.ExploreEvent, moved bool) (bool, error) {
+			h = append(h, slices.Clone(a.open))
+			return !moved, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	if !bytes.Equal(run(&used, small), run(&fresh, small)) {
-		t.Fatal("a reset Counts counts a new run differently from a fresh one")
+	for _, rc := range rules {
+		used := New(16, rc.name, rc.rule)
+		history(used, big, 16)
+		used.Reset(3)
+		if len(used.open) != 0 {
+			t.Fatalf("%s: Reset left %d counts", rc.name, len(used.open))
+		}
+		got, want := history(used, small, 3), history(New(3, rc.name, rc.rule), small, 3)
+		if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+			t.Errorf("%s: a reset walk counts a new run differently from a fresh one", rc.name)
+		}
 	}
 }
 
 // walk runs k robots at random on tr for the given number of rounds,
 // folding each round's explores into c before the next, and returns the
 // world with the explores of its last round.
-func walk(t *testing.T, c *Counts, tr *tree.Tree, k, rounds int) (*sim.World, []sim.ExploreEvent) {
+func walk(t *testing.T, c *counts, tr *tree.Tree, k, rounds int) (*sim.World, []sim.ExploreEvent) {
 	t.Helper()
 	w, err := sim.NewWorld(tr, k)
 	if err != nil {
@@ -157,32 +159,44 @@ func walk(t *testing.T, c *Counts, tr *tree.Tree, k, rounds int) (*sim.World, []
 	moves := make([]sim.Move, k)
 	var events []sim.ExploreEvent
 	for round := 0; round < rounds; round++ {
-		c.Update(w.View(), events)
+		c.update(w.View(), events)
 		randomMoves(w.View(), rng, moves)
 		if events, _, err = w.Apply(moves); err != nil {
 			t.Fatal(err)
 		}
-		if got := OpenCounts(w.View(), events); !slices.Equal(got, c.vals) {
-			t.Fatalf("round %d: OpenCounts = %v, Update counted %v", round, got, c.vals)
+		if got := openCounts(w.View(), events); !slices.Equal(got, *c) {
+			t.Fatalf("round %d: openCounts = %v, update counted %v", round, got, *c)
 		}
 	}
 	return w, events
 }
 
-// TestCountsRestoreRefusesOtherCounts: Restore accepts only the counts the
-// world implies, seeded exactly when a round has run; a count one off, a
-// node short, or a seeding flag that disagrees with the round is refused
-// with snap.ErrCorrupt.
+// TestCountsRestoreRefusesOtherCounts: SnapshotCounts writes k, whether a
+// round has run and the counts update holds, and RestoreCounts gives those
+// counts back. It accepts nothing else: a count one off, a node short, or
+// a flag that disagrees with the round is refused with snap.ErrCorrupt,
+// and a checkpoint for another k with a plain error; both errors start
+// with the algorithm's name.
 func TestCountsRestoreRefusesOtherCounts(t *testing.T) {
-	var c Counts
+	var c counts
 	w, events := walk(t, &c, tree.Random(200, 8, rand.New(rand.NewSource(11))), 4, 40)
-	encode := func(seeded bool, vals []int32) []byte {
+	encode := func(k int, seeded bool, vals []int32) []byte {
 		var e snap.Encoder
+		e.Int(k)
 		e.Bool(seeded)
 		e.Int32s(vals)
 		return e.Bytes()
 	}
-	off := slices.Clone(c.vals)
+	var e snap.Encoder
+	SnapshotCounts(&e, 4, w.View(), events)
+	if !bytes.Equal(e.Bytes(), encode(4, true, c)) {
+		t.Fatal("SnapshotCounts does not write k, the flag and the counts update holds")
+	}
+	if got, err := RestoreCounts(snap.NewDecoder(e.Bytes()), "cte", 4, w.View(), events); err != nil || !slices.Equal(got, c) {
+		t.Fatalf("RestoreCounts = %v, %v; want the counts %v", got, err, c)
+	}
+
+	off := slices.Clone(c)
 	off[len(off)/2]++
 	fresh, err := sim.NewWorld(tree.Path(3), 1)
 	if err != nil {
@@ -193,14 +207,86 @@ func TestCountsRestoreRefusesOtherCounts(t *testing.T) {
 		w       *sim.World
 		pending []sim.ExploreEvent
 	}{
-		"a count one off":       {encode(true, off), w, events},
-		"a node short":          {encode(true, c.vals[:len(c.vals)-1]), w, events},
-		"unseeded after rounds": {encode(false, nil), w, events},
-		"seeded before a round": {encode(true, []int32{1}), fresh, nil},
+		"a count one off":       {encode(4, true, off), w, events},
+		"a node short":          {encode(4, true, c[:len(c)-1]), w, events},
+		"unseeded after rounds": {encode(4, false, nil), w, events},
+		"seeded before a round": {encode(1, true, []int32{1}), fresh, nil},
 	} {
-		var restored Counts
-		if err := restored.Restore(snap.NewDecoder(tc.data), tc.w.View(), tc.pending); !errors.Is(err, snap.ErrCorrupt) {
-			t.Errorf("%s: Restore = %v, want snap.ErrCorrupt", name, err)
+		_, err := RestoreCounts(snap.NewDecoder(tc.data), "treemining", tc.w.View().K(), tc.w.View(), tc.pending)
+		if !errors.Is(err, snap.ErrCorrupt) || !strings.HasPrefix(err.Error(), "treemining: ") {
+			t.Errorf("%s: RestoreCounts = %v, want a treemining: snap.ErrCorrupt", name, err)
+		}
+	}
+	_, err = RestoreCounts(snap.NewDecoder(encode(5, true, c)), "potential", 4, w.View(), events)
+	if err == nil || errors.Is(err, snap.ErrCorrupt) || !strings.HasPrefix(err.Error(), "potential: ") {
+		t.Errorf("another k: RestoreCounts = %v, want a potential: error", err)
+	}
+}
+
+// randomSplit draws a split problem: 1–12 targets with weights from 1 to
+// 50, skewed towards small ones so that fractional parts tie, and a team
+// of 1–40 robots.
+func randomSplit(rng *rand.Rand) ([]target, []int32) {
+	targets := make([]target, 1+rng.Intn(12))
+	for i := range targets {
+		targets[i].weight = 1 + rng.Intn(1+rng.Intn(50))
+	}
+	return targets, make([]int32, 1+rng.Intn(40))
+}
+
+// TestEvenRule: over random targets and team sizes, every robot gets a
+// valid target, and robot j gets target j mod L.
+func TestEvenRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		targets, to := randomSplit(rng)
+		Even(targets, to)
+		for j, i := range to {
+			if int(i) != j%len(targets) {
+				t.Fatalf("trial %d: %d targets, robot %d got target %d, want %d", trial, len(targets), j, i, j%len(targets))
+			}
+		}
+	}
+}
+
+// TestProportionalRule: over random weights and team sizes, every robot
+// gets a valid target and the robots fill the targets in order; target i
+// gets ⌊g·wᵢ/W⌋ robots or one more, so g in total, and the targets that
+// get one more are those with the largest fractional parts g·wᵢ mod W,
+// ties broken toward the earlier target.
+func TestProportionalRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 2000; trial++ {
+		targets, to := randomSplit(rng)
+		g, total := len(to), 0
+		for _, tg := range targets {
+			total += tg.weight
+		}
+		Proportional(targets, to)
+		got := make([]int, len(targets))
+		for j, i := range to {
+			if i < 0 || int(i) >= len(targets) || (j > 0 && i < to[j-1]) {
+				t.Fatalf("trial %d: robot %d got target %d after %v", trial, j, i, to[:j])
+			}
+			got[i]++
+		}
+		extra := make([]bool, len(targets))
+		for i, tg := range targets {
+			floor := g * tg.weight / total
+			if got[i] != floor && got[i] != floor+1 {
+				t.Fatalf("trial %d: target %d (weight %d of %d) got %d of %d robots, want %d or %d",
+					trial, i, tg.weight, total, got[i], g, floor, floor+1)
+			}
+			extra[i] = got[i] > floor
+		}
+		frac := func(i int) int { return g * targets[i].weight % total }
+		for i := range targets {
+			for j := range targets {
+				if extra[i] && !extra[j] && (frac(i) < frac(j) || frac(i) == frac(j) && i > j) {
+					t.Fatalf("trial %d: target %d (fraction %d) got an extra robot before target %d (fraction %d)",
+						trial, i, frac(i), j, frac(j))
+				}
+			}
 		}
 	}
 }

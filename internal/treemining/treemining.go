@@ -15,7 +15,8 @@
 // makes CTE pay Ω(Dk/log k) on uneven-path trees (experiment E10); the
 // four-way comparison E15 measures exactly this effect. Like CTE, a team
 // whose subtree is fully explored climbs back to the root, so the run
-// terminates with every robot home.
+// terminates with every robot home. The team walk itself is
+// internal/teams; Tree-Mining is its proportional split rule.
 //
 // Bound is the reproduction's explicit-constant instantiation of the
 // paper's guarantee (the paper leaves the 2^{O(√log k)} constant implicit);
@@ -24,46 +25,13 @@
 package treemining
 
 import (
-	"fmt"
 	"math"
 
-	"bfdn/internal/sim"
 	"bfdn/internal/teams"
-	"bfdn/internal/tree"
 )
 
-// TreeMining is the algorithm state. It implements sim.Algorithm.
-type TreeMining struct {
-	k int
-	// open counts the open (unexplored) edges in each subtree T(v), as in
-	// internal/cte.
-	open teams.Counts
-	// Reusable scratch: moves is the returned move vector, grouper finds the
-	// co-located teams, targets is the per-team weighted destination list.
-	moves   []sim.Move
-	grouper teams.Grouper
-	targets []target
-}
-
-var _ sim.Algorithm = (*TreeMining)(nil)
-
-// target is one destination a team can split towards: an explored child
-// whose subtree still holds open edges (weight = that reserve), or one
-// dangling edge at the node itself (weight 1). quota is filled in by the
-// proportional split; the ticket is reserved lazily, only for dangling
-// targets that actually receive robots.
-type target struct {
-	kind   sim.MoveKind
-	child  tree.NodeID
-	ticket sim.Ticket
-	weight int
-	quota  int
-}
-
 // New returns a Tree-Mining instance for k robots.
-func New(k int) *TreeMining {
-	return &TreeMining{k: k, moves: make([]sim.Move, k)}
-}
+func New(k int) *teams.Team { return teams.New(k, "treemining", teams.Proportional) }
 
 // Bound evaluates the reproduction's explicit-constant instantiation of the
 // paper's (n/k + D)·2^{O(√log k)} guarantee:
@@ -80,132 +48,4 @@ func Bound(n, depth, k int) float64 {
 		factor = math.Exp2(math.Ceil(2 * math.Sqrt(math.Log2(float64(k)))))
 	}
 	return factor * (2*float64(n)/float64(k) + 2*float64(depth))
-}
-
-// Reset re-initializes t to the start state of a fresh New(k) while keeping
-// every scratch buffer; a run on a Reset instance is byte-identical to a run
-// on a fresh one (the sweep engine's algorithm-reuse contract).
-func (t *TreeMining) Reset(k int) {
-	t.k = k
-	if cap(t.moves) >= k {
-		t.moves = t.moves[:k]
-	} else {
-		t.moves = make([]sim.Move, k)
-	}
-	for i := range t.moves {
-		t.moves[i] = sim.Move{}
-	}
-	t.open.Reset()
-	t.targets = t.targets[:0]
-}
-
-// SelectMoves implements sim.Algorithm. Teams are disjoint by node and
-// reserve dangling edges only at their own node, so the order they are
-// decided in cannot change a move.
-func (t *TreeMining) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	t.open.Update(v, events)
-	if err := t.grouper.Each(v, t.decideTeam); err != nil {
-		return nil, err
-	}
-	return t.moves, nil
-}
-
-// decideTeam assigns this round's moves for the team located at node: split
-// the team across the open subtrees and dangling edges below it in
-// proportion to their reserves, or climb home when the subtree is mined out.
-func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []int32) error {
-	if t.open.Get(node) == 0 {
-		for _, r := range robots {
-			if node == tree.Root {
-				t.moves[r] = sim.Move{Kind: sim.Stay}
-			} else {
-				t.moves[r] = sim.Move{Kind: sim.Up}
-			}
-		}
-		return nil
-	}
-	// Destinations: explored children with open subtrees, weighted by their
-	// reserve, then the dangling edges at node itself, weight 1 each. No
-	// point listing more dangling edges than robots present.
-	t.targets = t.targets[:0]
-	total := 0
-	for _, ch := range v.ExploredChildren(node) {
-		if w := int(t.open.Get(ch)); w > 0 {
-			t.targets = append(t.targets, target{kind: sim.Down, child: ch, weight: w})
-			total += w
-		}
-	}
-	nd := v.UnreservedDanglingAt(node)
-	if nd > len(robots) {
-		nd = len(robots)
-	}
-	for j := 0; j < nd; j++ {
-		t.targets = append(t.targets, target{kind: sim.Explore, weight: 1})
-		total++
-	}
-	if len(t.targets) == 0 {
-		// open > 0 but nothing actionable: impossible while teams are
-		// disjoint by node — defensive error mirroring internal/cte.
-		return fmt.Errorf("treemining: node %d: open subtree without targets", node)
-	}
-
-	// Proportional split with largest-remainder rounding: target i first
-	// receives ⌊g·wᵢ/W⌋ robots, then the remaining robots go to the targets
-	// with the largest fractional parts g·wᵢ mod W (ties to the earlier
-	// target — explored children before dangling edges). Deterministic, and
-	// heavier veins always win the marginal robot.
-	g := len(robots)
-	assigned := 0
-	for i := range t.targets {
-		q := g * t.targets[i].weight / total
-		t.targets[i].quota = q
-		assigned += q
-	}
-	for rem := g - assigned; rem > 0; rem-- {
-		best, bestFrac := -1, -1
-		for i := range t.targets {
-			// Scale fractional parts by skipping targets already topped up
-			// this pass; one +1 per target per pass keeps the split within
-			// ±1 of exact proportionality.
-			frac := g * t.targets[i].weight % total
-			if t.targets[i].quota > g*t.targets[i].weight/total {
-				continue
-			}
-			if frac > bestFrac {
-				best, bestFrac = i, frac
-			}
-		}
-		if best < 0 {
-			best = 0
-		}
-		t.targets[best].quota++
-	}
-
-	// Reserve one dangling ticket per Explore target that actually receives
-	// robots, in target order (deterministic port order underneath).
-	for i := range t.targets {
-		if t.targets[i].kind == sim.Explore && t.targets[i].quota > 0 {
-			tk, ok := v.ReserveDangling(node)
-			if !ok {
-				return fmt.Errorf("treemining: node %d: reservation failed with %d reported dangling", node, nd)
-			}
-			t.targets[i].ticket = tk
-		}
-	}
-
-	// Emit moves: robots in team order fill targets in order.
-	ti := 0
-	for _, r := range robots {
-		for t.targets[ti].quota == 0 {
-			ti++
-		}
-		t.targets[ti].quota--
-		switch t.targets[ti].kind {
-		case sim.Down:
-			t.moves[r] = sim.Move{Kind: sim.Down, Child: t.targets[ti].child}
-		case sim.Explore:
-			t.moves[r] = sim.Move{Kind: sim.Explore, Ticket: t.targets[ti].ticket}
-		}
-	}
-	return nil
 }

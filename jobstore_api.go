@@ -43,7 +43,8 @@ func OpenJobStore(dir string) (*JobStore, error) {
 // JobInfo summarizes one stored job.
 type JobInfo = jobstore.Info
 
-// Jobs lists the stored jobs, sorted by ID.
+// Jobs lists the stored jobs, sorted by ID. A job whose journal does not
+// replay is listed with the replay error in its row's Error.
 func (js *JobStore) Jobs() ([]JobInfo, error) { return js.s.Jobs() }
 
 // Store exposes the underlying internal store for in-module consumers (the
